@@ -13,7 +13,7 @@ type t = {
 let run ?max_directions ?max_length ~eps points =
   let reduction = Kernel.reduce ?max_directions ~eps points in
   let kvecs = Kernel.select reduction points in
-  let sky_idx = Skyline.naive kvecs in
+  let sky_idx = Skyline.sfs kvecs in
   let sky_vecs = Array.map (fun i -> kvecs.(i)) sky_idx in
   let sky_ids = Array.map (fun i -> reduction.Kernel.ids.(i)) sky_idx in
   let hap_idx = Happy.happy_points sky_vecs in

@@ -85,9 +85,9 @@ let gen_ops rng inst =
 (* ---- the rebuild-from-scratch pipeline ------------------------------------
 
    The ground truth: run the whole static pipeline on the live points. The
-   skyline step is [naive] — the same first-by-input-order duplicate rule
-   [Dynamic] maintains incrementally (sfs would keep a score-sort-order
-   representative of a duplicated maximal point). *)
+   skyline step is the [naive] reference — the same first-by-input-order
+   duplicate rule [Dynamic] maintains incrementally and rebuilds with
+   [sfs]. *)
 
 type expected = {
   x_ids : int array; (* stored order as external ids *)

@@ -5,7 +5,7 @@
     Per instance the oracle verifies (names in brackets are the stable
     check identifiers used in corpus metadata and by the shrinker):
 
-    - [skyline-agree] — naive O(n²) skyline = SFS skyline (by value);
+    - [skyline-agree] — naive O(n²) skyline = SFS skyline, index for index;
     - [lemma3-inclusion] — [D_conv ⊆ D_happy ⊆ D_sky];
     - [selection-valid] — GeoGreedy/Greedy orders are in-range, distinct,
       of size ≤ k;

@@ -17,9 +17,8 @@ type expected = {
 }
 
 let expected_of_points points =
-  (* [naive], not [sfs]: they keep different representatives of duplicated
-     maximal points, and the Dynamic-backed registry maintains the naive
-     (first-by-input-order) rule — see [Dynamic.full_rebuild] *)
+  (* the [naive] reference: the registry's [sfs] must reproduce its ids,
+     first-by-input-order representatives of duplicates included *)
   let sky_idx = Skyline.naive points in
   let sky = Array.map (fun i -> points.(i)) sky_idx in
   let happy_idx = Happy.happy_points sky in

@@ -320,11 +320,9 @@ let rescreen t pos =
 (* ---- construction -------------------------------------------------------- *)
 
 let full_rebuild t =
-  (* skyline -> happy screen -> stored-list preprocessing. The skyline runs
-     [naive], not [sfs]: both return ascending indices over the same value
-     set, but they keep different representatives of a duplicated maximal
-     point (first by input order vs first by score-sort order), and the
-     incremental rules below maintain exactly the input-order rule — an
+  (* skyline -> happy screen -> stored-list preprocessing. [Skyline.sfs]
+     keeps the first occurrence of a duplicated maximal point by input
+     order, and the incremental rules below maintain exactly that rule — an
      equal pair is won by the smaller slot. One rule everywhere keeps the
      id-level answers of the create path and the update path identical. *)
   Hashtbl.reset t.verdicts;
@@ -345,7 +343,7 @@ let full_rebuild t =
         incr j
       end
     done;
-    let sky_idx = Skyline.naive vecs in
+    let sky_idx = Skyline.sfs vecs in
     t.sky <- Array.map (fun i -> positions.(i)) sky_idx;
     let sky_vecs = Array.map (fun i -> vecs.(i)) sky_idx in
     let hap_idx = Happy.happy_points ?eps:t.eps sky_vecs in

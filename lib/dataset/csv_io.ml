@@ -1,9 +1,10 @@
 let parse_line line =
   let fields = String.split_on_char ',' line in
   let parse f =
+    (* nan, inf and -inf parse as floats but are not coordinates *)
     match float_of_string_opt (String.trim f) with
-    | Some x -> x
-    | None -> failwith (Printf.sprintf "Csv_io: bad field %S" f)
+    | Some x when Float.is_finite x -> x
+    | Some _ | None -> failwith (Printf.sprintf "Csv_io: bad field %S" f)
   in
   Array.of_list (List.map parse fields)
 

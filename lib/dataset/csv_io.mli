@@ -11,7 +11,7 @@ val save : string -> Dataset.t -> unit
 
 (** [load ?name path] reads a dataset back. The name defaults to the header's
     name when present, else the file's basename. Raises [Failure] with a
-    line number on malformed input. *)
+    line number on malformed input, non-finite fields included. *)
 val load : ?name:string -> string -> Dataset.t
 
 (** [parse_string ~path contents] parses CSV text already in memory; [path]
@@ -22,5 +22,6 @@ val load : ?name:string -> string -> Dataset.t
 val parse_string : ?name:string -> path:string -> string -> Dataset.t
 
 (** [parse_line line] parses one CSV record into a point. Raises [Failure]
-    on malformed fields. Exposed for tests. *)
+    on malformed or non-finite ([nan], [inf], [-inf]) fields. Exposed for
+    tests. *)
 val parse_line : string -> Kregret_geom.Vector.t

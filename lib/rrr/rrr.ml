@@ -334,7 +334,7 @@ let build ?(budget = default_budget) ?max_size ?candidates points =
            so a non-happy skyline point can be the strict top-1 of a
            direction and the happy set can be impossible to drive to
            rank 1. *)
-        let sky = Skyline.naive points in
+        let sky = Skyline.sfs points in
         (sky, Array.copy sky)
   in
   let nc = Array.length cands in

@@ -81,7 +81,7 @@ type t
 
 (** [build points] preprocesses a normalized dataset:
 
-    + candidates default to the naive skyline — the exact completeness
+    + candidates default to the skyline — the exact completeness
       class for rank: under any [w >= 0] a dominator scores at least its
       dominee, so [rank_w(dominator) <= rank_w(dominee)]. (GeoGreedy's
       happy funnel is deliberately {e not} used: subjugation only bounds

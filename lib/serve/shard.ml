@@ -50,7 +50,7 @@ let build_local ?eps ?max_length ?approx ~off chunk =
   Obs.Counter.incr c_local;
   match approx with
   | None ->
-      let sky_idx = Skyline.naive chunk in
+      let sky_idx = Skyline.sfs chunk in
       let sky_vecs = Array.map (fun i -> chunk.(i)) sky_idx in
       let hap_idx = Happy.happy_points ?eps sky_vecs in
       let hap_vecs = Array.map (fun i -> sky_vecs.(i)) hap_idx in
@@ -66,7 +66,7 @@ let build_local ?eps ?max_length ?approx ~off chunk =
       let red = Kernel.reduce ~eps:a chunk in
       let ker_idx = red.Kernel.ids in
       let ker_vecs = Array.map (fun i -> chunk.(i)) ker_idx in
-      let sky_idx = Skyline.naive ker_vecs in
+      let sky_idx = Skyline.sfs ker_vecs in
       let sky_vecs = Array.map (fun i -> ker_vecs.(i)) sky_idx in
       let hap_idx = Happy.happy_points ?eps sky_vecs in
       let hap_vecs = Array.map (fun i -> sky_vecs.(i)) hap_idx in
@@ -114,7 +114,7 @@ let create ?eps ?max_length ?approx ~shards points =
         let k_ids = red.Kernel.ids in
         (k_ids, Array.map (fun id -> points.(id)) k_ids, Array.length k_ids)
   in
-  let sky_idx = Skyline.naive gather_vecs in
+  let sky_idx = Skyline.sfs gather_vecs in
   let sky_vecs = Array.map (fun i -> gather_vecs.(i)) sky_idx in
   let sky_ids = Array.map (fun i -> gather_ids.(i)) sky_idx in
   let hap_idx = Happy.happy_points ?eps sky_vecs in

@@ -5,13 +5,13 @@
 
     The partition is contiguous by row index, so concatenating the shards
     in order reproduces the original row order. Each shard computes its
-    local naive skyline (and, for its own serving surface, local happy
-    points and a local StoredList). The coordinator then concatenates the
+    local skyline (and, for its own serving surface, local happy points and
+    a local StoredList). The coordinator then concatenates the
     {e local skylines} — not the happy sets — and re-runs
-    [Skyline.naive → Happy.happy_points → Stored_list.preprocess] on that
+    [Skyline.sfs → Happy.happy_points → Stored_list.preprocess] on that
     union.
 
-    Why this is exact (the oracle in [lib/check] asserts it): [naive] keeps
+    Why this is exact (the oracle in [lib/check] asserts it): [sfs] keeps
     row [i] iff no row dominates it and no {e earlier} row equals it.
     - A row cut from its local skyline is cut globally by the same witness.
     - A row kept locally but cut globally has its witness in another chunk;
@@ -22,7 +22,7 @@
     - Duplicated maximal values keep exactly their first occurrence: the
       first occurrence has no earlier equal in its own chunk and survives
       locally, and contiguity keeps it earliest in the concatenation.
-    So [naive (concat local skylines) = naive (all rows)] row-for-row, and
+    So [sfs (concat local skylines) = sfs (all rows)] row-for-row, and
     the happy screen and GeoGreedy materialization then run on identical
     arrays — equality is inherited bit-for-bit, at every pool width.
 

@@ -2,19 +2,22 @@
 
     Every k-regret algorithm in the paper runs on a candidate set that is
     either [D_sky] (prior work) or [D_happy] (the paper's contribution,
-    itself a subset of the skyline). Three implementations are provided:
+    itself a subset of the skyline). Implementations:
 
-    - [naive]: quadratic all-pairs reference, used by the tests;
+    - [sfs]: sort-filter-skyline (Chomicki et al.) — the production
+      skyline, called by every build path (the default of [of_dataset],
+      [Dynamic], [Shard], the ε-kernel [Pipeline], [Rrr.build]);
+    - [naive]: quadratic all-pairs reference that tests and oracles
+      compare [sfs] against;
     - [bnl]: block-nested-loops (Börzsönyi et al., ICDE 2001);
-    - [sfs]: sort-filter-skyline (Chomicki et al.) — sorts by decreasing
-      coordinate sum so a scanned point can never dominate an earlier one;
-      this is the default for the benches;
     - [`Bbs] (via {!Bbs}): progressive branch-and-bound over an R-tree
       (Papadias et al., TODS 2005 — the paper's reference [10]).
 
-    Duplicate maximal points are represented once (first occurrence by input
-    order for [naive]/[bnl]; first by sort order for [sfs]). All functions
-    return ascending indices into the input array. *)
+    All functions return ascending indices into the input array. [naive],
+    [bnl] and [sfs] keep index [i] iff no point dominates it and no point
+    with a lower index equals it: a duplicated maximal point is kept once,
+    at its first occurrence by input order. [sfs] returns exactly [naive]'s
+    array, at every pool width, for finite coordinates. *)
 
 (** [naive points] — O(n^2 d) all-pairs reference. *)
 val naive : Kregret_geom.Vector.t array -> int array
@@ -22,7 +25,15 @@ val naive : Kregret_geom.Vector.t array -> int array
 (** [bnl points] — block-nested-loops with an in-memory window. *)
 val bnl : Kregret_geom.Vector.t array -> int array
 
-(** [sfs points] — sort-filter-skyline. *)
+(** [sfs points] — sort-filter-skyline. The ids are sorted once by
+    (coordinate sum descending, coordinates lexicographically descending,
+    id ascending), so every dominator and every lower-id equal point comes
+    before the point it eliminates, even when rounding ties their sums.
+    The rows are then walked in that order, in fixed-size blocks filtered
+    on the domain pool against a flat window of earlier survivors. The
+    [skyline.*] counters are counted per row, so their totals are the same
+    at every pool width. Raises [Invalid_argument] on rows of different
+    lengths. *)
 val sfs : Kregret_geom.Vector.t array -> int array
 
 (** [of_dataset ?algorithm ds] applies the chosen algorithm (default [`Sfs])

@@ -64,6 +64,15 @@ if "$KREGRET" query --dist no_such_distribution -n 10 -k 2 > out.txt 2>&1; then
   fail "unknown distribution accepted"
 fi
 
+# a non-finite field is a malformed row: exit 1, not a regret ratio
+printf '0.5,1\n0.2,0.3\n0.7,nan\n1,0\n' > nan.csv
+set +e
+"$KREGRET" query nan.csv -k 2 > out.txt 2>&1
+rc=$?
+set -e
+[ "$rc" = "1" ] || fail "a nan field should exit 1, got $rc"
+expect 'bad field "nan" (line 3)' out.txt
+
 # --- --jobs validation -----------------------------------------------------------
 # a bad width is a *usage* error caught by the argument parser (exit 124),
 # not a mid-run failure (exit 1)

@@ -81,6 +81,29 @@ let test_malformed_field_reports_line () =
          in
          contains "oops" && contains "line 3")
 
+let test_non_finite_fields_rejected () =
+  (* nan, inf and -inf parse as OCaml floats; a loaded point must still be
+     finite, so each is a bad field reported with its line *)
+  List.iter
+    (fun field ->
+      temp_csv "nonfinite" @@ fun path ->
+      write path (Printf.sprintf "0.5,1\n0.2,0.3\n0.7,%s\n1,0\n" field);
+      (match Csv_io.load path with
+      | _ -> Alcotest.failf "field %s accepted" field
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "load rejects %s" field)
+            (Printf.sprintf "Csv_io: bad field %S (line 3)" field)
+            msg);
+      let rejected =
+        match Csv_io.parse_line ("0.5," ^ field) with
+        | _ -> false
+        | exception Failure _ -> true
+      in
+      Alcotest.(check bool) (Printf.sprintf "parse_line rejects %s" field)
+        true rejected)
+    [ "nan"; "inf"; "-inf" ]
+
 let test_mixed_dimensions_rejected () =
   temp_csv "mixeddim" @@ fun path ->
   write path "0.5,1\n0.2,0.3,0.4\n";
@@ -123,6 +146,8 @@ let suite =
       test_blank_and_comment_lines_skipped;
     Alcotest.test_case "malformed field reports its line" `Quick
       test_malformed_field_reports_line;
+    Alcotest.test_case "non-finite fields rejected with their line" `Quick
+      test_non_finite_fields_rejected;
     Alcotest.test_case "ragged rows rejected" `Quick
       test_mixed_dimensions_rejected;
     Alcotest.test_case "empty file rejected" `Quick test_empty_file_rejected;

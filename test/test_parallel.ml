@@ -14,6 +14,7 @@ module Happy = Kregret_happy.Happy
 module Geo_greedy = Kregret.Geo_greedy
 module Greedy_lp = Kregret.Greedy_lp
 module Mrr = Kregret.Mrr
+module Obs = Kregret_obs
 
 (* Run [f] under a global pool of width [jobs], restoring the previous
    request afterwards so suites do not leak pool configuration. *)
@@ -154,6 +155,60 @@ let prop_skyline_deterministic inst =
     (fun (a, s) ->
       Printf.sprintf "naive=[%s] sfs=[%s]" (pp_int_array a) (pp_int_array s))
     inst
+
+(* The qcheck instances above stay below one SFS block. This one spans
+   several blocks and multi-chunk regions: anti-correlated rows with exact
+   duplicates copied over other rows, plus a dominated row whose coordinate
+   sum rounds to its (higher-id) dominator's. *)
+let test_sfs_multi_block_width_invariant () =
+  let n = 3_000 and d = 5 in
+  let rng = Rng.create 2014 in
+  let points =
+    Array.map Array.copy
+      (Generator.anti_correlated rng ~n ~d).Dataset.points
+  in
+  for _ = 1 to 150 do
+    let src = Rng.int rng n and dst = Rng.int rng n in
+    points.(dst) <- Array.copy points.(src)
+  done;
+  points.(1_000) <- [| 1.0; 1e-17; 0.; 0.; 0. |];
+  points.(2_500) <- [| 1.0; 2e-17; 0.; 0.; 0. |];
+  let naive = with_jobs 1 (fun () -> Skyline.naive points) in
+  Alcotest.(check bool) "rounding-tied dominee cut" false
+    (Array.mem 1_000 naive);
+  let run jobs =
+    with_jobs jobs (fun () ->
+        Obs.Registry.reset ();
+        Obs.Control.set_enabled true;
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Control.set_enabled false;
+            Obs.Registry.reset ())
+          (fun () ->
+            let sky = Skyline.sfs points in
+            let counters =
+              List.filter
+                (fun (name, _) -> String.starts_with ~prefix:"skyline." name)
+                (Obs.Registry.counters ())
+            in
+            (sky, counters)))
+  in
+  let sky1, c1 = run 1 in
+  Alcotest.(check int) "three skyline counters" 3 (List.length c1);
+  Alcotest.(check (list (pair string int)))
+    "points scanned and survivors"
+    [ ("skyline.points_scanned", n); ("skyline.survivors", Array.length naive) ]
+    (List.filter (fun (name, _) -> name <> "skyline.dominance_tests") c1);
+  List.iter
+    (fun jobs ->
+      let sky, c = if jobs = 1 then (sky1, c1) else run jobs in
+      Alcotest.(check (array int))
+        (Printf.sprintf "sfs = naive at jobs=%d" jobs)
+        naive sky;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "counters jobs=1 = jobs=%d" jobs)
+        c1 c)
+    jobs_under_test
 
 let prop_happy_deterministic inst =
   across_jobs
@@ -314,6 +369,8 @@ let suite =
       qc_cost_instance prop_map_reduce_cost_invariant;
     qcheck_case ~count:12 "skyline identical across jobs 1/2/4" qc_instance
       prop_skyline_deterministic;
+    Alcotest.test_case "sfs = naive across jobs 1/2/4 over several blocks"
+      `Quick test_sfs_multi_block_width_invariant;
     qcheck_case ~count:12 "happy set identical across jobs 1/2/4" qc_instance
       prop_happy_deterministic;
     qcheck_case ~count:12 "geo-greedy order+mrr identical across jobs 1/2/4"

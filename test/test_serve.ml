@@ -391,6 +391,17 @@ let test_load_failures () =
           (match Client.load c ~name:"bad" ~path:bad with
           | Ok _ -> Alcotest.fail "loading malformed CSV should fail"
           | Error _ -> ());
+          let nan_csv = Filename.temp_file "kregret_serve_nan" ".csv" in
+          Out_channel.with_open_text nan_csv (fun oc ->
+              output_string oc "0.5,1\n0.2,0.3\n0.7,nan\n1,0\n");
+          (match Client.load c ~name:"nan" ~path:nan_csv with
+          | Ok _ -> Alcotest.fail "loading a NaN field should fail"
+          | Error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "NaN load answers load_failed: %s" m)
+                true
+                (String.starts_with ~prefix:"server error [load_failed]" m));
+          Sys.remove nan_csv;
           (* server alive, registry empty *)
           let j = or_fail "list" (Client.list_datasets c) in
           Alcotest.(check int) "no datasets" 0

@@ -41,6 +41,33 @@ let test_single_point () =
   let points = [| [| 0.3; 0.7 |] |] in
   Alcotest.(check (array int)) "singleton" [| 0 |] (Skyline.sfs points)
 
+(* [tie_p] dominates [tie_q], yet both coordinate sums round to 1.0: a
+   sort on the sum alone may scan the dominee first *)
+let tie_p = [| 1.0; 2e-17 |]
+let tie_q = [| 1.0; 1e-17 |]
+
+let test_rounding_tied_sums () =
+  let points = [| tie_p; tie_q |] in
+  Alcotest.(check (array int)) "naive" [| 0 |] (Skyline.naive points);
+  Alcotest.(check (array int)) "sfs" [| 0 |] (Skyline.sfs points)
+
+let test_rounding_tie_with_duplicate () =
+  let points = [| tie_p; tie_q; tie_p |] in
+  Alcotest.(check (array int)) "naive" [| 0 |] (Skyline.naive points);
+  Alcotest.(check (array int)) "sfs" [| 0 |] (Skyline.sfs points)
+
+let test_equal_points_keep_lowest_id () =
+  let e = [| 0.5; 0.5 |] and f = [| 0.9; 0.1 |] in
+  List.iter
+    (fun (name, points, expect) ->
+      Alcotest.(check (array int)) (name ^ " naive") expect (Skyline.naive points);
+      Alcotest.(check (array int)) (name ^ " bnl") expect (Skyline.bnl points);
+      Alcotest.(check (array int)) (name ^ " sfs") expect (Skyline.sfs points))
+    [
+      ("five copies", Array.make 5 e, [| 0 |]);
+      ("two values interleaved", [| f; e; e; f; e |], [| 0; 1 |]);
+    ]
+
 let test_all_incomparable () =
   (* points on an anti-diagonal: all in the skyline *)
   let points = Array.init 10 (fun i ->
@@ -67,10 +94,6 @@ let skyline_is_sound points indices =
         sky)
     points
 
-let same_set a b =
-  let norm x = List.sort compare (Array.to_list x) in
-  norm a = norm b
-
 let test_of_dataset () =
   let ds = Generator.anti_correlated (Rng.create 17) ~n:300 ~d:3 in
   let sky = Skyline.of_dataset ds in
@@ -84,6 +107,12 @@ let suite =
     Alcotest.test_case "duplicates kept once" `Quick test_duplicates_once;
     Alcotest.test_case "single point" `Quick test_single_point;
     Alcotest.test_case "anti-diagonal" `Quick test_all_incomparable;
+    Alcotest.test_case "dominator with a rounding-tied sum" `Quick
+      test_rounding_tied_sums;
+    Alcotest.test_case "rounding tie plus a later duplicate" `Quick
+      test_rounding_tie_with_duplicate;
+    Alcotest.test_case "equal points keep the lowest id" `Quick
+      test_equal_points_keep_lowest_id;
     Alcotest.test_case "of_dataset" `Quick test_of_dataset;
     qcheck_case ~count:100 "three algorithms agree"
       (qc_points ~n:60 ~d:4)
@@ -92,7 +121,17 @@ let suite =
         let a = Skyline.naive points
         and b = Skyline.bnl points
         and c = Skyline.sfs points in
-        same_set a b && same_set b c);
+        a = b && a = c);
+    qcheck_case ~count:100 "sfs = naive on a coarse grid (duplicates, ties)"
+      (QCheck.make
+         ~print:(fun l -> String.concat "; " (List.map Vector.to_string l))
+         QCheck.Gen.(
+           list_size (int_range 1 80)
+             (array_size (return 3)
+                (map (fun i -> 0.25 *. float_of_int i) (int_range 1 4)))))
+      (fun pts ->
+        let points = Array.of_list pts in
+        Skyline.sfs points = Skyline.naive points);
     qcheck_case ~count:100 "skyline is sound and complete"
       (qc_points ~n:60 ~d:3)
       (fun pts ->
