@@ -35,71 +35,76 @@ let with_obs (metrics, stats) f =
 
 (* ---- client mode --------------------------------------------------------- *)
 
+(* How many of the words after a verb are its arguments. *)
+type arity =
+  | Fixed of int
+  | Load  (* NAME PATH, then a greedy optional SHARDS and/or EPS *)
+  | Optional_name  (* the next word, unless it is a verb or a raw frame *)
+
+(* Every shorthand verb with its arity and argument synopsis: the one table
+   behind grouping words into commands, evict's look-ahead and the usage
+   message. The read verbs are the protocol's families. *)
+let verbs =
+  [
+    ("ping", Fixed 0, "");
+    ("list", Fixed 0, "");
+    ("stats", Fixed 0, "");
+    ("shutdown", Fixed 0, "");
+    ("evict", Optional_name, " [NAME]");
+    ("load", Load, " NAME PATH [SHARDS] [EPS]");
+  ]
+  @ List.map
+      (fun f -> (Serve.Protocol.family_name f, Fixed 2, " NAME K"))
+      Serve.Protocol.families
+  @ [
+      ("insert", Fixed 2, " NAME P1,P2,..");
+      ("delete", Fixed 2, " NAME ID");
+      ("flush", Fixed 1, " NAME");
+      ("wait", Fixed 1, " NAME");
+    ]
+
+let arity_of verb =
+  List.find_map (fun (v, a, _) -> if v = verb then Some a else None) verbs
+
+let is_raw word = String.length word > 0 && word.[0] = '{'
+
 (* Translate a shorthand command to one request frame. *)
-let frame_of_command = function
-  | [ "ping" ] -> Ok (`Send [ ("op", Serve.Json.Str "ping") ])
-  | [ "list" ] -> Ok (`Send [ ("op", Serve.Json.Str "list") ])
-  | [ "stats" ] -> Ok (`Send [ ("op", Serve.Json.Str "stats") ])
-  | [ "shutdown" ] -> Ok (`Send [ ("op", Serve.Json.Str "shutdown") ])
-  | [ "evict" ] -> Ok (`Send [ ("op", Serve.Json.Str "evict") ])
-  | [ "evict"; name ] ->
-      Ok (`Send [ ("op", Serve.Json.Str "evict"); ("name", Serve.Json.Str name) ])
-  | [ "load"; name; path ] ->
-      Ok
-        (`Send
-          [
-            ("op", Serve.Json.Str "load");
-            ("name", Serve.Json.Str name);
-            ("path", Serve.Json.Str path);
-          ])
-  | [ "load"; name; path; third ] -> (
-      (* an integer third word is a shard count, a non-integer float is an
-         ε-kernel approximation bound *)
-      match (int_of_string_opt third, float_of_string_opt third) with
-      | Some s, _ ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str "load");
-                ("name", Serve.Json.Str name);
-                ("path", Serve.Json.Str path);
-                ("shards", Serve.Json.int s);
-              ])
-      | None, Some e ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str "load");
-                ("name", Serve.Json.Str name);
-                ("path", Serve.Json.Str path);
-                ("approx", Serve.Json.Num e);
-              ])
-      | None, None ->
-          Error
-            (Printf.sprintf
-               "load: expected an integer SHARDS or a float EPS, got %S" third))
-  | [ "load"; name; path; shards; eps ] -> (
-      match (int_of_string_opt shards, float_of_string_opt eps) with
-      | Some s, Some e ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str "load");
-                ("name", Serve.Json.Str name);
-                ("path", Serve.Json.Str path);
-                ("shards", Serve.Json.int s);
-                ("approx", Serve.Json.Num e);
-              ])
-      | None, _ ->
-          Error
-            (Printf.sprintf "load: SHARDS must be an integer, got %S" shards)
-      | _, None ->
-          Error (Printf.sprintf "load: EPS must be a float, got %S" eps))
-  | [ "wait"; name ] -> Ok (`Wait name)
-  | [ "flush"; name ] ->
-      Ok
-        (`Send [ ("op", Serve.Json.Str "flush"); ("name", Serve.Json.Str name) ])
-  | [ "insert"; name; point ] -> (
+let frame_of_command cmd =
+  let send op fields = Ok (`Send (("op", Serve.Json.Str op) :: fields)) in
+  let name n = ("name", Serve.Json.Str n) in
+  match cmd with
+  | [ "wait"; n ] -> Ok (`Wait n)
+  | [ (("ping" | "list" | "stats" | "shutdown" | "evict") as op) ] ->
+      send op []
+  | [ (("evict" | "flush") as op); n ] -> send op [ name n ]
+  | "load" :: n :: path :: options -> (
+      let load extra =
+        send "load" (name n :: ("path", Serve.Json.Str path) :: extra)
+      in
+      let shards s = ("shards", Serve.Json.int s)
+      and approx e = ("approx", Serve.Json.Num e) in
+      match options with
+      | [] -> load []
+      | [ third ] -> (
+          (* an integer third word is a shard count, a non-integer float is
+             an ε-kernel approximation bound *)
+          match (int_of_string_opt third, float_of_string_opt third) with
+          | Some s, _ -> load [ shards s ]
+          | None, Some e -> load [ approx e ]
+          | None, None ->
+              Error
+                (Printf.sprintf
+                   "load: expected an integer SHARDS or a float EPS, got %S"
+                   third))
+      | [ s; e ] -> (
+          match (int_of_string_opt s, float_of_string_opt e) with
+          | Some s, Some e -> load [ shards s; approx e ]
+          | None, _ ->
+              Error (Printf.sprintf "load: SHARDS must be an integer, got %S" s)
+          | _, None ->
+              Error (Printf.sprintf "load: EPS must be a float, got %S" e))
+      | _ -> Error "load: expected NAME PATH [SHARDS] [EPS]")
+  | [ "insert"; n; point ] -> (
       let coords =
         String.split_on_char ',' point
         |> List.map (fun c -> float_of_string_opt (String.trim c))
@@ -109,62 +114,42 @@ let frame_of_command = function
           (Printf.sprintf
              "insert: POINT must be comma-separated floats, got %S" point)
       else
-        Ok
-          (`Send
-            [
-              ("op", Serve.Json.Str "insert");
-              ("name", Serve.Json.Str name);
-              ( "point",
-                Serve.Json.Arr
-                  (List.map (fun c -> Serve.Json.Num (Option.get c)) coords) );
-            ]))
-  | [ "delete"; name; id ] -> (
+        send "insert"
+          [
+            name n;
+            ( "point",
+              Serve.Json.Arr
+                (List.map (fun c -> Serve.Json.Num (Option.get c)) coords) );
+          ])
+  | [ "delete"; n; id ] -> (
       match int_of_string_opt id with
-      | Some id ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str "delete");
-                ("name", Serve.Json.Str name);
-                ("id", Serve.Json.int id);
-              ])
-      | None -> Error (Printf.sprintf "delete: ID must be an integer, got %S" id))
-  | [ op; name; k ] when op = "query" || op = "mrr" || op = "rank_regret" -> (
+      | Some id -> send "delete" [ name n; ("id", Serve.Json.int id) ]
+      | None ->
+          Error (Printf.sprintf "delete: ID must be an integer, got %S" id))
+  | [ op; n; k ] when Serve.Protocol.family_of_op op <> None -> (
       match int_of_string_opt k with
-      | Some k ->
-          Ok
-            (`Send
-              [
-                ("op", Serve.Json.Str op);
-                ("name", Serve.Json.Str name);
-                ("k", Serve.Json.int k);
-              ])
+      | Some k -> send op [ name n; ("k", Serve.Json.int k) ]
       | None -> Error (Printf.sprintf "%s: K must be an integer, got %S" op k))
   | cmd ->
+      let usage = List.map (fun (verb, _, args) -> verb ^ args) verbs in
       Error
-        (Printf.sprintf
-           "unknown command %S (expected: ping | list | stats | shutdown | \
-            evict [NAME] | load NAME PATH [SHARDS] [EPS] | query NAME K | \
-            mrr NAME K | rank_regret NAME K | insert NAME P1,P2,.. | \
-            delete NAME ID | flush NAME | wait NAME, or a raw JSON frame)"
-           (String.concat " " cmd))
+        (Printf.sprintf "unknown command %S (expected: %s, or a raw JSON frame)"
+           (String.concat " " cmd)
+           (String.concat " | " usage))
 
 (* Group the positional words into commands: a word starting with '{' is a
-   complete raw frame; otherwise a verb consumes its fixed argument count. *)
+   complete raw frame; otherwise a verb consumes its arguments. *)
 let rec group_commands = function
   | [] -> Ok []
-  | raw :: rest when String.length raw > 0 && raw.[0] = '{' ->
+  | raw :: rest when is_raw raw ->
       Result.map (fun cmds -> `Raw raw :: cmds) (group_commands rest)
   | verb :: rest ->
       let arity =
-        match verb with
-        | "ping" | "list" | "stats" | "shutdown" -> Ok 0
-        | "wait" | "flush" -> Ok 1
-        | "query" | "mrr" | "rank_regret" -> Ok 2
-        | "insert" | "delete" -> Ok 2
-        | "load" ->
-            (* NAME PATH plus a greedy optional SHARDS (integer) and/or EPS
-               (float) — paths are never bare numbers in practice *)
+        match arity_of verb with
+        | None -> Error (Printf.sprintf "unknown command %S" verb)
+        | Some (Fixed n) -> Ok n
+        | Some Load ->
+            (* paths are never bare numbers in practice *)
             Ok
               (match rest with
               | _ :: _ :: third :: fourth :: _
@@ -174,22 +159,11 @@ let rec group_commands = function
               | _ :: _ :: third :: _ when float_of_string_opt third <> None ->
                   3
               | _ -> 2)
-        | "evict" ->
-            (* greedy 1-arg unless the next word is a verb or raw frame *)
+        | Some Optional_name ->
             Ok
               (match rest with
-              | next :: _
-                when next.[0] <> '{'
-                     && not
-                          (List.mem next
-                             [
-                               "ping"; "list"; "stats"; "shutdown"; "evict";
-                               "load"; "query"; "mrr"; "rank_regret";
-                               "insert"; "delete"; "flush"; "wait";
-                             ]) ->
-                  1
+              | next :: _ when (not (is_raw next)) && arity_of next = None -> 1
               | _ -> 0)
-        | _ -> Error (Printf.sprintf "unknown command %S" verb)
       in
       Result.bind arity (fun n ->
           if List.length rest < n then

@@ -32,7 +32,7 @@ val query : t -> k:int -> int list * float
 
 (** [mrr_at t ~k] — the stored (kernel-relative) mrr of the size-[k]
     prefix; [0.] when nothing is stored (matching
-    {!Kregret_serve.Shard.mrr_at} on an empty list). *)
+    {!Kregret_serve.Shard.query} on an empty list). *)
 val mrr_at : t -> k:int -> float
 
 val stored_length : t -> int

@@ -195,11 +195,6 @@ module Snapshot = struct
     else
       let take = min k len in
       (Array.to_list (Array.sub s.sn_ids 0 take), s.sn_mrr.(take - 1))
-
-  let mrr_at s ~k =
-    if k < 1 then invalid_arg "Dynamic.Snapshot.mrr_at: k must be positive";
-    let len = Array.length s.sn_ids in
-    if len = 0 then 0. else s.sn_mrr.(min k len - 1)
 end
 
 let snapshot t =

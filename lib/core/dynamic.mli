@@ -114,7 +114,6 @@ module Snapshot : sig
   val live : t -> int
   val stored_length : t -> int
   val query : t -> k:int -> int list * float
-  val mrr_at : t -> k:int -> float
 
   (** [basis s] — the live [(ids, rows)] the snapshot was published from,
       insertion order (the same pairing as {!live_points}): the input the

@@ -65,6 +65,3 @@ let counts t =
   let c = (t.leaders, t.followers) in
   Mutex.unlock t.mutex;
   c
-
-let leaders t = fst (counts t)
-let followers t = snd (counts t)

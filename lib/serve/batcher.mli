@@ -1,6 +1,6 @@
 (** Single-flight request coalescing.
 
-    When several connections ask for the same [(dataset, k, kind)] at the
+    When several connections ask for the same [(dataset, k, family)] at the
     same moment, only the first — the {e leader} — runs the StoredList
     prefix scan; the rest ({e followers}) block on the in-flight cell and
     receive the leader's result (or its exception) verbatim. One scan thus
@@ -23,9 +23,5 @@ val create : unit -> ('k, 'v) t
 val run : ('k, 'v) t -> key:'k -> (unit -> 'v) -> 'v * bool
 
 (** [counts t] is [(leaders, followers)] read atomically under the
-    batcher mutex — a consistent pair for stats frames (independent reads
-    of {!leaders} and {!followers} could straddle an event). *)
+    batcher mutex — a consistent pair for stats frames. *)
 val counts : ('k, 'v) t -> int * int
-
-val leaders : ('k, 'v) t -> int
-val followers : ('k, 'v) t -> int

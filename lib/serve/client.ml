@@ -137,11 +137,15 @@ let wait_ready ?(attempts = 600) t ~name =
   in
   poll attempts
 
-let query_fields ~op ~name ~k =
-  [ ("op", Json.Str op); ("name", Json.Str name); ("k", Json.int k) ]
+let read_fields family ~name ~k =
+  [
+    ("op", Json.Str (Protocol.family_name family));
+    ("name", Json.Str name);
+    ("k", Json.int k);
+  ]
 
 let query_json t ~name ~k =
-  request t (Json.to_string (Json.Obj (query_fields ~op:"query" ~name ~k)))
+  request t (Json.to_string (Json.Obj (read_fields Protocol.Query ~name ~k)))
 
 (* send a frame, retrying on [building] with the server's retry_after hint *)
 let with_building_retry_fields ~retries t fields extract =
@@ -159,16 +163,13 @@ let with_building_retry_fields ~retries t fields extract =
   in
   go retries
 
-let with_building_retry ~retries t ~op ~name ~k extract =
-  with_building_retry_fields ~retries t (query_fields ~op ~name ~k) extract
+let with_building_retry ~retries t family ~name ~k extract =
+  with_building_retry_fields ~retries t (read_fields family ~name ~k) extract
 
-let extract_mrr j =
-  match Option.bind (Json.member "mrr" j) Json.to_float with
-  | Some m -> Some m
-  | None -> None
+let extract_mrr j = Option.bind (Json.member "mrr" j) Json.to_float
 
 let query ?(retries = 200) t ~name ~k =
-  with_building_retry ~retries t ~op:"query" ~name ~k (fun j ->
+  with_building_retry ~retries t Protocol.Query ~name ~k (fun j ->
       let selection =
         Option.bind (Json.member "selection" j) Json.to_list
         |> Option.map (List.filter_map Json.to_int)
@@ -178,23 +179,20 @@ let query ?(retries = 200) t ~name ~k =
       | _ -> Error ("query response missing fields: " ^ Json.to_string j))
 
 let mrr ?(retries = 200) t ~name ~k =
-  with_building_retry ~retries t ~op:"mrr" ~name ~k (fun j ->
+  with_building_retry ~retries t Protocol.Mrr ~name ~k (fun j ->
       match extract_mrr j with
       | Some m -> Ok m
       | None -> Error ("mrr response missing mrr: " ^ Json.to_string j))
 
 let rank_regret ?(retries = 200) t ~name ~k =
-  with_building_retry ~retries t ~op:"rank_regret" ~name ~k (fun j ->
+  with_building_retry ~retries t Protocol.Rank_regret ~name ~k (fun j ->
       let selection =
         Option.bind (Json.member "selection" j) Json.to_list
         |> Option.map (List.filter_map Json.to_int)
       in
       let lo = Option.bind (Json.member "rank_lo" j) Json.to_int in
       let hi = Option.bind (Json.member "rank_hi" j) Json.to_int in
-      let exact =
-        Option.bind (Json.member "exact" j) (fun v ->
-            match v with Json.Bool b -> Some b | _ -> None)
-      in
+      let exact = Option.bind (Json.member "exact" j) Json.to_bool in
       match (selection, lo, hi, exact) with
       | Some sel, Some lo, Some hi, Some exact -> Ok (sel, lo, hi, exact)
       | _ -> Error ("rank_regret response missing fields: " ^ Json.to_string j))
@@ -217,9 +215,7 @@ let delete ?(retries = 200) t ~name ~id =
   with_building_retry_fields ~retries t
     [ ("op", Json.Str "delete"); ("name", Json.Str name); ("id", Json.int id) ]
     (fun j ->
-      match Option.bind (Json.member "applied" j) (fun v ->
-          match v with Json.Bool b -> Some b | _ -> None)
-      with
+      match Option.bind (Json.member "applied" j) Json.to_bool with
       | Some applied -> Ok applied
       | None -> Error ("delete response missing applied: " ^ Json.to_string j))
 

@@ -9,13 +9,6 @@ let of_string s =
   String.iter (fun ch -> h := mix !h (Int64.of_int (Char.code ch))) s;
   render !h
 
-let of_points points =
-  let h = ref fnv_offset in
-  Array.iter
-    (fun p -> Array.iter (fun x -> h := mix !h (Int64.bits_of_float x)) p)
-    points;
-  render !h
-
 (* A stat signature is the cheap proxy for "the file was not touched":
    same device, inode, size and mtime (nanosecond precision on Linux)
    means the same bytes for any editor/tool that writes through the

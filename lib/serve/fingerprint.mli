@@ -1,8 +1,8 @@
 (** Content fingerprints for dataset identity.
 
-    The serving layer keys everything — registry entries, cache entries,
-    staleness checks — on a fingerprint of the {e raw bytes} of the CSV file
-    a dataset was loaded from. Hashing bytes (rather than the parsed,
+    The serving layer keys registry entries and staleness checks on a
+    fingerprint of the {e raw bytes} of the CSV file a dataset was loaded
+    from. Hashing bytes (rather than the parsed,
     normalized points) makes the staleness contract simple and strict: any
     rewrite of the file on disk, even one that re-serializes the same
     values, invalidates the loaded StoredList and forces an explicit
@@ -17,11 +17,6 @@ val of_string : string -> string
     (with the failing path in the message) when the file cannot be read —
     never raises. *)
 val of_file : string -> (string, string) result
-
-(** [of_points pts] — FNV-1a over the raw IEEE-754 bits of every coordinate
-    (point-major). The in-memory analogue of {!of_string}, for callers that
-    have no backing file. *)
-val of_points : Kregret_geom.Vector.t array -> string
 
 (** {1 Stat signatures}
 

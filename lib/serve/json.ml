@@ -272,4 +272,3 @@ let to_int v =
 let to_bool v = match v with Bool b -> Some b | _ -> None
 let to_list v = match v with Arr items -> Some items | _ -> None
 let int n = Num (Int.to_float n)
-let str s = Str s

@@ -41,4 +41,3 @@ val to_list : t -> t list option
 (** {1 Constructors} *)
 
 val int : int -> t
-val str : string -> t

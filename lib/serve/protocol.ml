@@ -1,6 +1,18 @@
 let version = "kregret-serve/v1"
 let default_max_line = 65536
 
+type family = Query | Mrr | Rank_regret
+
+let families = [ Query; Mrr; Rank_regret ]
+
+let family_name = function
+  | Query -> "query"
+  | Mrr -> "mrr"
+  | Rank_regret -> "rank_regret"
+
+let family_of_op op =
+  List.find_opt (fun f -> String.equal (family_name f) op) families
+
 type request =
   | Ping
   | List
@@ -12,9 +24,7 @@ type request =
       shards : int option;
       approx : float option;
     }
-  | Query of { name : string; k : int }
-  | Mrr of { name : string; k : int }
-  | Rank_regret of { name : string; k : int }
+  | Read of { family : family; name : string; k : int }
   | Evict of { name : string option }
   | Insert of { name : string; point : float array }
   | Delete of { name : string; id : int }
@@ -124,18 +134,6 @@ let parse_request ?(max_line = default_max_line) line =
                 let* shards = field_shards obj in
                 let* approx = field_approx obj in
                 Ok (Load { name; path; shards; approx })
-            | Some "query" ->
-                let* name = field_str obj "name" in
-                let* k = field_k obj in
-                Ok (Query { name; k })
-            | Some "mrr" ->
-                let* name = field_str obj "name" in
-                let* k = field_k obj in
-                Ok (Mrr { name; k })
-            | Some "rank_regret" ->
-                let* name = field_str obj "name" in
-                let* k = field_k obj in
-                Ok (Rank_regret { name; k })
             | Some "insert" ->
                 let* name = field_str obj "name" in
                 let* point = field_point obj in
@@ -156,10 +154,16 @@ let parse_request ?(max_line = default_max_line) line =
                     | None ->
                         Error
                           (err ~code:"bad_field" "\"name\" must be a string")))
-            | Some other ->
-                Error
-                  (err ~code:"unknown_op"
-                     (Printf.sprintf "unknown op %S" other))))
+            | Some other -> (
+                match family_of_op other with
+                | Some family ->
+                    let* name = field_str obj "name" in
+                    let* k = field_k obj in
+                    Ok (Read { family; name; k })
+                | None ->
+                    Error
+                      (err ~code:"unknown_op"
+                         (Printf.sprintf "unknown op %S" other)))))
     | Ok _ -> Error (err ~code:"bad_request" "request must be a JSON object")
 
 (* ---- response frames ----------------------------------------------------- *)

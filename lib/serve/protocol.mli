@@ -56,7 +56,11 @@
     terminate the server. Error codes: [parse_error], [bad_request],
     [missing_field], [bad_field], [unknown_op], [frame_too_large],
     [not_found], [building], [build_failed], [load_failed],
-    [stale_dataset], [static_dataset], [bad_point], [internal]. *)
+    [stale_dataset], [static_dataset], [bad_point], [empty_dataset],
+    [internal]. [empty_dataset] answers a [rank_regret] read on a dataset
+    whose every point was deleted: a rank needs at least one point to rank
+    against ([query] and [mrr] answer such a dataset with the empty
+    selection and mrr [0]). *)
 
 val version : string
 (** ["kregret-serve/v1"]. *)
@@ -65,6 +69,19 @@ val default_max_line : int
 (** Frame size limit in bytes (65536). Oversized frames are answered with
     [frame_too_large] and the connection is closed — past the limit the
     framing itself can no longer be trusted. *)
+
+(** The read verbs: every one answers [{"op":OP,"name":NAME,"k":K}] from
+    the dataset's published state, through one cache and batch path. *)
+type family = Query | Mrr | Rank_regret
+
+(** Every family, in wire documentation order. *)
+val families : family list
+
+(** The family's [op] string: ["query"], ["mrr"], ["rank_regret"]. *)
+val family_name : family -> string
+
+(** [family_of_op op] — the family whose {!family_name} is [op]. *)
+val family_of_op : string -> family option
 
 type request =
   | Ping
@@ -77,9 +94,7 @@ type request =
       shards : int option;
       approx : float option;
     }
-  | Query of { name : string; k : int }
-  | Mrr of { name : string; k : int }
-  | Rank_regret of { name : string; k : int }
+  | Read of { family : family; name : string; k : int }
   | Evict of { name : string option }
   | Insert of { name : string; point : float array }
   | Delete of { name : string; id : int }

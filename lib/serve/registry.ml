@@ -53,11 +53,6 @@ let backend_query b ~k =
   | Solo s -> Dynamic.Snapshot.query s ~k
   | Sharded sh -> Shard.query sh ~k
 
-let backend_mrr_at b ~k =
-  match b with
-  | Solo s -> Dynamic.Snapshot.mrr_at s ~k
-  | Sharded sh -> Shard.mrr_at sh ~k
-
 (* Rank-regret rides the same published surfaces: solo answers run the
    engine over the snapshot's live basis (so they track updates epoch for
    epoch, and a fresh unmutated dataset reproduces the offline engine bit
@@ -91,8 +86,21 @@ let backend_stored_length = function
 
 type status = Building | Ready of built | Failed of string
 
+(* The wire error for a name that cannot answer: absent, still building or
+   failed. The one copy of these messages, for reads and both update
+   paths; a [Ready] status here belongs to an entry re-loaded under the
+   caller, which reads as absent. *)
+let unavailable name = function
+  | Some Building ->
+      ("building", Printf.sprintf "dataset %S is still building" name)
+  | Some (Failed m) ->
+      ("build_failed", Printf.sprintf "dataset %S failed to build: %s" name m)
+  | None | Some (Ready _) ->
+      ("not_found", Printf.sprintf "dataset %S is not loaded" name)
+
 type info = {
   name : string;
+  generation : int;
   path : string;
   fingerprint : string;
   stat : Fingerprint.stat_sig;
@@ -118,6 +126,7 @@ type update_reply = (update_outcome, string * string) result
 
 type entry = {
   e_name : string;
+  e_generation : int;  (* unique per registration, never reused *)
   e_path : string;
   e_fingerprint : string;
   mutable e_stat : Fingerprint.stat_sig;  (* of the bytes behind e_fingerprint *)
@@ -144,6 +153,7 @@ type t = {
   entries : (string, entry) Hashtbl.t;
   queue : job Queue.t;
   max_length : int option;
+  mutable generations : int;  (* registrations so far *)
   mutable stop : bool;
   mutable worker : Thread.t option;
 }
@@ -155,6 +165,7 @@ let locked t f =
 let snapshot e =
   {
     name = e.e_name;
+    generation = e.e_generation;
     path = e.e_path;
     fingerprint = e.e_fingerprint;
     stat = e.e_stat;
@@ -166,23 +177,31 @@ let snapshot e =
     status = e.e_status;
   }
 
-(* shard tiers and ε-kernel tiers are both static materializations with
-   no incremental repair; updates against them are rejected with the
-   [static_dataset] wire error *)
-let static_reason ~shards ~approx name =
-  if shards > 1 then
-    Some
-      (Printf.sprintf
-         "dataset %S is sharded (scatter-gather) and static; re-load it \
-          without \"shards\" to update it"
-         name)
-  else if approx > 0. then
-    Some
-      (Printf.sprintf
-         "dataset %S is an ε-kernel approximation and static; re-load it \
-          without \"approx\" to update it"
-         name)
-  else None
+(* The entry an update may run against, or the wire error refusing it:
+   one check for the enqueue and for the worker, which passes the
+   fingerprint the update was enqueued for. Shard tiers and ε-kernel
+   tiers are static materializations with no incremental repair. *)
+let update_target ?fingerprint t name =
+  match Hashtbl.find_opt t.entries name with
+  | None -> Error (unavailable name None)
+  | Some e when e.e_shards > 1 ->
+      Error
+        ( "static_dataset",
+          Printf.sprintf
+            "dataset %S is sharded (scatter-gather) and static; re-load it \
+             without \"shards\" to update it"
+            name )
+  | Some e when e.e_approx > 0. ->
+      Error
+        ( "static_dataset",
+          Printf.sprintf
+            "dataset %S is an ε-kernel approximation and static; re-load it \
+             without \"approx\" to update it"
+            name )
+  | Some ({ e_status = Ready b; _ } as e)
+    when fingerprint = None || fingerprint = Some e.e_fingerprint ->
+      Ok (e, b)
+  | Some e -> Error (unavailable name (Some e.e_status))
 
 (* The full offline pipeline of the paper. Solo: materialized as a
    [Dynamic.t] so later updates repair incrementally. Sharded: the static
@@ -308,21 +327,11 @@ let worker_loop t =
             u_cell := Some r;
             Condition.broadcast t.cond
           in
-          match Hashtbl.find_opt t.entries u_name with
-          | Some { e_shards; e_approx; _ }
-            when static_reason ~shards:e_shards ~approx:e_approx u_name
-                 <> None ->
-              (* normally rejected at enqueue time; kept for a load that
-                 re-registered the name as static while the job sat queued *)
-              reply
-                (Error
-                   ( "static_dataset",
-                     Option.get
-                       (static_reason ~shards:e_shards ~approx:e_approx u_name)
-                   ))
-          | Some e
-            when String.equal e.e_fingerprint u_fingerprint
-                 && (match e.e_status with Ready _ -> true | _ -> false) -> (
+          (* re-checked here: a load may have re-registered the name (as
+             static, or with new bytes) while the job sat queued *)
+          match update_target ~fingerprint:u_fingerprint t u_name with
+          | Error e -> reply (Error e)
+          | Ok (e, b) -> (
               match e.e_dyn with
               | None ->
                   reply
@@ -331,14 +340,11 @@ let worker_loop t =
                          Printf.sprintf "dataset %S is ready with no state"
                            u_name ))
               | Some dyn ->
-                  let build_seconds =
-                    match e.e_status with
-                    | Ready b -> b.build_seconds
-                    | _ -> 0.
-                  in
                   Mutex.unlock t.mutex;
                   let r = apply_update dyn u_op in
-                  let published = publish_built dyn ~build_seconds in
+                  let published =
+                    publish_built dyn ~build_seconds:b.build_seconds
+                  in
                   Mutex.lock t.mutex;
                   (* republish on the same entry only: an evict/re-load that
                      raced the update owns the name now *)
@@ -352,22 +358,7 @@ let worker_loop t =
                           e'.e_mutated <- true
                       | _ -> ())
                   | _ -> ());
-                  reply r)
-          | Some { e_status = Building; _ } ->
-              reply
-                (Error
-                   ( "building",
-                     Printf.sprintf "dataset %S is still building" u_name ))
-          | Some { e_status = Failed m; _ } ->
-              reply
-                (Error
-                   ( "build_failed",
-                     Printf.sprintf "dataset %S failed to build: %s" u_name m ))
-          | _ ->
-              reply
-                (Error
-                   ( "not_found",
-                     Printf.sprintf "dataset %S is not loaded" u_name )))
+                  reply r))
     end
   done;
   (* drain: outstanding update waiters must not hang on shutdown *)
@@ -389,6 +380,7 @@ let create ?max_length () =
       entries = Hashtbl.create 16;
       queue = Queue.create ();
       max_length;
+      generations = 0;
       stop = false;
       worker = None;
     }
@@ -476,9 +468,11 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                     e.e_stat <- stat_sig;
                     Ok (snapshot e)
                 | _ ->
+                    t.generations <- t.generations + 1;
                     let e =
                       {
                         e_name = name;
+                        e_generation = t.generations;
                         e_path = path;
                         e_fingerprint = fp;
                         e_stat = stat_sig;
@@ -503,26 +497,9 @@ let update t ~name op =
     locked t (fun () ->
         if t.stop then Error ("internal", "registry is shut down")
         else
-          match Hashtbl.find_opt t.entries name with
-          | None ->
-              Error
-                ("not_found", Printf.sprintf "dataset %S is not loaded" name)
-          | Some { e_shards; e_approx; _ }
-            when static_reason ~shards:e_shards ~approx:e_approx name <> None
-            ->
-              Error
-                ( "static_dataset",
-                  Option.get
-                    (static_reason ~shards:e_shards ~approx:e_approx name) )
-          | Some { e_status = Building; _ } ->
-              Error
-                ( "building",
-                  Printf.sprintf "dataset %S is still building" name )
-          | Some { e_status = Failed m; _ } ->
-              Error
-                ( "build_failed",
-                  Printf.sprintf "dataset %S failed to build: %s" name m )
-          | Some e ->
+          match update_target t name with
+          | Error _ as refused -> refused
+          | Ok (e, _) ->
               Queue.push
                 (Update
                    {
@@ -557,10 +534,10 @@ let list t =
       Hashtbl.fold (fun _ e acc -> snapshot e :: acc) t.entries []
       |> List.sort (fun a b -> String.compare a.name b.name))
 
-(* Returns the evicted entry's fingerprint so the caller can purge exactly
-   the cache rows of the entry that was removed: fetching the fingerprint
-   with a separate [find] first raced a concurrent re-load, leaving the new
-   entry's rows purged and the dead entry's rows behind. *)
+(* Returns the evicted entry's generation so the caller can purge exactly
+   the cache rows of the entry that was removed: reading it with a separate
+   [find] first raced a concurrent re-load, leaving the new entry's rows
+   purged and the dead entry's rows behind. *)
 let evict t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.entries name with
@@ -568,7 +545,7 @@ let evict t name =
       | Some e ->
           Hashtbl.remove t.entries name;
           Obs.Gauge.set_int g_datasets (Hashtbl.length t.entries);
-          Some e.e_fingerprint)
+          Some e.e_generation)
 
 let fresh _t info =
   if info.mutated then
@@ -600,3 +577,11 @@ let fresh _t info =
                 hashes to %s); re-load it"
                info.name info.path info.fingerprint fp)
         end)
+
+let ready t name =
+  match find t name with
+  | Some ({ status = Ready b; _ } as info) -> (
+      match fresh t info with
+      | Ok () -> Ok (info, b)
+      | Error m -> Error ("stale_dataset", m))
+  | found -> Error (unavailable name (Option.map (fun i -> i.status) found))

@@ -60,7 +60,6 @@ type built = {
     it could miss. *)
 
 val backend_query : backend -> k:int -> int list * float
-val backend_mrr_at : backend -> k:int -> float
 
 (** [backend_rank_regret b ~k] — the rank-regret representative answer of
     the published backend: solo backends run {!Kregret_rrr.Rrr} over the
@@ -78,6 +77,10 @@ type status = Building | Ready of built | Failed of string
 
 type info = {
   name : string;
+  generation : int;
+      (** this registration's id: a [load] that creates or replaces the
+          entry takes a fresh one, never reused, so answers cached under
+          it belong to this registration alone *)
   path : string;
   fingerprint : string;
   stat : Fingerprint.stat_sig;
@@ -155,12 +158,11 @@ val find : t -> string -> info option
 val list : t -> info list
 
 (** [evict t name] — forget a dataset, returning the evicted entry's
-    fingerprint ([None] when absent). Removal and fingerprint read happen
+    generation ([None] when absent). Removal and generation read happen
     under one critical section, so a cache purge keyed on the result
-    targets exactly the entry that was removed — reading the fingerprint
-    with a separate {!find} first raced a concurrent re-load of the same
-    name. *)
-val evict : t -> string -> string option
+    targets exactly the entry that was removed — reading it with a
+    separate {!find} first raced a concurrent re-load of the same name. *)
+val evict : t -> string -> int option
 
 (** [fresh t info] — fail when [info.path] no longer holds the loaded
     bytes (counted as [serve.stale_rejections]). The common case is O(1):
@@ -169,3 +171,10 @@ val evict : t -> string -> string option
     without a rewrite stays fresh, and per-query latency does not scale
     with the file). Always [Ok] once [info.mutated]. *)
 val fresh : t -> info -> (unit, string) result
+
+(** [ready t name] — the dataset's snapshot and published build, when it
+    can answer a read now: it is loaded, built, and {!fresh}. Otherwise
+    the wire error [(code, message)]: [not_found], [building],
+    [build_failed] or [stale_dataset]. {!update} refuses with the same
+    [not_found]/[building]/[build_failed] messages. *)
+val ready : t -> string -> (info * built, string * string) result

@@ -45,30 +45,26 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
     approx;
   }
 
-(* cache values: one shape for [query] (selection + mrr), [mrr], and
-   [rank_regret] (selection + certificate; c_mrr unused) *)
-type cached = {
-  c_selection : int list option;
-  c_mrr : float;
-  c_rank : (int * int * bool) option;  (* rank_lo, rank_hi, exact *)
-}
+(* cache/batch key: (generation, epoch, k, family). The generation names
+   one registration: a load that creates or replaces an entry takes a new
+   one, so registrations never share rows — not solo vs sharded vs ε
+   loads of one CSV, and not two names of one file whose updates reach
+   equal epochs with different points. The epoch is the registration's
+   answer version, so an insert/delete invalidates by key churn — stale
+   rows age out of the LRU with no explicit flush. The family keeps a rank
+   certificate and a regret selection at the same k apart. *)
+type key = int * int * int * Protocol.family
 
-(* cache/batch key: (fingerprint, shards, approx, epoch, k, kind). The
-   epoch is the dataset's answer version, so an insert/delete invalidates
-   by key churn — stale rows age out of the LRU with no explicit flush.
-   The shard count and ε are part of the key because the same CSV loaded
-   solo, sharded, exact or approximate shares a fingerprint while
-   materializing independently: without them the registrations would
-   share (and cross-fill) cache rows — approx and exact answers must
-   never collide (the PR 4 cross-k lesson, one key dimension later). *)
-type key = string * int * float * int * int * string
+(* A read answer as its JSON fields: those rendered before the
+   [cached]/[coalesced] flags and those after them. *)
+type fields = (string * Json.t) list * (string * Json.t) list
 
 type t = {
   cfg : config;
   reg : Registry.t;
-  cache : (key, cached) Lru.t;
+  cache : (key, fields) Lru.t;
   cache_mutex : Mutex.t;
-  batcher : (key, cached) Batcher.t;
+  batcher : (key, (fields, Protocol.error) result) Batcher.t;
   resolved : Endpoint.t list;  (* as bound: tcp port 0 replaced *)
   mutable poller : Poller.t option;  (* set before the IO thread runs *)
   mutable io_thread : Thread.t option;
@@ -112,6 +108,13 @@ let count_error t =
 let error t ?retry_after e =
   count_error t;
   Protocol.error_response ?retry_after e
+
+(* a registry refusal as a wire error; [building] carries the retry hint *)
+let refusal t (code, message) =
+  let retry_after =
+    if code = "building" then Some t.cfg.retry_after else None
+  in
+  error t ?retry_after (Protocol.err ~code message)
 
 let dataset_json info =
   let base =
@@ -164,171 +167,82 @@ let handle_load t ~name ~path ~shards ~approx =
           ("approx", Json.Num info.Registry.approx);
         ]
 
-(* The serving hot path. Cache first; on a miss, coalesce concurrent
-   identical computations through the batcher, so one StoredList prefix
-   scan answers every in-flight duplicate. *)
-let handle_query t ~name ~k ~kind =
-  match Registry.find t.reg name with
-  | None ->
-      error t
-        (Protocol.err ~code:"not_found"
-           (Printf.sprintf "dataset %S is not loaded" name))
-  | Some info -> (
-      match info.Registry.status with
-      | Registry.Building ->
-          error t ~retry_after:t.cfg.retry_after
-            (Protocol.err ~code:"building"
-               (Printf.sprintf "dataset %S is still building" name))
-      | Registry.Failed m ->
-          error t
-            (Protocol.err ~code:"build_failed"
-               (Printf.sprintf "dataset %S failed to build: %s" name m))
-      | Registry.Ready b -> (
-          (* stale-reuse guard: the CSV on disk must still be the bytes this
-             StoredList was built from *)
-          match Registry.fresh t.reg info with
-          | Error m -> error t (Protocol.err ~code:"stale_dataset" m)
-          | Ok () ->
-              let backend = b.Registry.backend in
-              let key =
-                ( info.Registry.fingerprint,
-                  info.Registry.shards,
-                  info.Registry.approx,
-                  Registry.backend_epoch backend,
-                  k,
-                  kind )
-              in
-              let hit = with_lock t.cache_mutex (fun () -> Lru.get t.cache key) in
-              let value, cached, coalesced =
-                match hit with
-                | Some v -> (v, true, false)
-                | None ->
-                    let v, coalesced =
-                      Batcher.run t.batcher ~key (fun () ->
-                          (* ids are the registry's stable external ids: row
-                             indices of the loaded CSV, then fresh ids for
-                             inserts *)
-                          let ids, mrr = Registry.backend_query backend ~k in
-                          let v =
-                            {
-                              c_selection =
-                                (if kind = "query" then Some ids else None);
-                              c_mrr = mrr;
-                              c_rank = None;
-                            }
-                          in
-                          with_lock t.cache_mutex (fun () ->
-                              Lru.put t.cache key v);
-                          v)
-                    in
-                    (v, false, coalesced)
-              in
-              let base =
-                [
-                  ("op", Json.Str kind);
-                  ("name", Json.Str name);
-                  ("k", Json.int k);
-                  ("mrr", Json.Num value.c_mrr);
-                  ("cached", Json.Bool cached);
-                  ("coalesced", Json.Bool coalesced);
-                ]
-              in
-              let fields =
-                match value.c_selection with
-                | Some sel ->
-                    base @ [ ("selection", Json.Arr (List.map Json.int sel)) ]
-                | None -> base
-              in
-              Protocol.ok_response fields))
+let ids_json ids = Json.Arr (List.map Json.int ids)
 
-(* rank_regret: the same cache/batch skeleton as [handle_query], with the
-   sibling engine behind it. The key's kind dimension ("rank_regret" vs
-   "query"/"mrr") keeps the two query families from sharing rows at equal
-   (fingerprint, shards, approx, epoch, k) — a rank certificate and a
-   regret selection at the same k are different answers. *)
-let handle_rank_regret t ~name ~k =
-  match Registry.find t.reg name with
-  | None ->
-      error t
-        (Protocol.err ~code:"not_found"
-           (Printf.sprintf "dataset %S is not loaded" name))
-  | Some info -> (
-      match info.Registry.status with
-      | Registry.Building ->
-          error t ~retry_after:t.cfg.retry_after
-            (Protocol.err ~code:"building"
-               (Printf.sprintf "dataset %S is still building" name))
-      | Registry.Failed m ->
-          error t
-            (Protocol.err ~code:"build_failed"
-               (Printf.sprintf "dataset %S failed to build: %s" name m))
-      | Registry.Ready b -> (
-          match Registry.fresh t.reg info with
-          | Error m -> error t (Protocol.err ~code:"stale_dataset" m)
-          | Ok () ->
-              let backend = b.Registry.backend in
-              let key =
-                ( info.Registry.fingerprint,
-                  info.Registry.shards,
-                  info.Registry.approx,
-                  Registry.backend_epoch backend,
-                  k,
-                  "rank_regret" )
-              in
-              let hit = with_lock t.cache_mutex (fun () -> Lru.get t.cache key) in
-              let value, cached, coalesced =
-                match hit with
-                | Some v -> (v, true, false)
-                | None ->
-                    let v, coalesced =
-                      Batcher.run t.batcher ~key (fun () ->
-                          let ids, rank =
-                            Registry.backend_rank_regret backend ~k
-                          in
-                          let v =
-                            {
-                              c_selection = Some ids;
-                              c_mrr = 0.;
-                              c_rank =
-                                Some
-                                  ( rank.Kregret_rrr.Rrr.lo,
-                                    rank.Kregret_rrr.Rrr.hi,
-                                    rank.Kregret_rrr.Rrr.exact );
-                            }
-                          in
-                          with_lock t.cache_mutex (fun () ->
-                              Lru.put t.cache key v);
-                          v)
-                    in
-                    (v, false, coalesced)
-              in
-              let lo, hi, exact =
-                match value.c_rank with
-                | Some c -> c
-                | None -> (0, 0, false)  (* unreachable: rrr rows carry c_rank *)
-              in
-              let sel = Option.value value.c_selection ~default:[] in
-              Protocol.ok_response
-                [
-                  ("op", Json.Str "rank_regret");
-                  ("name", Json.Str name);
-                  ("k", Json.int k);
-                  ("selection", Json.Arr (List.map Json.int sel));
-                  ("rank_lo", Json.int lo);
-                  ("rank_hi", Json.int hi);
-                  ("exact", Json.Bool exact);
-                  ("cached", Json.Bool cached);
-                  ("coalesced", Json.Bool coalesced);
-                ]))
+(* One family's answer over a published backend. Selections are the
+   registry's stable external ids: row indices of the loaded CSV, then
+   fresh ids for inserts. *)
+let answer ~name family backend ~k =
+  match family with
+  | Protocol.Query ->
+      let ids, mrr = Registry.backend_query backend ~k in
+      Ok ([ ("mrr", Json.Num mrr) ], [ ("selection", ids_json ids) ])
+  | Protocol.Mrr ->
+      let _, mrr = Registry.backend_query backend ~k in
+      Ok ([ ("mrr", Json.Num mrr) ], [])
+  | Protocol.Rank_regret when Registry.backend_live backend = 0 ->
+      Error
+        (Protocol.err ~code:"empty_dataset"
+           (Printf.sprintf "dataset %S has no live points" name))
+  | Protocol.Rank_regret ->
+      let ids, rank = Registry.backend_rank_regret backend ~k in
+      Ok
+        ( [
+            ("selection", ids_json ids);
+            ("rank_lo", Json.int rank.Kregret_rrr.Rrr.lo);
+            ("rank_hi", Json.int rank.Kregret_rrr.Rrr.hi);
+            ("exact", Json.Bool rank.Kregret_rrr.Rrr.exact);
+          ],
+          [] )
+
+(* The serving hot path, one skeleton for every read family. Cache first;
+   on a miss, coalesce concurrent identical computations through the
+   batcher, so one computation answers every in-flight duplicate. Only
+   answers are cached, never refusals. *)
+let handle_read t ~family ~name ~k =
+  match Registry.ready t.reg name with
+  | Error refused -> refusal t refused
+  | Ok (info, b) -> (
+      let backend = b.Registry.backend in
+      let key =
+        (info.Registry.generation, Registry.backend_epoch backend, k, family)
+      in
+      let hit = with_lock t.cache_mutex (fun () -> Lru.get t.cache key) in
+      let result, cached, coalesced =
+        match hit with
+        | Some fields -> (Ok fields, true, false)
+        | None ->
+            let r, coalesced =
+              Batcher.run t.batcher ~key (fun () ->
+                  let r = answer ~name family backend ~k in
+                  Result.iter
+                    (fun fields ->
+                      with_lock t.cache_mutex (fun () ->
+                          Lru.put t.cache key fields))
+                    r;
+                  r)
+            in
+            (r, false, coalesced)
+      in
+      match result with
+      | Error e -> error t e
+      | Ok (before, after) ->
+          let request =
+            [
+              ("op", Json.Str (Protocol.family_name family));
+              ("name", Json.Str name);
+              ("k", Json.int k);
+            ]
+          and flags =
+            [ ("cached", Json.Bool cached); ("coalesced", Json.Bool coalesced) ]
+          in
+          Protocol.ok_response (request @ before @ flags @ after))
 
 (* insert/delete/flush: hand the op to the registry worker and block this
-   worker thread until the incremental repair is published. [building]
-   gets the retry hint, like queries. *)
+   worker thread until the incremental repair is published *)
 let handle_update t ~name ~kind op =
   match Registry.update t.reg ~name op with
-  | Error (("building" as code), m) ->
-      error t ~retry_after:t.cfg.retry_after (Protocol.err ~code m)
-  | Error (code, m) -> error t (Protocol.err ~code m)
+  | Error refused -> refusal t refused
   | Ok o ->
       let base =
         [
@@ -354,23 +268,22 @@ let handle_evict t ~name =
       Protocol.ok_response [ ("op", Json.Str "evict"); ("cleared", Json.Str "cache") ]
   | Some name ->
       (* eviction and cache purge key off one atomic registry removal: the
-         evict returns the fingerprint of exactly the entry it removed, so a
-         re-load racing this evict keeps its own (new) cache rows and the
-         dead entry's rows cannot survive behind a fresh fingerprint read *)
-      let evicted_fp = Registry.evict t.reg name in
-      (match evicted_fp with
-      | Some fp ->
+         evict returns the generation of exactly the entry it removed, so a
+         re-load racing this evict keeps its own (new) cache rows *)
+      let evicted = Registry.evict t.reg name in
+      (match evicted with
+      | Some generation ->
           with_lock t.cache_mutex (fun () ->
               List.iter
-                (fun ((kfp, _, _, _, _, _) as key) ->
-                  if String.equal kfp fp then ignore (Lru.remove t.cache key))
+                (fun ((g, _, _, _) as key) ->
+                  if g = generation then ignore (Lru.remove t.cache key))
                 (Lru.keys_mru t.cache))
       | None -> ());
       Protocol.ok_response
         [
           ("op", Json.Str "evict");
           ("name", Json.Str name);
-          ("evicted", Json.Bool (Option.is_some evicted_fp));
+          ("evicted", Json.Bool (Option.is_some evicted));
         ]
 
 let handle_stats t =
@@ -436,11 +349,8 @@ let handle_request t line =
             (Protocol.ok_response [ ("op", Json.Str "shutdown") ], true)
         | Protocol.Load { name; path; shards; approx } ->
             (handle_load t ~name ~path ~shards ~approx, false)
-        | Protocol.Query { name; k } ->
-            (handle_query t ~name ~k ~kind:"query", false)
-        | Protocol.Mrr { name; k } -> (handle_query t ~name ~k ~kind:"mrr", false)
-        | Protocol.Rank_regret { name; k } ->
-            (handle_rank_regret t ~name ~k, false)
+        | Protocol.Read { family; name; k } ->
+            (handle_read t ~family ~name ~k, false)
         | Protocol.Insert { name; point } ->
             (handle_update t ~name ~kind:"insert" (`Insert point), false)
         | Protocol.Delete { name; id } ->

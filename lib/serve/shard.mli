@@ -1,15 +1,15 @@
-(** Scatter-gather shard tier: partition a dataset, run the offline
-    pipeline (skyline → happy → StoredList) per shard, and merge the shard
-    results into a coordinator whose answers are {e bit-identical} to the
-    monolithic pipeline over the whole dataset.
+(** Scatter-gather shard tier: partition a dataset, reduce each shard to
+    its scatter surface, and run the offline pipeline (skyline → happy →
+    StoredList) once, on the merged surfaces, in a coordinator whose
+    answers are {e bit-identical} to the monolithic pipeline over the
+    whole dataset.
 
     The partition is contiguous by row index, so concatenating the shards
-    in order reproduces the original row order. Each shard computes its
-    local skyline (and, for its own serving surface, local happy points and
-    a local StoredList). The coordinator then concatenates the
-    {e local skylines} — not the happy sets — and re-runs
-    [Skyline.sfs → Happy.happy_points → Stored_list.preprocess] on that
-    union.
+    in order reproduces the original row order. Per-shard work is the
+    scatter surface only: the shard's local skyline (its ε-kernel in
+    approx mode, below). The coordinator concatenates the local skylines
+    and runs [Skyline.sfs → Happy.happy_points → Stored_list.preprocess]
+    on that union.
 
     Why this is exact (the oracle in [lib/check] asserts it): [sfs] keeps
     row [i] iff no row dominates it and no {e earlier} row equals it.
@@ -44,22 +44,17 @@
 type t
 
 val create :
-  ?eps:float ->
   ?max_length:int ->
   ?approx:float ->
   shards:int ->
   Kregret_geom.Vector.t array ->
   t
 (** Build the shard tier over normalized rows. [shards] is clamped to
-    [1 .. n]; [eps]/[max_length] are threaded to every local pipeline and
-    to the coordinator exactly as {!Kregret.Dynamic.create} would thread
-    them. [approx] switches the scatter surface to per-chunk ε-kernels
-    (see above). Runs on the calling thread (shards build sequentially —
-    the parallelism lives inside each pipeline stage's pool use, so
-    answers are independent of the pool width). *)
-
-val shards : t -> int
-(** The actual shard count after clamping. *)
+    [1 .. n]; [max_length] caps the coordinator's StoredList exactly as
+    {!Kregret.Dynamic.create} would. [approx] switches the scatter surface
+    to per-chunk ε-kernels (see above). Runs on the calling thread (shards
+    build sequentially — the parallelism lives inside each pipeline
+    stage's pool use, so answers are independent of the pool width). *)
 
 val n : t -> int
 (** Total rows. *)
@@ -73,9 +68,6 @@ val n_happy : t -> int
 val stored_length : t -> int
 (** Materialized coordinator list length. *)
 
-val approx : t -> float
-(** The ε this tier was built with; [0.] for the exact tier. *)
-
 val kernel_size : t -> int
 (** Rows in the merged (= whole-dataset) ε-kernel; [0] for the exact
     tier. *)
@@ -85,13 +77,6 @@ val query : t -> k:int -> int list * float
     maximum regret ratio — same contract as
     {!Kregret.Dynamic.Snapshot.query}. *)
 
-val mrr_at : t -> k:int -> float
-
-val happy_ids : t -> int array
-(** The merged happy set as original row ids — bit-identical to the
-    monolithic happy set in exact mode (the merge argument above), the
-    kernel-restricted happy set in approx mode. *)
-
 val rank_regret : t -> k:int -> int list * Kregret_rrr.Rrr.rank
 (** Rank-regret representative query over the sharded tier: a greedy
     [<= k]-subset of the merged skyline (the rank-complete candidate
@@ -100,14 +85,3 @@ val rank_regret : t -> k:int -> int list * Kregret_rrr.Rrr.rank
     that prefix's certified rank. Candidates and universe equal the
     monolithic engine's, so answers are bit-identical to
     {!Kregret_rrr.Rrr.build} + [query] at every shard count. *)
-
-val local_sizes : t -> (int * int * int) array
-(** Per shard, [(rows, local skyline size, local happy size)] — the
-    scatter phase's shape, for [stats]/[list] reporting. *)
-
-val local_query : t -> shard:int -> k:int -> int list
-(** First [k] entries of one shard's {e local} StoredList, as original row
-    ids. The local answers are what a distributed deployment would serve
-    from the shard replicas; they are {e not} in general a superset of the
-    coordinator's answer, which is why the merge consumes skylines, not
-    top-k lists. *)

@@ -12,8 +12,8 @@
      (greedy prefix stability);
    - the served rank_regret verb is bit-identical to the offline engine
      over a live socket (solo and sharded), and the result cache never
-     hands one verb kind's row to another verb at equal
-     (fingerprint, shards, approx, epoch, k). *)
+     hands one read family's row to another family at equal
+     (generation, epoch, k). *)
 
 module Vector = Kregret_geom.Vector
 module Dataset = Kregret_dataset.Dataset
@@ -361,11 +361,10 @@ let probe c ~op ~name ~k =
   | Some b -> (j, b)
   | None -> Alcotest.failf "%s: response has no cached flag" op
 
-(* The cache-key regression (the PR 4 cross-k lesson, one key dimension
-   later): for every ordered pair of verbs, equal
-   (fingerprint, shards, approx, epoch, k) with a different kind must MISS.
-   Verbs run against one live server; evict purges the fingerprint's rows
-   between pairs, so each pair starts from a cold cache. *)
+(* The cache-key regression: for every ordered pair of verbs, equal
+   (generation, epoch, k) with a different family must MISS. Verbs run
+   against one live server; each pair loads its own name, so each pair
+   starts from a cold cache. *)
 let test_cache_kind_isolation () =
   let path = write_csv ~name:"rrr-kinds" ~n:60 ~d:3 ~seed:53 in
   let k = 2 in
@@ -386,8 +385,8 @@ let test_cache_kind_isolation () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s cold after load" a)
                 false a_cold;
-              (* same (fingerprint, shards, approx, epoch, k), different
-                 kind: the other verb must not see a's row *)
+              (* same (generation, epoch, k), different family: the
+                 other verb must not see a's row *)
               let jb, b_cold = probe c ~op:b ~name ~k in
               Alcotest.(check bool)
                 (Printf.sprintf "%s misses after %s (kind isolation)" b a)
@@ -416,8 +415,7 @@ let test_cache_kind_isolation () =
               Alcotest.(check bool) (Printf.sprintf "%s warm" a) true a_warm;
               let _, b_warm = probe c ~op:b ~name ~k in
               Alcotest.(check bool) (Printf.sprintf "%s warm" b) true b_warm;
-              (* evict purges the fingerprint's cache rows: the next pair
-                 starts cold even though it reloads the same bytes *)
+              (* evict purges the registration's cache rows *)
               ignore (or_fail "evict" (Client.evict c ~name ())))
             pairs))
 

@@ -490,6 +490,88 @@ let test_update_verbs_end_to_end () =
             (Option.bind (Json.member "epoch" d0) Json.to_int
              |> Option.value ~default:(-1) > 0)))
 
+(* a dataset emptied by deletes: query and mrr answer the empty selection,
+   rank_regret a structured [empty_dataset] error that is counted and
+   never cached *)
+let test_rank_regret_empty_dataset () =
+  let path = Filename.temp_file "kregret_serve_empty" ".csv" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "0.5,0.9\n0.9,0.5\n");
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"t" ~path;
+          List.iter
+            (fun id ->
+              Alcotest.(check bool) "delete applies" true
+                (or_fail "delete" (Client.delete c ~name:"t" ~id)))
+            [ 0; 1 ];
+          let sel, mrr = or_fail "query" (Client.query c ~name:"t" ~k:2) in
+          Alcotest.(check (list int)) "query: empty selection" [] sel;
+          Alcotest.check exact_float "query: mrr 0" 0. mrr;
+          Alcotest.check exact_float "mrr: 0" 0.
+            (or_fail "mrr" (Client.mrr c ~name:"t" ~k:2));
+          let stat path =
+            let s = or_fail "stats" (Client.stats c) in
+            List.fold_left
+              (fun j key -> Option.bind j (Json.member key))
+              (Some s) path
+            |> Fun.flip Option.bind Json.to_int
+            |> Option.value ~default:(-1)
+          in
+          let errors = stat [ "errors" ] in
+          let insertions = stat [ "cache"; "insertions" ] in
+          for _ = 1 to 2 do
+            Alcotest.(check string) "rank_regret: empty_dataset"
+              {|{"ok":false,"error":{"code":"empty_dataset","message":"dataset \"t\" has no live points"}}|}
+              (or_fail "rank_regret"
+                 (Client.request_raw c
+                    {|{"op":"rank_regret","name":"t","k":2}|}))
+          done;
+          Alcotest.(check int) "both refusals counted" (errors + 2)
+            (stat [ "errors" ]);
+          Alcotest.(check int) "refusals not cached" insertions
+            (stat [ "cache"; "insertions" ])));
+  Sys.remove path
+
+(* Cached answers belong to one registration. Two names loaded from one
+   CSV and updated with different points up to the same epoch each answer
+   their own dataset, and so does a name re-loaded with the bytes it had
+   before it was mutated: equal fingerprint, shards, ε, epoch, k and
+   family must not mean a shared cache row. *)
+let test_cache_rows_per_registration () =
+  let path = write_csv ~name:"twins" ~n:60 ~d:3 ~seed:43 in
+  let other = write_csv ~name:"other" ~n:50 ~d:3 ~seed:44 in
+  let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let n = Array.length base in
+  let k = 4 and p = [| 1.; 1.; 1. |] and q = [| 1.; 1.; 0.9 |] in
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          let insert name point =
+            Alcotest.(check int) (name ^ ": insert id") n
+              (or_fail "insert" (Client.insert c ~name ~point))
+          in
+          let check what name point =
+            let live =
+              Array.append (Array.mapi (fun i v -> (i, v)) base) [| (n, point) |]
+            in
+            let sel_ref, mrr_ref = expected_of_live live ~k in
+            let sel, mrr = or_fail "query" (Client.query c ~name ~k) in
+            Alcotest.(check (list int)) (what ^ ": own selection") sel_ref sel;
+            Alcotest.check exact_float (what ^ ": own mrr") mrr_ref mrr
+          in
+          load_and_wait c ~name:"a" ~path;
+          load_and_wait c ~name:"b" ~path;
+          insert "a" p;
+          insert "b" q;
+          check "a" "a" p;
+          check "b, same file and epoch as a" "b" q;
+          load_and_wait c ~name:"a" ~path:other;
+          ignore (or_fail "query other" (Client.query c ~name:"a" ~k));
+          load_and_wait c ~name:"a" ~path;
+          insert "a" q;
+          check "a, re-loaded" "a" q));
+  List.iter Sys.remove [ path; other ]
+
 (* concurrent loads of the same unchanged file are idempotent: one entry,
    every caller joins the same build, and the dataset serves afterwards *)
 let test_concurrent_load_idempotent () =
@@ -949,6 +1031,253 @@ let test_approx_load_end_to_end () =
           Alcotest.(check (option (float 0.))) "approx approx field" (Some eps)
             (approx_of "apx")))
 
+(* ---- golden wire transcript ----------------------------------------------- *)
+
+(* The exact bytes of every read reply and every read-path error, pinned.
+   One seeded CSV is loaded solo, as 3 shards and as an ε = 0.2 kernel;
+   query, mrr and rank_regret run at k ∈ {1, 3, 20}, cold then cached;
+   then not_found, k = 0, missing k, inserts into the two static tiers,
+   and stale_dataset once the CSV is rewritten. The CSV's temp path
+   prints as PATH. [list] is left out: it carries build_seconds. *)
+let golden_requests ~path =
+  let load name extra =
+    Printf.sprintf {|{"op":"load","name":"%s","path":%s%s}|} name
+      (Json.to_string (Json.Str path))
+      extra
+  in
+  let read op name k = Printf.sprintf {|{"op":"%s","name":"%s","k":%d}|} op name k in
+  let verbs = [ "query"; "mrr"; "rank_regret" ] in
+  let names = [ "solo"; "sh3"; "apx" ] in
+  let each f = List.concat_map f verbs in
+  let loads =
+    [ load "solo" ""; load "sh3" {|,"shards":3|}; load "apx" {|,"approx":0.2|} ]
+  in
+  let reads =
+    List.concat_map
+      (fun name ->
+        each (fun op ->
+            List.concat_map
+              (fun k -> [ read op name k; read op name k ])
+              [ 1; 3; 20 ]))
+      names
+  in
+  let errors =
+    each (fun op -> [ read op "nope" 3 ])
+    @ each (fun op -> [ read op "solo" 0 ])
+    @ each (fun op -> [ Printf.sprintf {|{"op":"%s","name":"solo"}|} op ])
+    @ List.map
+        (Printf.sprintf {|{"op":"insert","name":"%s","point":[0.5,0.5,0.5]}|})
+        [ "sh3"; "apx" ]
+  in
+  let stale =
+    List.concat_map (fun name -> each (fun op -> [ read op name 3 ])) names
+  in
+  (loads, reads @ errors, stale)
+
+let golden_transcript =
+  {golden|
+> {"op":"load","name":"solo","path":"PATH"}
+< {"ok":true,"op":"load","name":"solo","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"shards":1,"approx":0}
+> {"op":"load","name":"sh3","path":"PATH","shards":3}
+< {"ok":true,"op":"load","name":"sh3","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"shards":3,"approx":0}
+> {"op":"load","name":"apx","path":"PATH","approx":0.2}
+< {"ok":true,"op":"load","name":"apx","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"shards":1,"approx":0.20000000000000001}
+> {"op":"query","name":"solo","k":1}
+< {"ok":true,"op":"query","name":"solo","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false,"selection":[26]}
+> {"op":"query","name":"solo","k":1}
+< {"ok":true,"op":"query","name":"solo","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false,"selection":[26]}
+> {"op":"query","name":"solo","k":3}
+< {"ok":true,"op":"query","name":"solo","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false,"selection":[26,23,36]}
+> {"op":"query","name":"solo","k":3}
+< {"ok":true,"op":"query","name":"solo","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false,"selection":[26,23,36]}
+> {"op":"query","name":"solo","k":20}
+< {"ok":true,"op":"query","name":"solo","k":20,"mrr":0,"cached":false,"coalesced":false,"selection":[26,23,36,11,18,73,53,57]}
+> {"op":"query","name":"solo","k":20}
+< {"ok":true,"op":"query","name":"solo","k":20,"mrr":0,"cached":true,"coalesced":false,"selection":[26,23,36,11,18,73,53,57]}
+> {"op":"mrr","name":"solo","k":1}
+< {"ok":true,"op":"mrr","name":"solo","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"solo","k":1}
+< {"ok":true,"op":"mrr","name":"solo","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false}
+> {"op":"mrr","name":"solo","k":3}
+< {"ok":true,"op":"mrr","name":"solo","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"solo","k":3}
+< {"ok":true,"op":"mrr","name":"solo","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false}
+> {"op":"mrr","name":"solo","k":20}
+< {"ok":true,"op":"mrr","name":"solo","k":20,"mrr":0,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"solo","k":20}
+< {"ok":true,"op":"mrr","name":"solo","k":20,"mrr":0,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"solo","k":1}
+< {"ok":true,"op":"rank_regret","name":"solo","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"solo","k":1}
+< {"ok":true,"op":"rank_regret","name":"solo","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"solo","k":3}
+< {"ok":true,"op":"rank_regret","name":"solo","k":3,"selection":[73,12,11],"rank_lo":7,"rank_hi":15,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"solo","k":3}
+< {"ok":true,"op":"rank_regret","name":"solo","k":3,"selection":[73,12,11],"rank_lo":7,"rank_hi":15,"exact":false,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"solo","k":20}
+< {"ok":true,"op":"rank_regret","name":"solo","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"solo","k":20}
+< {"ok":true,"op":"rank_regret","name":"solo","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":true,"coalesced":false}
+> {"op":"query","name":"sh3","k":1}
+< {"ok":true,"op":"query","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false,"selection":[26]}
+> {"op":"query","name":"sh3","k":1}
+< {"ok":true,"op":"query","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false,"selection":[26]}
+> {"op":"query","name":"sh3","k":3}
+< {"ok":true,"op":"query","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false,"selection":[26,23,36]}
+> {"op":"query","name":"sh3","k":3}
+< {"ok":true,"op":"query","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false,"selection":[26,23,36]}
+> {"op":"query","name":"sh3","k":20}
+< {"ok":true,"op":"query","name":"sh3","k":20,"mrr":0,"cached":false,"coalesced":false,"selection":[26,23,36,11,18,73,53,57]}
+> {"op":"query","name":"sh3","k":20}
+< {"ok":true,"op":"query","name":"sh3","k":20,"mrr":0,"cached":true,"coalesced":false,"selection":[26,23,36,11,18,73,53,57]}
+> {"op":"mrr","name":"sh3","k":1}
+< {"ok":true,"op":"mrr","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"sh3","k":1}
+< {"ok":true,"op":"mrr","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false}
+> {"op":"mrr","name":"sh3","k":3}
+< {"ok":true,"op":"mrr","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"sh3","k":3}
+< {"ok":true,"op":"mrr","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false}
+> {"op":"mrr","name":"sh3","k":20}
+< {"ok":true,"op":"mrr","name":"sh3","k":20,"mrr":0,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"sh3","k":20}
+< {"ok":true,"op":"mrr","name":"sh3","k":20,"mrr":0,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"sh3","k":1}
+< {"ok":true,"op":"rank_regret","name":"sh3","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"sh3","k":1}
+< {"ok":true,"op":"rank_regret","name":"sh3","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"sh3","k":3}
+< {"ok":true,"op":"rank_regret","name":"sh3","k":3,"selection":[73,12,11],"rank_lo":7,"rank_hi":15,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"sh3","k":3}
+< {"ok":true,"op":"rank_regret","name":"sh3","k":3,"selection":[73,12,11],"rank_lo":7,"rank_hi":15,"exact":false,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"sh3","k":20}
+< {"ok":true,"op":"rank_regret","name":"sh3","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"sh3","k":20}
+< {"ok":true,"op":"rank_regret","name":"sh3","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":true,"coalesced":false}
+> {"op":"query","name":"apx","k":1}
+< {"ok":true,"op":"query","name":"apx","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false,"selection":[26]}
+> {"op":"query","name":"apx","k":1}
+< {"ok":true,"op":"query","name":"apx","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false,"selection":[26]}
+> {"op":"query","name":"apx","k":3}
+< {"ok":true,"op":"query","name":"apx","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false,"selection":[26,23,36]}
+> {"op":"query","name":"apx","k":3}
+< {"ok":true,"op":"query","name":"apx","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false,"selection":[26,23,36]}
+> {"op":"query","name":"apx","k":20}
+< {"ok":true,"op":"query","name":"apx","k":20,"mrr":0,"cached":false,"coalesced":false,"selection":[26,23,36,11,18,73]}
+> {"op":"query","name":"apx","k":20}
+< {"ok":true,"op":"query","name":"apx","k":20,"mrr":0,"cached":true,"coalesced":false,"selection":[26,23,36,11,18,73]}
+> {"op":"mrr","name":"apx","k":1}
+< {"ok":true,"op":"mrr","name":"apx","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"apx","k":1}
+< {"ok":true,"op":"mrr","name":"apx","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false}
+> {"op":"mrr","name":"apx","k":3}
+< {"ok":true,"op":"mrr","name":"apx","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"apx","k":3}
+< {"ok":true,"op":"mrr","name":"apx","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false}
+> {"op":"mrr","name":"apx","k":20}
+< {"ok":true,"op":"mrr","name":"apx","k":20,"mrr":0,"cached":false,"coalesced":false}
+> {"op":"mrr","name":"apx","k":20}
+< {"ok":true,"op":"mrr","name":"apx","k":20,"mrr":0,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"apx","k":1}
+< {"ok":true,"op":"rank_regret","name":"apx","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"apx","k":1}
+< {"ok":true,"op":"rank_regret","name":"apx","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"apx","k":3}
+< {"ok":true,"op":"rank_regret","name":"apx","k":3,"selection":[73,23,11],"rank_lo":6,"rank_hi":13,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"apx","k":3}
+< {"ok":true,"op":"rank_regret","name":"apx","k":3,"selection":[73,23,11],"rank_lo":6,"rank_hi":13,"exact":false,"cached":true,"coalesced":false}
+> {"op":"rank_regret","name":"apx","k":20}
+< {"ok":true,"op":"rank_regret","name":"apx","k":20,"selection":[73,23,11,18,26,36],"rank_lo":2,"rank_hi":5,"exact":false,"cached":false,"coalesced":false}
+> {"op":"rank_regret","name":"apx","k":20}
+< {"ok":true,"op":"rank_regret","name":"apx","k":20,"selection":[73,23,11,18,26,36],"rank_lo":2,"rank_hi":5,"exact":false,"cached":true,"coalesced":false}
+> {"op":"query","name":"nope","k":3}
+< {"ok":false,"error":{"code":"not_found","message":"dataset \"nope\" is not loaded"}}
+> {"op":"mrr","name":"nope","k":3}
+< {"ok":false,"error":{"code":"not_found","message":"dataset \"nope\" is not loaded"}}
+> {"op":"rank_regret","name":"nope","k":3}
+< {"ok":false,"error":{"code":"not_found","message":"dataset \"nope\" is not loaded"}}
+> {"op":"query","name":"solo","k":0}
+< {"ok":false,"error":{"code":"bad_field","message":"\"k\" must be a positive integer (got 0)"}}
+> {"op":"mrr","name":"solo","k":0}
+< {"ok":false,"error":{"code":"bad_field","message":"\"k\" must be a positive integer (got 0)"}}
+> {"op":"rank_regret","name":"solo","k":0}
+< {"ok":false,"error":{"code":"bad_field","message":"\"k\" must be a positive integer (got 0)"}}
+> {"op":"query","name":"solo"}
+< {"ok":false,"error":{"code":"missing_field","message":"\"k\" is required"}}
+> {"op":"mrr","name":"solo"}
+< {"ok":false,"error":{"code":"missing_field","message":"\"k\" is required"}}
+> {"op":"rank_regret","name":"solo"}
+< {"ok":false,"error":{"code":"missing_field","message":"\"k\" is required"}}
+> {"op":"insert","name":"sh3","point":[0.5,0.5,0.5]}
+< {"ok":false,"error":{"code":"static_dataset","message":"dataset \"sh3\" is sharded (scatter-gather) and static; re-load it without \"shards\" to update it"}}
+> {"op":"insert","name":"apx","point":[0.5,0.5,0.5]}
+< {"ok":false,"error":{"code":"static_dataset","message":"dataset \"apx\" is an ε-kernel approximation and static; re-load it without \"approx\" to update it"}}
+> {"op":"query","name":"solo","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"solo\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"mrr","name":"solo","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"solo\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"rank_regret","name":"solo","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"solo\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"query","name":"sh3","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"sh3\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"mrr","name":"sh3","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"sh3\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"rank_regret","name":"sh3","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"sh3\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"query","name":"apx","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"apx\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"mrr","name":"apx","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"apx\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+> {"op":"rank_regret","name":"apx","k":3}
+< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"apx\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
+|golden}
+
+let test_golden_wire () =
+  let path = write_csv ~name:"golden" ~n:80 ~d:3 ~seed:23 in
+  let loads, reads, stale = golden_requests ~path in
+  (* every occurrence of the temp path becomes PATH *)
+  let hide line =
+    let n = String.length path and b = Buffer.create (String.length line) in
+    let rec go i =
+      if i + n <= String.length line && String.sub line i n = path then begin
+        Buffer.add_string b "PATH";
+        go (i + n)
+      end
+      else if i < String.length line then begin
+        Buffer.add_char b line.[i];
+        go (i + 1)
+      end
+    in
+    go 0;
+    Buffer.contents b
+  in
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          let send frame =
+            let reply = or_fail frame (Client.request_raw c frame) in
+            [ "> " ^ hide frame; "< " ^ hide reply ]
+          in
+          let loaded = List.concat_map send loads in
+          List.iter
+            (fun name -> or_fail name (Client.wait_ready c ~name))
+            [ "solo"; "sh3"; "apx" ];
+          let answered = List.concat_map send reads in
+          let st = Testutil.test_rng 24 in
+          Csv_io.save path
+            (Dataset.create ~name:"golden"
+               (Array.init 81 (fun _ -> Testutil.random_point st 3)));
+          let actual = loaded @ answered @ List.concat_map send stale in
+          let expected =
+            String.split_on_char '\n' (String.trim golden_transcript)
+          in
+          Alcotest.(check int) "transcript length" (List.length expected)
+            (List.length actual);
+          List.iteri
+            (fun i (e, a) ->
+              Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) e a)
+            (List.combine expected actual)));
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "e2e: selections bit-identical for all k (cold, cached, \
@@ -972,6 +1301,12 @@ let suite =
       test_load_failures;
     Alcotest.test_case "dynamic: insert/delete/flush verbs end to end" `Slow
       test_update_verbs_end_to_end;
+    Alcotest.test_case "dynamic: rank_regret on an emptied dataset is a \
+                        structured, uncached error" `Quick
+      test_rank_regret_empty_dataset;
+    Alcotest.test_case "cache: rows belong to one registration, across \
+                        names and re-loads" `Quick
+      test_cache_rows_per_registration;
     Alcotest.test_case "registry: concurrent loads of one file are idempotent"
       `Quick test_concurrent_load_idempotent;
     Alcotest.test_case "registry: failed builds are retried on re-load" `Quick
@@ -989,4 +1324,7 @@ let suite =
     Alcotest.test_case "approx: served kernels bit-identical to offline, no \
                         exact/approx cache collisions" `Slow
       test_approx_load_end_to_end;
+    Alcotest.test_case "golden: read replies and read-path errors are \
+                        byte-identical to the pinned transcript" `Quick
+      test_golden_wire;
   ]
