@@ -18,7 +18,7 @@
    Bench_util.emit_json.
 
    Section ids: table12 table3 fig7 fig8 fig9 fig10 fig11 fig12 fig12c fig13
-   scal ablation micro kernel approx rrr update serve. *)
+   scal ablation micro kernel approx rrr update. *)
 
 let sections : (string * (unit -> unit)) list =
   [
@@ -41,7 +41,6 @@ let sections : (string * (unit -> unit)) list =
     ("approx", Exp_approx.run);
     ("rrr", Exp_rrr.run);
     ("update", Exp_update.run);
-    ("serve", Exp_serve.run);
   ]
 
 let aliases = [ ("tab1", "table12"); ("tab3", "table3"); ("ablat", "ablation") ]
@@ -103,11 +102,7 @@ let () =
     Exp_approx.approx_ns := [ 2_000; 20_000 ];
     Exp_rrr.rrr_n := 3_000;
     Exp_update.update_n := 2_000;
-    Exp_update.update_ops := 500;
-    Exp_serve.serve_n := 2_000;
-    Exp_serve.serve_clients := 8;
-    Exp_serve.serve_reqs := 50;
-    Exp_serve.serve_churn := 500
+    Exp_update.update_ops := 500
   end;
   if smoke then begin
     (* tiny scales: every section in seconds, for CI on jobs=1 and jobs=2 *)
@@ -121,11 +116,7 @@ let () =
     Exp_rrr.rrr_n := 800;
     Exp_rrr.rrr_k := 6;
     Exp_update.update_n := 500;
-    Exp_update.update_ops := 120;
-    Exp_serve.serve_n := 500;
-    Exp_serve.serve_clients := 8;
-    Exp_serve.serve_reqs := 20;
-    Exp_serve.serve_churn := 100
+    Exp_update.update_ops := 120
   end;
   let wanted =
     match args with

@@ -1,24 +1,22 @@
 (** The offline approximate pipeline: ε-kernel reduction ({!Kernel}),
-    then the exact skyline → happy → StoredList chain over the kernel
-    rows only. This is the reference composition that the CLI, the bench
-    driver and the serve tier (via {!Kregret_serve.Shard} with [approx])
-    all reproduce bit for bit — [Kregret_check.Approx_oracle] pins the
-    equivalences. *)
+    then {!Kregret.Stored_list.funnel} (skyline → happy → StoredList)
+    over the kernel rows only. This is the reference composition that the
+    CLI, the bench driver and the serve tier (via
+    {!Kregret_serve.Shard.create} with [approx]) all reproduce bit for
+    bit — [Kregret_check.Approx_oracle] pins the equivalences. *)
 
 type t = {
   reduction : Kernel.result;
-  sky_ids : int array;  (** original ids of the kernel's skyline *)
-  happy_ids : int array;  (** original ids of the kernel's happy set *)
-  stored : Kregret.Stored_list.t option;
-      (** over [happy_ids]'s vectors; [None] when the happy screen
-          returned nothing (degenerate inputs) *)
   order : int array;
-      (** the materialized GeoGreedy order as original row ids *)
+      (** the materialized GeoGreedy order as original row ids; empty when
+          the happy screen returned nothing (degenerate inputs) *)
+  mrr : float array;
+      (** [mrr.(i)] — the kernel-relative regret of the [(i + 1)]-prefix *)
 }
 
-(** [run ~eps points] — reduce, then skyline → happy → preprocess over
-    the kernel. [?max_length] caps the StoredList materialization
-    exactly as in {!Kregret.Stored_list.preprocess}. *)
+(** [run ~eps points] — reduce, then run the funnel over the kernel.
+    [?max_length] caps the StoredList materialization exactly as in
+    {!Kregret.Stored_list.preprocess}. *)
 val run :
   ?max_directions:int ->
   ?max_length:int ->
@@ -32,7 +30,7 @@ val query : t -> k:int -> int list * float
 
 (** [mrr_at t ~k] — the stored (kernel-relative) mrr of the size-[k]
     prefix; [0.] when nothing is stored (matching
-    {!Kregret_serve.Shard.query} on an empty list). *)
+    {!Kregret.Snapshot.query} on an empty list). *)
 val mrr_at : t -> k:int -> float
 
 val stored_length : t -> int

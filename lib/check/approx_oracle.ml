@@ -272,20 +272,21 @@ let check ?(jobs_hi = 2) inst =
   end;
 
   (* approx-shards: the shard tier with per-chunk kernels and a
-     coordinator rescan answers bit-identically to the offline approx
-     pipeline at every shard count *)
+     coordinator rescan gathers exactly the offline kernel, and its
+     snapshot answers bit-identically to the offline approx pipeline at
+     every shard count *)
   with_jobs 1 (fun () ->
       List.iter
         (fun shards ->
-          let sh = Shard.create ~approx:eps ~shards points in
-          if Shard.kernel_size sh <> Array.length kernel_ids then
+          let merged = Shard.gather ~approx:eps ~shards points in
+          if merged <> kernel_ids then
             record "approx-shards"
               [
-                Printf.sprintf
-                  "shards=%d: merged kernel has %d rows, offline %d" shards
-                  (Shard.kernel_size sh) (Array.length kernel_ids);
+                Printf.sprintf "shards=%d: merged kernel [%s], offline [%s]"
+                  shards (pp_ids merged) (pp_ids kernel_ids);
               ];
-          let len = Shard.stored_length sh in
+          let sh = Shard.create ~approx:eps ~shards points in
+          let len = Array.length sh.Kregret.Snapshot.order in
           if len <> Pipeline.stored_length p1 then
             record "approx-shards"
               [
@@ -295,7 +296,7 @@ let check ?(jobs_hi = 2) inst =
               ]
           else
             for k' = 1 to len do
-              let sel, mrr = Shard.query sh ~k:k' in
+              let sel, mrr = Kregret.Snapshot.query sh ~k:k' in
               let sel_ref, mrr_ref = Pipeline.query p1 ~k:k' in
               if sel <> sel_ref then
                 record "approx-shards"

@@ -27,9 +27,11 @@
       and an oversubscribed width past
       [Domain.recommended_domain_count ()] (exercising the pool's
       oversubscription cap).
-    - [approx-shards] — {!Kregret_serve.Shard.create} with [~approx] at
-      shards {1, 2, 4} answers bit-identically (ids and mrr bits, every
-      k) to the offline {!Kregret_approx.Pipeline}.
+    - [approx-shards] — at shards {1, 2, 4},
+      {!Kregret_serve.Shard.gather} with [~approx] returns the offline
+      kernel's ids element for element, and the snapshot
+      {!Kregret_serve.Shard.create} publishes answers bit-identically (ids
+      and mrr bits, every k) to the offline {!Kregret_approx.Pipeline}.
 
     ε is chosen per dimension: the finest grid whose net stays within a
     ~1k-direction budget (never coarser than ε = 1 permits). *)

@@ -4,6 +4,7 @@ module Skyline = Kregret_skyline.Skyline
 module Happy = Kregret_happy.Happy
 module Stored_list = Kregret.Stored_list
 module Dynamic = Kregret.Dynamic
+module Snapshot = Kregret.Snapshot
 module Pool = Kregret_parallel.Pool
 
 (* An update trace is data, not closures, so the shrinker can ddmin it and
@@ -92,13 +93,13 @@ let gen_ops rng inst =
 type expected = {
   x_ids : int array; (* stored order as external ids *)
   x_mrr : float array; (* per-prefix regret *)
-  x_sky : int;
+  x_sky : int array; (* skyline, as indices into the live points *)
   x_happy : int;
 }
 
 let expected_of_live live =
   if Array.length live = 0 then
-    { x_ids = [||]; x_mrr = [||]; x_sky = 0; x_happy = 0 }
+    { x_ids = [||]; x_mrr = [||]; x_sky = [||]; x_happy = 0 }
   else begin
     let vecs = Array.map snd live in
     let sky_idx = Skyline.naive vecs in
@@ -111,7 +112,7 @@ let expected_of_live live =
       {
         x_ids = [||];
         x_mrr = [||];
-        x_sky = Array.length sky_idx;
+        x_sky = sky_idx;
         x_happy = 0;
       }
     else begin
@@ -125,7 +126,7 @@ let expected_of_live live =
                (fun e -> fst live.(sky_idx.(happy_idx.(e))))
                (Stored_list.order stored));
         x_mrr = Array.init len (fun i -> Stored_list.mrr_at stored ~k:(i + 1));
-        x_sky = Array.length sky_idx;
+        x_sky = sky_idx;
         x_happy = Array.length happy_idx;
       }
     end
@@ -189,12 +190,23 @@ let run_trace inst ops =
         fail i "mrr table has %d entries, rebuild has %d" (Array.length got_mrr)
           (Array.length e.x_mrr)
     end;
-    if Dynamic.sky_size dyn <> e.x_sky then
-      fail i "skyline size %d, rebuild says %d" (Dynamic.sky_size dyn) e.x_sky;
+    if Dynamic.sky_size dyn <> Array.length e.x_sky then
+      fail i "skyline size %d, rebuild says %d" (Dynamic.sky_size dyn)
+        (Array.length e.x_sky);
     if Dynamic.happy_size dyn <> e.x_happy then
       fail i "happy size %d, rebuild says %d" (Dynamic.happy_size dyn) e.x_happy;
     if Dynamic.live dyn <> Array.length live then
-      fail i "live count %d, mirror says %d" (Dynamic.live dyn) (Array.length live)
+      fail i "live count %d, mirror says %d" (Dynamic.live dyn) (Array.length live);
+    (* the published read state: what the serving tier answers from *)
+    let s = Dynamic.snapshot dyn in
+    if s.Snapshot.order <> got_ids || not (float_bits_equal s.Snapshot.mrr got_mrr)
+    then fail i "snapshot order/mrr differ from the live structure";
+    if s.Snapshot.basis_ids <> Array.map fst live then
+      fail i "snapshot basis [%s], mirror says [%s]" (pp_ids s.Snapshot.basis_ids)
+        (pp_ids (Array.map fst live));
+    if s.Snapshot.candidates <> e.x_sky then
+      fail i "snapshot candidates [%s], rebuild skyline [%s]"
+        (pp_ids s.Snapshot.candidates) (pp_ids e.x_sky)
   in
   let delete_one i id =
     let was_live = List.mem_assoc id !mirror in

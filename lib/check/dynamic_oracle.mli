@@ -8,7 +8,9 @@
     answer — stored-list ids, every prefix regret, skyline/happy sizes,
     live count — is compared {e bit-for-bit} against running the static
     pipeline (naive skyline, happy screen, stored-list preprocessing) on
-    the live points. The whole trace is repeated at pool widths
+    the live points, and its published {!Kregret.Snapshot} must carry the
+    same answer, the live ids as its basis and the naive skyline of that
+    basis as its candidates. The whole trace is repeated at pool widths
     [{1, 2, 4, jobs_hi}] ([1] only when [jobs_hi <= 1]) and the per-op
     answer streams must be identical across widths.
 

@@ -269,7 +269,7 @@ let check_inner cfg inst =
             List.iter
               (fun shards ->
                 let sh = Kregret_serve.Shard.create ~shards points in
-                let len = Kregret_serve.Shard.stored_length sh in
+                let len = Array.length sh.Kregret.Snapshot.order in
                 if len <> Stored_list.length stored_ref then
                   record "shard-merge"
                     [
@@ -285,7 +285,7 @@ let check_inner cfg inst =
                         (Stored_list.query stored_ref ~k:k')
                     in
                     let mrr_ref = Stored_list.mrr_at stored_ref ~k:k' in
-                    let sel, mrr = Kregret_serve.Shard.query sh ~k:k' in
+                    let sel, mrr = Kregret.Snapshot.query sh ~k:k' in
                     if sel <> sel_ref then
                       record "shard-merge"
                         [

@@ -25,8 +25,8 @@
       and an oversubscribed width past
       [Domain.recommended_domain_count ()] (driving the pool's
       oversubscription cap end to end);
-    - [shard-merge] — the scatter-gather shard tier
-      ({!Kregret_serve.Shard}) answers row-for-row and bit-for-bit what
+    - [shard-merge] — the scatter-gather shard tier's snapshot
+      ({!Kregret_serve.Shard.create}) answers row-for-row and bit-for-bit what
       the monolithic naive→happy→StoredList pipeline answers, at every
       tested shard count and at pool widths 1 and [jobs_hi];
     - [serve] / [serve-protocol] — an in-process query server loaded with

@@ -419,8 +419,9 @@ let check ?(jobs_hi = 2) inst =
       [ (jobs_hi, "jobs_hi"); (Domain.recommended_domain_count () + 2, "capped") ]
   end;
 
-  (* rrr-shards: the scatter-gather tier hands the engine the merged
-     skyline candidates — answers must be the monolithic bits at every
+  (* rrr-shards: the scatter-gather tier's snapshot hands the engine the
+     merged skyline candidates — answers, read through the serving
+     registry's one rank-regret call, must be the monolithic bits at every
      shard count *)
   let ks = List.sort_uniq compare [ 1; k ] in
   with_jobs 1 (fun () ->
@@ -429,7 +430,7 @@ let check ?(jobs_hi = 2) inst =
           let sh = Shard.create ~shards points in
           List.iter
             (fun k' ->
-              let sel, r = Shard.rank_regret sh ~k:k' in
+              let sel, r = Serve.Registry.backend_rank_regret sh ~k:k' in
               let sel_ref, r_ref = Rrr.query eng ~k:k' in
               if sel <> sel_ref then
                 record "rrr-shards"

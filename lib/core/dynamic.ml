@@ -1,5 +1,4 @@
 module Vector = Kregret_geom.Vector
-module Skyline = Kregret_skyline.Skyline
 module Dominance = Kregret_skyline.Dominance
 module Happy = Kregret_happy.Happy
 module Obs = Kregret_obs
@@ -70,11 +69,13 @@ let g_tombstone_ratio =
    first repair that needs them) *)
 type verdict = V_happy | V_unhappy of int
 
+(* tombstone fraction that triggers an automatic compaction, and the
+   round-trip memo's capacity *)
+let damage_ratio = 0.5
+let memo_cap = 8
+
 type t = {
-  eps : float option;
   max_length : int option;
-  damage_ratio : float;
-  memo_cap : int;
   dim : int;
   (* slot store, in insertion order; deletions tombstone ([alive] flips),
      [flush] compacts. Slot positions are internal — external ids are
@@ -100,6 +101,7 @@ type t = {
      pass; hits are verified by full bit comparison, never by hash *)
   mutable memo : (Vector.t array * Stored_list.t) list;
   mutable epoch : int;
+  mutable basis_version : int;  (* live-set changes: inserts + deletes *)
 }
 
 (* ---- small helpers ------------------------------------------------------- *)
@@ -148,13 +150,6 @@ let order_ids t =
       Array.of_list
         (List.map (fun e -> t.ids.(t.happy.(e))) (Stored_list.order s))
 
-let live_points t =
-  let out = ref [] in
-  for p = t.used - 1 downto 0 do
-    if t.alive.(p) then out := (t.ids.(p), t.data.(p)) :: !out
-  done;
-  Array.of_list !out
-
 (* ---- queries ------------------------------------------------------------- *)
 
 let query t ~k =
@@ -173,45 +168,39 @@ let mrr_at t ~k =
 
 (* ---- snapshots ----------------------------------------------------------- *)
 
-module Snapshot = struct
-  type t = {
-    sn_epoch : int;
-    sn_live : int;
-    sn_ids : int array; (* stored order, as external ids *)
-    sn_mrr : float array; (* mrr of each prefix *)
-    sn_basis_ids : int array; (* live external ids, insertion order *)
-    sn_basis : Kregret_geom.Vector.t array; (* live rows, same order *)
-  }
-
-  let epoch s = s.sn_epoch
-  let live s = s.sn_live
-  let stored_length s = Array.length s.sn_ids
-  let basis s = (s.sn_basis_ids, s.sn_basis)
-
-  let query s ~k =
-    if k < 1 then invalid_arg "Dynamic.Snapshot.query: k must be positive";
-    let len = Array.length s.sn_ids in
-    if len = 0 then ([], 0.)
-    else
-      let take = min k len in
-      (Array.to_list (Array.sub s.sn_ids 0 take), s.sn_mrr.(take - 1))
-end
-
 let snapshot t =
-  let ids = order_ids t in
-  let mrr =
-    match t.stored with
-    | None -> [||]
-    | Some s -> Array.init (Stored_list.length s) (fun i -> Stored_list.mrr_at s ~k:(i + 1))
+  (* the live rows in slot order (= ascending id); [t.sky] holds live slots
+     in ascending order too, so the same walk maps each skyline member to
+     its basis index *)
+  let basis_ids = Array.make t.live 0 and basis = Array.make t.live [||] in
+  let m = Array.length t.sky in
+  let candidates = Array.make m 0 in
+  let j = ref 0 and s = ref 0 in
+  for p = 0 to t.used - 1 do
+    if t.alive.(p) then begin
+      if !s < m && t.sky.(!s) = p then begin
+        candidates.(!s) <- !j;
+        incr s
+      end;
+      basis_ids.(!j) <- t.ids.(p);
+      basis.(!j) <- t.data.(p);
+      incr j
+    end
+  done;
+  let order, mrr =
+    Snapshot.prefix t.stored ~ids:(Array.map (fun p -> t.ids.(p)) t.happy)
   in
-  let pairs = live_points t in
   {
-    Snapshot.sn_epoch = t.epoch;
-    sn_live = t.live;
-    sn_ids = ids;
-    sn_mrr = mrr;
-    sn_basis_ids = Array.map fst pairs;
-    sn_basis = Array.map snd pairs;
+    Snapshot.epoch = t.epoch;
+    live = t.live;
+    n_sky = Array.length t.sky;
+    n_happy = Array.length t.happy;
+    order;
+    mrr;
+    basis_ids;
+    basis;
+    basis_version = t.basis_version;
+    candidates;
   }
 
 (* ---- stored-list maintenance --------------------------------------------- *)
@@ -233,7 +222,7 @@ let memo_push t vecs stored =
   match stored with
   | None -> ()
   | Some s ->
-      let keep = t.memo_cap - 1 in
+      let keep = memo_cap - 1 in
       t.memo <-
         (vecs, s) :: List.filteri (fun i _ -> i < keep) t.memo
 
@@ -275,9 +264,14 @@ let refresh_after_sky_change t =
         Obs.Counter.incr c_memo_hits
     | None ->
         memo_push t old_vecs old_stored;
+        (* the happy screen can empty a nonempty skyline: when every live
+           point lies strictly inside the unit simplex (sum < 1), each sky
+           member subjugates the others under the eps slop. A normalized
+           dataset cannot start there, but deletes of every boundary point
+           reach it; answers are then empty until an insert restores one. *)
         t.stored <-
           (if Array.length vecs = 0 then None
-           else Some (Stored_list.preprocess ?eps:t.eps ?max_length:t.max_length vecs));
+           else Some (Stored_list.preprocess ?max_length:t.max_length vecs));
         Obs.Counter.incr c_stored_rebuilds);
     t.happy_vecs <- vecs;
     let new_ids = order_ids t in
@@ -306,7 +300,7 @@ let rescreen t pos =
   let m = Array.length t.sky in
   while !verdict = V_happy && !i < m do
     let s = t.sky.(!i) in
-    if s <> pos && Happy.subjugates ?eps:t.eps t.data.(s) v then
+    if s <> pos && Happy.subjugates t.data.(s) v then
       verdict := V_unhappy s;
     incr i
   done;
@@ -314,57 +308,7 @@ let rescreen t pos =
 
 (* ---- construction -------------------------------------------------------- *)
 
-let full_rebuild t =
-  (* skyline -> happy screen -> stored-list preprocessing. [Skyline.sfs]
-     keeps the first occurrence of a duplicated maximal point by input
-     order, and the incremental rules below maintain exactly that rule — an
-     equal pair is won by the smaller slot. One rule everywhere keeps the
-     id-level answers of the create path and the update path identical. *)
-  Hashtbl.reset t.verdicts;
-  if t.live = 0 then begin
-    t.sky <- [||];
-    t.happy <- [||];
-    t.happy_vecs <- [||];
-    t.stored <- None
-  end
-  else begin
-    let positions = Array.make t.live 0 in
-    let vecs = Array.make t.live [||] in
-    let j = ref 0 in
-    for p = 0 to t.used - 1 do
-      if t.alive.(p) then begin
-        positions.(!j) <- p;
-        vecs.(!j) <- t.data.(p);
-        incr j
-      end
-    done;
-    let sky_idx = Skyline.sfs vecs in
-    t.sky <- Array.map (fun i -> positions.(i)) sky_idx;
-    let sky_vecs = Array.map (fun i -> vecs.(i)) sky_idx in
-    let hap_idx = Happy.happy_points ?eps:t.eps sky_vecs in
-    let happy_mark = Array.make (Array.length t.sky) false in
-    Array.iter (fun i -> happy_mark.(i) <- true) hap_idx;
-    Array.iteri
-      (fun i p ->
-        Hashtbl.replace t.verdicts p
-          (if happy_mark.(i) then V_happy else V_unhappy (-1)))
-      t.sky;
-    t.happy <- Array.map (fun i -> t.sky.(i)) hap_idx;
-    t.happy_vecs <- Array.map (fun p -> t.data.(p)) t.happy;
-    (* the happy screen can empty a nonempty skyline: when every live point
-       lies strictly inside the unit simplex (sum < 1), each sky member
-       subjugates the others under the eps slop. Impossible for a freshly
-       normalized dataset (per-dimension maxima have sum >= 1), reachable
-       dynamically once deletes remove every boundary point. Nothing to
-       materialize then — answers are empty until an insert restores a
-       boundary point. *)
-    t.stored <-
-      (if Array.length t.happy_vecs = 0 then None
-       else
-         Some (Stored_list.preprocess ?eps:t.eps ?max_length:t.max_length t.happy_vecs))
-  end
-
-let create ?eps ?max_length ?(damage_ratio = 0.5) ?(memo = 8) points =
+let create ?max_length points =
   let n = Array.length points in
   if n = 0 then invalid_arg "Dynamic.create: empty dataset";
   let d = Vector.dim points.(0) in
@@ -373,41 +317,47 @@ let create ?eps ?max_length ?(damage_ratio = 0.5) ?(memo = 8) points =
       if Vector.dim p <> d then
         invalid_arg "Dynamic.create: inconsistent dimensions")
     points;
-  if damage_ratio <= 0. || damage_ratio >= 1. then
-    invalid_arg "Dynamic.create: damage_ratio must be in (0, 1)";
   let cap = max 16 (2 * n) in
-  let t =
-    {
-      eps;
-      max_length;
-      damage_ratio;
-      memo_cap = max 1 memo;
-      dim = d;
-      data = Array.make cap [||];
-      ids = Array.make cap 0;
-      alive = Array.make cap false;
-      used = n;
-      live = n;
-      next_id = n;
-      id_index = Hashtbl.create (2 * cap);
-      sky = [||];
-      verdicts = Hashtbl.create 64;
-      happy = [||];
-      happy_vecs = [||];
-      stored = None;
-      memo = [];
-      epoch = 0;
-    }
-  in
-  Array.iteri
-    (fun i p ->
-      t.data.(i) <- p;
-      t.ids.(i) <- i;
-      t.alive.(i) <- true;
-      Hashtbl.replace t.id_index i i)
-    points;
-  full_rebuild t;
-  t
+  let data = Array.make cap [||] in
+  Array.blit points 0 data 0 n;
+  let id_index = Hashtbl.create (2 * cap) in
+  for i = 0 to n - 1 do
+    Hashtbl.replace id_index i i
+  done;
+  (* slot [i] holds point [i], so the funnel's indices are slot positions.
+     [Skyline.sfs] keeps the first occurrence of a duplicated maximal point
+     by input order, and the incremental rules below maintain exactly that
+     rule — an equal pair is won by the smaller slot. One rule everywhere
+     keeps the id-level answers of the create path and the update path
+     identical. *)
+  let f = Stored_list.funnel ?max_length points in
+  let happy_mark = Array.make n false in
+  Array.iter (fun i -> happy_mark.(i) <- true) f.Stored_list.happy;
+  let verdicts = Hashtbl.create 64 in
+  Array.iter
+    (fun i ->
+      Hashtbl.replace verdicts i
+        (if happy_mark.(i) then V_happy else V_unhappy (-1)))
+    f.Stored_list.sky;
+  {
+    max_length;
+    dim = d;
+    data;
+    ids = Array.init cap (fun i -> if i < n then i else 0);
+    alive = Array.init cap (fun i -> i < n);
+    used = n;
+    live = n;
+    next_id = n;
+    id_index;
+    sky = f.Stored_list.sky;
+    verdicts;
+    happy = f.Stored_list.happy;
+    happy_vecs = Array.map (fun i -> points.(i)) f.Stored_list.happy;
+    stored = f.Stored_list.stored;
+    memo = [];
+    epoch = 0;
+    basis_version = 0;
+  }
 
 (* ---- compaction ---------------------------------------------------------- *)
 
@@ -464,7 +414,7 @@ let maybe_flush t =
   let tombs = t.used - t.live in
   Obs.Gauge.set g_tombstone_ratio
     (if t.used = 0 then 0. else float_of_int tombs /. float_of_int t.used);
-  if t.used >= 64 && float_of_int tombs > t.damage_ratio *. float_of_int t.used
+  if t.used >= 64 && float_of_int tombs > damage_ratio *. float_of_int t.used
   then ignore (flush t)
 
 (* ---- updates ------------------------------------------------------------- *)
@@ -500,6 +450,7 @@ let insert t vec =
   t.used <- t.used + 1;
   t.live <- t.live + 1;
   t.next_id <- t.next_id + 1;
+  t.basis_version <- t.basis_version + 1;
   Hashtbl.replace t.id_index id pos;
   (* classify against the skyline: if some member dominates or equals the
      new point it cannot enter (the member is earlier, so even an exact
@@ -548,7 +499,7 @@ let insert t vec =
       (fun s ->
         match Hashtbl.find t.verdicts s with
         | V_happy ->
-            if Happy.subjugates ?eps:t.eps vec t.data.(s) then
+            if Happy.subjugates vec t.data.(s) then
               Hashtbl.replace t.verdicts s (V_unhappy pos)
         | V_unhappy w ->
             if w < 0 || Hashtbl.mem evicted_tbl w then rescreen t s)
@@ -569,6 +520,7 @@ let delete t id =
   | Some pos ->
       t.alive.(pos) <- false;
       t.live <- t.live - 1;
+      t.basis_version <- t.basis_version + 1;
       Hashtbl.remove t.id_index id;
       Obs.Counter.incr c_deletes;
       let in_sky = Hashtbl.mem t.verdicts pos in
@@ -651,7 +603,7 @@ let delete t id =
                 let w = ref (-1) in
                 Array.iter
                   (fun e ->
-                    if !w < 0 && Happy.subjugates ?eps:t.eps t.data.(e) t.data.(s)
+                    if !w < 0 && Happy.subjugates t.data.(e) t.data.(s)
                     then w := e)
                   entrants;
                 if !w >= 0 then Hashtbl.replace t.verdicts s (V_unhappy !w)

@@ -42,21 +42,12 @@
 
 type t
 
-(** [create points] builds the initial state with the standard pipeline
+(** [create points] builds the initial state with {!Stored_list.funnel}
     (skyline -> happy screen -> stored-list preprocessing). Points get
     external ids [0 .. n-1] in array order; later inserts continue the
-    sequence. [eps] and [max_length] are threaded to every rebuild;
-    [damage_ratio] (default [0.5], exclusive bounds (0,1)) is the tombstone
-    fraction that triggers an automatic compaction; [memo] (default 8) caps
-    the round-trip memo. Raises [Invalid_argument] on an empty array,
-    inconsistent dimensions, or an out-of-range [damage_ratio]. *)
-val create :
-  ?eps:float ->
-  ?max_length:int ->
-  ?damage_ratio:float ->
-  ?memo:int ->
-  Kregret_geom.Vector.t array ->
-  t
+    sequence. [max_length] is passed to every stored-list pass. Raises
+    [Invalid_argument] on an empty array or inconsistent dimensions. *)
+val create : ?max_length:int -> Kregret_geom.Vector.t array -> t
 
 (** [insert t p] adds a point and returns its external id. Coordinates must
     be finite and in [(0, 1]] ([Invalid_argument] otherwise — dynamic data
@@ -68,8 +59,9 @@ val insert : t -> Kregret_geom.Vector.t -> int
 (** [delete t id] tombstones the point with external id [id]; [false] when
     the id is unknown or already deleted. Deleting a non-skyline point
     leaves every answer untouched; deleting a skyline member triggers the
-    bounded repair described above. May auto-compact when the tombstone
-    fraction crosses the damage ratio. *)
+    bounded repair described above. Auto-compacts (as {!flush}) once the
+    store holds at least 64 slots and more than half of them are
+    tombstones. *)
 val delete : t -> int -> bool
 
 (** [flush t] compacts tombstoned slots immediately and returns how many
@@ -101,25 +93,9 @@ val stored_length : t -> int
     false invalidations. *)
 val epoch : t -> int
 
-(** [live_points t] lists the live [(id, point)] pairs in insertion order —
-    the rebuild oracle's input. *)
-val live_points : t -> (int * Kregret_geom.Vector.t) array
-
-(** Immutable answer snapshots: the serve layer publishes one after each
-    update batch and answers queries from it without touching [t]. *)
-module Snapshot : sig
-  type t
-
-  val epoch : t -> int
-  val live : t -> int
-  val stored_length : t -> int
-  val query : t -> k:int -> int list * float
-
-  (** [basis s] — the live [(ids, rows)] the snapshot was published from,
-      insertion order (the same pairing as {!live_points}): the input the
-      serve layer hands sibling query engines (rank-regret) so their
-      answers track updates epoch for epoch. *)
-  val basis : t -> int array * Kregret_geom.Vector.t array
-end
-
+(** [snapshot t] is the immutable read state the serve layer publishes
+    after the build and after each applied update: the stored order and
+    its prefix regrets as external ids, the live rows as the basis, and
+    the maintained skyline as [candidates] (equal to [Skyline.sfs] over
+    the basis, so rank-regret needs no skyline pass of its own). *)
 val snapshot : t -> Snapshot.t

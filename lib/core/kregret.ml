@@ -8,8 +8,10 @@
     - {!Query} — one-call façade: normalize, reduce to happy points, run an
       algorithm, report the selection and its regret.
     - {!Geo_greedy} — the paper's Algorithm 1 (incremental geometric index).
-    - {!Stored_list} — materialize once, answer any [k] in O(k).
+    - {!Stored_list} — materialize once, answer any [k] in O(k); its
+      [funnel] is the one skyline → happy → StoredList composition.
     - {!Dynamic} — incremental inserts/deletes, bit-identical to a rebuild.
+    - {!Snapshot} — the immutable read state a ready dataset publishes.
     - {!Greedy_lp} / {!Cube} — the VLDB 2010 baselines.
     - {!Optimal2d} — exact optimum in two dimensions (DP).
     - {!Mrr} — evaluate the maximum regret ratio of any selection.
@@ -30,6 +32,7 @@ module Geo_greedy = Geo_greedy
 module Greedy_lp = Greedy_lp
 module Stored_list = Stored_list
 module Dynamic = Dynamic
+module Snapshot = Snapshot
 module Cube = Cube
 module Optimal2d = Optimal2d
 module Average_regret = Average_regret

@@ -1,0 +1,44 @@
+(** The published read state of a ready dataset: one immutable value,
+    whatever built it.
+
+    Two producers fill it. {!Dynamic.snapshot} publishes the incremental
+    state after the initial build and after every applied update; the
+    serving tier's [Shard.create] publishes the static scatter-gather and
+    ε-kernel builds (epoch [0] forever). Both turn their StoredList into
+    [order] and [mrr] with {!prefix}, so a k-regret answer is the same
+    prefix read on every tier. Sibling query families read the basis:
+    rank-regret runs over [basis] with [candidates] as its candidate set.
+
+    Nothing here is mutable, so readers on any thread need no lock. *)
+
+type t = {
+  epoch : int;
+      (** answer version: bumps when an update changes the skyline; [0]
+          for static builds *)
+  live : int;  (** live rows *)
+  n_sky : int;  (** skyline size *)
+  n_happy : int;  (** happy-point count *)
+  order : int array;  (** the StoredList order, as external ids *)
+  mrr : float array;
+      (** [mrr.(i)] is the maximum regret ratio of the [(i + 1)]-prefix of
+          [order] *)
+  basis_ids : int array;  (** external ids of the live rows, ascending *)
+  basis : Kregret_geom.Vector.t array;  (** the live rows, same order *)
+  basis_version : int;
+      (** bumps on every change to the live rows — each insert and each
+          applied delete, even those that leave [epoch] alone — so it
+          versions what rank-regret reads; [0] for static builds *)
+  candidates : int array;
+      (** the skyline of [basis], as ascending indices into [basis]: the
+          rank-complete candidate set (the happy funnel is not) *)
+}
+
+(** [prefix stored ~ids] is [(order, mrr)] for a StoredList over some
+    candidate array, where [ids.(i)] is the external id of candidate [i].
+    [None] (the happy screen kept nothing) gives empty arrays. *)
+val prefix : Stored_list.t option -> ids:int array -> int array * float array
+
+(** [query s ~k] is the first [min k (Array.length s.order)] ids of
+    [order] and that prefix's maximum regret ratio; [([], 0.)] when
+    nothing is materialized. Raises [Invalid_argument] when [k < 1]. *)
+val query : t -> k:int -> int list * float

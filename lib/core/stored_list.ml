@@ -6,12 +6,12 @@ type t = {
   mrr_after : float array;
 }
 
-let preprocess ?eps ?max_length points =
+let preprocess ?max_length points =
   let n = Array.length points in
   let budget = match max_length with None -> n | Some m -> min m n in
   let table = Hashtbl.create 16 in
   let result =
-    Geo_greedy.run ?eps
+    Geo_greedy.run
       ~on_step:(fun ~size ~mrr -> Hashtbl.replace table size mrr)
       ~points ~k:budget ()
   in
@@ -33,6 +33,20 @@ let preprocess ?eps ?max_length points =
       order_array
   in
   { order_array; mrr_after }
+
+type funnel = { sky : int array; happy : int array; stored : t option }
+
+let funnel ?max_length points =
+  let rows idx = Array.map (fun i -> points.(i)) idx in
+  let sky = Kregret_skyline.Skyline.sfs points in
+  let happy =
+    Array.map (fun i -> sky.(i)) (Kregret_happy.Happy.happy_points (rows sky))
+  in
+  let stored =
+    if Array.length happy = 0 then None
+    else Some (preprocess ?max_length (rows happy))
+  in
+  { sky; happy; stored }
 
 let length t = Array.length t.order_array
 let order t = Array.to_list t.order_array

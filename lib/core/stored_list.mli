@@ -19,7 +19,22 @@ type t
     [max_length] truncates the materialization (the paper runs to
     [k = |D_happy|]; a deployment that knows its largest query [k] can stop
     there — queries beyond the materialized length return the whole list). *)
-val preprocess : ?eps:float -> ?max_length:int -> Kregret_geom.Vector.t array -> t
+val preprocess : ?max_length:int -> Kregret_geom.Vector.t array -> t
+
+(** The offline phase end to end: skyline, happy points, StoredList.
+    [sky] and [happy] are ascending indices into the input rows
+    ([happy] a subset of [sky]); [stored] runs over the happy rows, so
+    its entries index [happy]. [stored] is [None] when the happy screen
+    keeps nothing. *)
+type funnel = { sky : int array; happy : int array; stored : t option }
+
+(** [funnel points] runs [Skyline.sfs], then [Happy.happy_points] on the
+    skyline rows, then {!preprocess} on the happy rows. It is the one
+    production composition of the three stages: the initial
+    {!Dynamic} build, the serving tier's shard coordinator and the
+    ε-kernel pipeline all call it. [max_length] is passed to
+    {!preprocess}. *)
+val funnel : ?max_length:int -> Kregret_geom.Vector.t array -> funnel
 
 (** [query t ~k] returns the first [k] list entries (all of them when the
     list closed early with [mrr = 0] before reaching [k] — then the answer's

@@ -33,56 +33,26 @@ let c_stale =
 let g_datasets =
   Obs.Registry.gauge "serve.registry.datasets" ~help:"datasets currently registered"
 
-(* What queries read: an immutable answer backend plus the summary sizes,
-   republished wholesale after every build and every applied update. The
-   live [Dynamic.t] itself is touched only by the worker thread; a
-   [Shard.t] is immutable from birth. *)
-type backend =
-  | Solo of Dynamic.Snapshot.t
-  | Sharded of Shard.t
+(* What queries read: one immutable snapshot, republished wholesale after
+   every build and every applied update. The live [Dynamic.t] itself is
+   touched only by the worker thread. *)
+type backend = Kregret.Snapshot.t
 
-type built = {
-  backend : backend;
-  n_sky : int;
-  n_happy : int;
-  build_seconds : float;
-}
+type built = { backend : backend; build_seconds : float }
 
-let backend_query b ~k =
-  match b with
-  | Solo s -> Dynamic.Snapshot.query s ~k
-  | Sharded sh -> Shard.query sh ~k
+let backend_query = Kregret.Snapshot.query
 
-(* Rank-regret rides the same published surfaces: solo answers run the
-   engine over the snapshot's live basis (so they track updates epoch for
-   epoch, and a fresh unmutated dataset reproduces the offline engine bit
-   for bit — the basis is then the normalized rows in file order); sharded
-   answers delegate to the tier's retained inputs. The engine's greedy
+(* Rank-regret over the published basis, with the snapshot's skyline as
+   the candidate set: solo answers track every update, and shard and ε
+   builds hand the engine the monolithic inputs. The engine's greedy
    prefix is max_size-stable, so per-k builds compose across cache keys. *)
-let backend_rank_regret b ~k =
-  match b with
-  | Solo s ->
-      let ids, rows = Dynamic.Snapshot.basis s in
-      if Array.length rows = 0 then
-        invalid_arg "rank_regret: dataset has no live points"
-      else begin
-        let eng = Kregret_rrr.Rrr.build ~max_size:k rows in
-        let sel, rank = Kregret_rrr.Rrr.query eng ~k in
-        (List.map (fun r -> ids.(r)) sel, rank)
-      end
-  | Sharded sh -> Shard.rank_regret sh ~k
-
-(* sharded datasets are static, so epoch 0 forever is honest — nothing a
-   cache keyed on it could miss *)
-let backend_epoch = function Solo s -> Dynamic.Snapshot.epoch s | Sharded _ -> 0
-
-let backend_live = function
-  | Solo s -> Dynamic.Snapshot.live s
-  | Sharded sh -> Shard.n sh
-
-let backend_stored_length = function
-  | Solo s -> Dynamic.Snapshot.stored_length s
-  | Sharded sh -> Shard.stored_length sh
+let backend_rank_regret (b : backend) ~k =
+  if b.live = 0 then invalid_arg "rank_regret: dataset has no live points";
+  let eng =
+    Kregret_rrr.Rrr.build ~max_size:k ~candidates:b.candidates b.basis
+  in
+  let sel, rank = Kregret_rrr.Rrr.query eng ~k in
+  (List.map (fun r -> b.basis_ids.(r)) sel, rank)
 
 type status = Building | Ready of built | Failed of string
 
@@ -204,40 +174,25 @@ let update_target ?fingerprint t name =
   | Some e -> Error (unavailable name (Some e.e_status))
 
 (* The full offline pipeline of the paper. Solo: materialized as a
-   [Dynamic.t] so later updates repair incrementally. Sharded: the static
-   scatter-gather tier, no [Dynamic] behind it. Runs on the build thread;
-   the hot loops inside use the global domain pool. *)
+   [Dynamic.t] so later updates repair incrementally. Sharded or ε: the
+   static scatter-gather tier, no [Dynamic] behind it. Runs on the build
+   thread; the hot loops inside use the global domain pool. *)
 let build ~max_length ~shards ~approx points =
   let t0 = Unix.gettimeofday () in
   try
     Obs.Span.with_ "serve.build" (fun () ->
-        let dyn, backend, n_sky, n_happy =
-          if shards > 1 || approx > 0. then begin
-            let sh =
+        let dyn, backend =
+          if shards > 1 || approx > 0. then
+            ( None,
               Shard.create ?max_length
                 ?approx:(if approx > 0. then Some approx else None)
-                ~shards points
-            in
-            (None, Sharded sh, Shard.n_sky sh, Shard.n_happy sh)
-          end
-          else begin
+                ~shards points )
+          else
             let dyn = Dynamic.create ?max_length points in
-            ( Some dyn,
-              Solo (Dynamic.snapshot dyn),
-              Dynamic.sky_size dyn,
-              Dynamic.happy_size dyn )
-          end
-        in
-        let built =
-          {
-            backend;
-            n_sky;
-            n_happy;
-            build_seconds = Unix.gettimeofday () -. t0;
-          }
+            (Some dyn, Dynamic.snapshot dyn)
         in
         Obs.Counter.incr c_builds;
-        (dyn, Ready built))
+        (dyn, Ready { backend; build_seconds = Unix.gettimeofday () -. t0 }))
   with e ->
     Obs.Counter.incr c_build_failures;
     (None, Failed (Printexc.to_string e))
@@ -279,14 +234,6 @@ let apply_update dyn op =
     in
     Ok outcome
   with Invalid_argument m -> Error ("bad_point", m)
-
-let publish_built dyn ~build_seconds =
-  {
-    backend = Solo (Dynamic.snapshot dyn);
-    n_sky = Dynamic.sky_size dyn;
-    n_happy = Dynamic.happy_size dyn;
-    build_seconds;
-  }
 
 let worker_loop t =
   Mutex.lock t.mutex;
@@ -342,9 +289,7 @@ let worker_loop t =
               | Some dyn ->
                   Mutex.unlock t.mutex;
                   let r = apply_update dyn u_op in
-                  let published =
-                    publish_built dyn ~build_seconds:b.build_seconds
-                  in
+                  let published = { b with backend = Dynamic.snapshot dyn } in
                   Mutex.lock t.mutex;
                   (* republish on the same entry only: an evict/re-load that
                      raced the update owns the name now *)
@@ -456,15 +401,17 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                 | Some e
                   when String.equal e.e_fingerprint fp
                        && e.e_shards = shards
-                       && Float.equal e.e_approx approx ->
+                       && Float.equal e.e_approx approx
+                       && not e.e_mutated ->
                     (* unchanged bytes at the same shard count and ε: keep
                        the build (or its result) — concurrent loads of the
                        same file are idempotent and enqueue no duplicate
                        job. A different shard count or ε is a different
-                       materialization and falls through to a rebuild. The
-                       signature still refreshes: the bytes were re-verified
-                       just now, so a mere touch stops forcing re-hashes on
-                       every query. *)
+                       materialization, and a mutated entry no longer holds
+                       the file's rows: both fall through to a fresh
+                       registration and rebuild. The signature still
+                       refreshes: the bytes were re-verified just now, so a
+                       mere touch stops forcing re-hashes on every query. *)
                     e.e_stat <- stat_sig;
                     Ok (snapshot e)
                 | _ ->

@@ -1,8 +1,13 @@
 (** Dataset registry: load CSV datasets once, precompute skyline → happy
-    points → StoredList in the background (materialized as a
-    {!Kregret.Dynamic} state), serve any [k] afterwards as an O(k) prefix
-    read — and accept incremental [insert]/[delete]/[flush] updates that
-    repair the precomputation instead of rebuilding it.
+    points → StoredList in the background, publish the result as one
+    immutable {!Kregret.Snapshot.t}, serve any [k] afterwards as an O(k)
+    prefix read — and accept incremental [insert]/[delete]/[flush] updates
+    that repair the precomputation instead of rebuilding it.
+
+    Every ready dataset publishes the same snapshot type, whatever built
+    it: a solo load keeps a {!Kregret.Dynamic} state on the worker and
+    republishes {!Kregret.Dynamic.snapshot} after each applied update; a
+    sharded or ε load publishes {!Shard.create}'s static snapshot.
 
     [load] is cheap and non-blocking: it reads the file {e once},
     fingerprints exactly the bytes it parsed ({!Fingerprint.of_string} —
@@ -25,9 +30,10 @@
     has applied the op and republished a consistent {!built} snapshot.
     Queries never wait on an in-flight update — they read the last
     published snapshot under the registry mutex. Each applied update bumps
-    the snapshot's [Dynamic] epoch when the answer could have changed,
-    which servers fold into their cache key so stale cached answers simply
-    age out.
+    the snapshot's epoch when the stored list could have changed, and its
+    [basis_version] whenever the live rows changed; servers fold the one
+    a family reads into their cache key so stale cached answers simply age
+    out.
 
     {b Staleness.} Every entry remembers the byte fingerprint of the file
     it was built from. {!fresh} re-hashes the file and must be consulted
@@ -37,41 +43,32 @@
     been mutated through {!update}, the CSV is a seed rather than the
     source of truth, and {!fresh} always passes. Re-[load]ing the same
     name picks up the new file contents and rebuilds (dropping any
-    updates). *)
+    updates): a mutated entry is never joined, even when the file is
+    unchanged — the re-load takes a fresh {!info.generation}. *)
 
-(** The immutable answer state behind a [Ready] dataset. [Solo] is the
-    incremental path: a {!Kregret.Dynamic.Snapshot} republished after every
-    applied update. [Sharded] is the static scatter-gather tier
-    ({!Shard}) — bit-identical answers, no updates. *)
-type backend =
-  | Solo of Kregret.Dynamic.Snapshot.t
-  | Sharded of Shard.t
+(** The immutable answer state behind a [Ready] dataset. Its epoch is
+    always 0 for sharded and ε builds — they never change, so nothing a
+    cache keyed on it could miss. *)
+type backend = Kregret.Snapshot.t
 
 type built = {
   backend : backend;
-      (** immutable answer state: query/mrr by prefix, live count, epoch *)
-  n_sky : int;  (** skyline size, for [list] *)
-  n_happy : int;  (** happy-point count, for [list] *)
   build_seconds : float;  (** initial build cost (not update repair time) *)
 }
 
-(** Uniform reads over the two backends. Epoch of a [Sharded] backend is
-    always 0 — sharded datasets never change, so nothing a cache keyed on
-    it could miss. *)
-
+(** [backend_query b ~k] is {!Kregret.Snapshot.query}: the first [k]
+    entries of the stored order and that prefix's regret. *)
 val backend_query : backend -> k:int -> int list * float
 
 (** [backend_rank_regret b ~k] — the rank-regret representative answer of
-    the published backend: solo backends run {!Kregret_rrr.Rrr} over the
-    snapshot's live basis (answers track updates epoch for epoch; a fresh
-    unmutated dataset reproduces the offline engine bit for bit), sharded
-    backends use {!Shard.rank_regret}. Raises [Invalid_argument] when no
-    live points remain. *)
+    the published backend: {!Kregret_rrr.Rrr.build} over [b.basis] with
+    [b.candidates] (the skyline) as the candidate set, selections mapped
+    through [b.basis_ids]. Solo answers track every update; a fresh
+    dataset, solo or sharded, reproduces the offline engine over the
+    normalized rows bit for bit. Raises [Invalid_argument] when no live
+    points remain. *)
 val backend_rank_regret :
   backend -> k:int -> int list * Kregret_rrr.Rrr.rank
-val backend_epoch : backend -> int
-val backend_live : backend -> int
-val backend_stored_length : backend -> int
 
 type status = Building | Ready of built | Failed of string
 

@@ -1,4 +1,5 @@
 module Obs = Kregret_obs
+module Snapshot = Kregret.Snapshot
 
 let c_connections =
   Obs.Registry.counter "serve.connections" ~help:"accepted connections"
@@ -45,14 +46,15 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
     approx;
   }
 
-(* cache/batch key: (generation, epoch, k, family). The generation names
+(* cache/batch key: (generation, version, k, family). The generation names
    one registration: a load that creates or replaces an entry takes a new
    one, so registrations never share rows — not solo vs sharded vs ε
    loads of one CSV, and not two names of one file whose updates reach
-   equal epochs with different points. The epoch is the registration's
-   answer version, so an insert/delete invalidates by key churn — stale
-   rows age out of the LRU with no explicit flush. The family keeps a rank
-   certificate and a regret selection at the same k apart. *)
+   equal epochs with different points. The version is that of the
+   snapshot part the family reads ([version_of]), so an insert/delete
+   invalidates by key churn — stale rows age out of the LRU with no
+   explicit flush. The family keeps a rank certificate and a regret
+   selection at the same k apart. *)
 type key = int * int * int * Protocol.family
 
 (* A read answer as its JSON fields: those rendered before the
@@ -131,16 +133,15 @@ let dataset_json info =
   in
   let extra =
     match info.Registry.status with
-    | Registry.Ready b ->
+    | Registry.Ready { backend = s; build_seconds } ->
         [
-          ("sky", Json.int b.Registry.n_sky);
-          ("happy", Json.int b.Registry.n_happy);
-          ( "materialized",
-            Json.int (Registry.backend_stored_length b.Registry.backend) );
-          ("live", Json.int (Registry.backend_live b.Registry.backend));
-          ("epoch", Json.int (Registry.backend_epoch b.Registry.backend));
+          ("sky", Json.int s.Snapshot.n_sky);
+          ("happy", Json.int s.Snapshot.n_happy);
+          ("materialized", Json.int (Array.length s.Snapshot.order));
+          ("live", Json.int s.Snapshot.live);
+          ("epoch", Json.int s.Snapshot.epoch);
           ("mutated", Json.Bool info.Registry.mutated);
-          ("build_seconds", Json.Num b.Registry.build_seconds);
+          ("build_seconds", Json.Num build_seconds);
         ]
     | Registry.Failed m -> [ ("error", Json.Str m) ]
     | Registry.Building -> []
@@ -180,7 +181,7 @@ let answer ~name family backend ~k =
   | Protocol.Mrr ->
       let _, mrr = Registry.backend_query backend ~k in
       Ok ([ ("mrr", Json.Num mrr) ], [])
-  | Protocol.Rank_regret when Registry.backend_live backend = 0 ->
+  | Protocol.Rank_regret when backend.Snapshot.live = 0 ->
       Error
         (Protocol.err ~code:"empty_dataset"
            (Printf.sprintf "dataset %S has no live points" name))
@@ -195,6 +196,14 @@ let answer ~name family backend ~k =
           ],
           [] )
 
+(* query and mrr read the stored list, which moves only with the epoch;
+   rank-regret ranks against every live row, so a dominated insert or a
+   non-skyline delete changes its answer without touching the epoch *)
+let version_of family (s : Snapshot.t) =
+  match family with
+  | Protocol.Query | Protocol.Mrr -> s.epoch
+  | Protocol.Rank_regret -> s.basis_version
+
 (* The serving hot path, one skeleton for every read family. Cache first;
    on a miss, coalesce concurrent identical computations through the
    batcher, so one computation answers every in-flight duplicate. Only
@@ -205,7 +214,7 @@ let handle_read t ~family ~name ~k =
   | Ok (info, b) -> (
       let backend = b.Registry.backend in
       let key =
-        (info.Registry.generation, Registry.backend_epoch backend, k, family)
+        (info.Registry.generation, version_of family backend, k, family)
       in
       let hit = with_lock t.cache_mutex (fun () -> Lru.get t.cache key) in
       let result, cached, coalesced =

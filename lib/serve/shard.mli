@@ -1,15 +1,15 @@
 (** Scatter-gather shard tier: partition a dataset, reduce each shard to
-    its scatter surface, and run the offline pipeline (skyline → happy →
-    StoredList) once, on the merged surfaces, in a coordinator whose
-    answers are {e bit-identical} to the monolithic pipeline over the
-    whole dataset.
+    its scatter surface ({!gather}), and run the offline funnel once, on
+    the gathered rows, in a coordinator ({!create}) whose published
+    {!Kregret.Snapshot.t} answers {e bit-identically} to the monolithic
+    pipeline over the whole dataset.
 
     The partition is contiguous by row index, so concatenating the shards
     in order reproduces the original row order. Per-shard work is the
     scatter surface only: the shard's local skyline (its ε-kernel in
     approx mode, below). The coordinator concatenates the local skylines
-    and runs [Skyline.sfs → Happy.happy_points → Stored_list.preprocess]
-    on that union.
+    and runs {!Kregret.Stored_list.funnel} ([Skyline.sfs →
+    Happy.happy_points → Stored_list.preprocess]) on that union.
 
     Why this is exact (the oracle in [lib/check] asserts it): [sfs] keeps
     row [i] iff no row dominates it and no {e earlier} row equals it.
@@ -25,6 +25,9 @@
     So [sfs (concat local skylines) = sfs (all rows)] row-for-row, and
     the happy screen and GeoGreedy materialization then run on identical
     arrays — equality is inherited bit-for-bit, at every pool width.
+    Every family reads the one published snapshot: the basis is the whole
+    input and the candidates are the merged skyline, so rank-regret sees
+    exactly the monolithic inputs too.
 
     {b Approximation.} With [?approx] set to an ε, the scatter surface
     becomes each chunk's ε-kernel ({!Kregret_approx.Kernel}) instead of
@@ -41,47 +44,25 @@
     Sharded datasets are static: there is no incremental repair across the
     merge (the server answers updates on them with [static_dataset]). *)
 
-type t
+
+val gather :
+  ?approx:float -> shards:int -> Kregret_geom.Vector.t array -> int array
+(** [gather ~shards points] — the coordinator's input, as ascending row
+    ids: the concatenated local skylines, or with [approx] the merged
+    ε-kernel (equal to [Kregret_approx.Kernel.reduce]'s ids over the whole
+    input). [shards] is clamped to [1 .. n]. Raises [Invalid_argument] on
+    an empty dataset. *)
 
 val create :
   ?max_length:int ->
   ?approx:float ->
   shards:int ->
   Kregret_geom.Vector.t array ->
-  t
-(** Build the shard tier over normalized rows. [shards] is clamped to
-    [1 .. n]; [max_length] caps the coordinator's StoredList exactly as
-    {!Kregret.Dynamic.create} would. [approx] switches the scatter surface
-    to per-chunk ε-kernels (see above). Runs on the calling thread (shards
-    build sequentially — the parallelism lives inside each pipeline
-    stage's pool use, so answers are independent of the pool width). *)
-
-val n : t -> int
-(** Total rows. *)
-
-val n_sky : t -> int
-(** Size of the merged (= monolithic) skyline. *)
-
-val n_happy : t -> int
-(** Size of the merged happy set. *)
-
-val stored_length : t -> int
-(** Materialized coordinator list length. *)
-
-val kernel_size : t -> int
-(** Rows in the merged (= whole-dataset) ε-kernel; [0] for the exact
-    tier. *)
-
-val query : t -> k:int -> int list * float
-(** First [k] coordinator entries as original row ids, with the prefix's
-    maximum regret ratio — same contract as
-    {!Kregret.Dynamic.Snapshot.query}. *)
-
-val rank_regret : t -> k:int -> int list * Kregret_rrr.Rrr.rank
-(** Rank-regret representative query over the sharded tier: a greedy
-    [<= k]-subset of the merged skyline (the rank-complete candidate
-    class — {!Kregret_rrr.Rrr.build}) minimizing the certified max rank
-    over the {e full} dataset (the tier retains its input rows), and
-    that prefix's certified rank. Candidates and universe equal the
-    monolithic engine's, so answers are bit-identical to
-    {!Kregret_rrr.Rrr.build} + [query] at every shard count. *)
+  Kregret.Snapshot.t
+(** [create ~shards points] runs the funnel over the {!gather}ed rows and
+    publishes the result: epoch [0], every input row in the basis (ids =
+    row indices), the merged skyline as [candidates]. [max_length] caps
+    the coordinator's StoredList exactly as {!Kregret.Dynamic.create}
+    would. Runs on the calling thread (shards build sequentially — the
+    parallelism lives inside each stage's pool use, so answers are
+    independent of the pool width). *)

@@ -6,7 +6,9 @@
 
     - [sfs]: sort-filter-skyline (Chomicki et al.) — the production
       skyline, called by every build path (the default of [of_dataset],
-      [Dynamic], [Shard], the ε-kernel [Pipeline], [Rrr.build]);
+      [Stored_list.funnel] — which [Dynamic], [Shard] and the ε-kernel
+      [Pipeline] build with — the shard tier's local skylines,
+      [Rrr.build]);
     - [naive]: quadratic all-pairs reference that tests and oracles
       compare [sfs] against;
     - [bnl]: block-nested-loops (Börzsönyi et al., ICDE 2001);

@@ -14,6 +14,7 @@ module Skyline = Kregret_skyline.Skyline
 module Happy = Kregret_happy.Happy
 module Stored_list = Kregret.Stored_list
 module Dynamic = Kregret.Dynamic
+module Snapshot = Kregret.Snapshot
 module Pool = Kregret_parallel.Pool
 module Instance = Kregret_check.Instance
 module Dynamic_oracle = Kregret_check.Dynamic_oracle
@@ -29,12 +30,13 @@ let answer_bits dyn =
   let ids = if len = 0 then [] else fst (Dynamic.query dyn ~k:len) in
   (ids, List.init len (fun i -> Int64.bits_of_float (Dynamic.mrr_at dyn ~k:(i + 1))))
 
-(* rebuild-from-scratch expectation over the live points, in external ids *)
+(* rebuild-from-scratch expectation over the live points (the snapshot's
+   basis), in external ids *)
 let rebuild_bits dyn =
-  let live = Dynamic.live_points dyn in
-  if Array.length live = 0 then ([], [])
+  let s = Dynamic.snapshot dyn in
+  let vecs = s.Snapshot.basis in
+  if Array.length vecs = 0 then ([], [])
   else begin
-    let vecs = Array.map snd live in
     let sky_idx = Skyline.naive vecs in
     let sky = Array.map (fun i -> vecs.(i)) sky_idx in
     let happy_idx = Happy.happy_points sky in
@@ -44,7 +46,7 @@ let rebuild_bits dyn =
       let stored = Stored_list.preprocess happy in
       let len = Stored_list.length stored in
       ( List.map
-          (fun e -> fst live.(sky_idx.(happy_idx.(e))))
+          (fun e -> s.Snapshot.basis_ids.(sky_idx.(happy_idx.(e))))
           (Stored_list.order stored),
         List.init len (fun i ->
             Int64.bits_of_float (Stored_list.mrr_at stored ~k:(i + 1))) )
@@ -55,7 +57,10 @@ let check_matches_rebuild msg dyn =
   let got_ids, got_mrr = answer_bits dyn in
   let want_ids, want_mrr = rebuild_bits dyn in
   Alcotest.(check (list int)) (msg ^ ": ids match rebuild") want_ids got_ids;
-  Alcotest.(check (list int64)) (msg ^ ": mrr bits match rebuild") want_mrr got_mrr
+  Alcotest.(check (list int64)) (msg ^ ": mrr bits match rebuild") want_mrr got_mrr;
+  let s = Dynamic.snapshot dyn in
+  Alcotest.(check (array int)) (msg ^ ": candidates are the basis skyline")
+    (Skyline.naive s.Snapshot.basis) s.Snapshot.candidates
 
 let test_insert_delete_round_trip () =
   let points = points_of ~n:40 ~d:3 ~seed:11 in
@@ -138,7 +143,7 @@ let test_delete_selected_point () =
 
 let test_delete_everything () =
   let points = points_of ~n:20 ~d:2 ~seed:33 in
-  let dyn = Dynamic.create ~damage_ratio:0.95 points in
+  let dyn = Dynamic.create points in
   (* kill the whole dataset one point at a time — this sweeps through
      "delete the entire skyline" repeatedly as successive layers surface *)
   for id = 0 to 19 do
@@ -159,7 +164,7 @@ let test_delete_everything () =
 
 let test_flush_identity () =
   let points = points_of ~n:40 ~d:3 ~seed:17 in
-  let dyn = Dynamic.create ~damage_ratio:0.95 points in
+  let dyn = Dynamic.create points in
   List.iter
     (fun id -> ignore (Dynamic.delete dyn id))
     [ 0; 3; 7; 11; 19; 23 ];

@@ -346,6 +346,76 @@ let test_serve_bit_identical () =
             check_wire ~what:(Printf.sprintf "sharded k=%d" k) eng ~k b
           done))
 
+(* rank_regret after updates: the served answer is the offline engine over
+   the live rows (ascending id) with selections mapped to ids — after an
+   insert that enters the skyline, a duplicate of it, and a delete of a
+   skyline member. This pins the basis and candidate set a solo dataset
+   publishes after each update. The duplicate leaves the epoch alone but
+   changes every rank, so the answers cached before it must not serve
+   after it. *)
+let test_serve_after_updates () =
+  let path = write_csv ~name:"rrr-upd" ~n:70 ~d:3 ~seed:59 in
+  let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let live = ref (Array.to_list (Array.mapi (fun i p -> (i, p)) base)) in
+  let rows () = Array.of_list (List.map snd !live) in
+  let ids () = Array.of_list (List.map fst !live) in
+  let skyline_ids () =
+    let ids = ids () in
+    Array.map (fun i -> ids.(i)) (Skyline.naive (rows ()))
+  in
+  let check_against_offline c ~what =
+    let ids = ids () in
+    for k = 1 to 3 do
+      let sel_ref, r = Rrr.query (Rrr.build ~max_size:k (rows ())) ~k in
+      let sel, lo, hi, exact =
+        or_fail "rank_regret" (Client.rank_regret c ~name:"upd" ~k)
+      in
+      let what = Printf.sprintf "%s, k=%d" what k in
+      Alcotest.(check (list int)) (what ^ ": selection")
+        (List.map (fun i -> ids.(i)) sel_ref)
+        sel;
+      Alcotest.(check int) (what ^ ": rank_lo") r.Rrr.lo lo;
+      Alcotest.(check int) (what ^ ": rank_hi") r.Rrr.hi hi;
+      Alcotest.(check bool) (what ^ ": exact") r.Rrr.exact exact
+    done
+  in
+  with_server ~cache_capacity:64 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"upd" ~path;
+          check_against_offline c ~what:"fresh";
+          let insert p =
+            let id = or_fail "insert" (Client.insert c ~name:"upd" ~point:p) in
+            live := !live @ [ (id, p) ];
+            id
+          in
+          (* a point strictly above a skyline member: nothing dominates it *)
+          let p =
+            Array.map
+              (fun x -> Float.min 1. (x +. 0.01))
+              (List.assoc (skyline_ids ()).(0) !live)
+          in
+          let entrant = insert p in
+          Alcotest.(check bool) "the insert enters the skyline" true
+            (Array.mem entrant (skyline_ids ()));
+          check_against_offline c ~what:"after a skyline insert";
+          let dup = insert p in
+          Alcotest.(check bool) "the duplicate stays out of the skyline" false
+            (Array.mem dup (skyline_ids ()));
+          check_against_offline c ~what:"after a duplicate insert";
+          let victim =
+            match
+              List.find_opt (fun id -> id <> entrant)
+                (Array.to_list (skyline_ids ()))
+            with
+            | Some id -> id
+            | None -> Alcotest.fail "no skyline member to delete"
+          in
+          Alcotest.(check bool) "the delete applies" true
+            (or_fail "delete" (Client.delete c ~name:"upd" ~id:victim));
+          live := List.filter (fun (id, _) -> id <> victim) !live;
+          check_against_offline c ~what:"after a skyline delete"));
+  Sys.remove path
+
 (* raw-frame probe: issue one verb and read the response's cached flag *)
 let probe c ~op ~name ~k =
   let frame =
@@ -445,4 +515,6 @@ let suite =
       test_serve_bit_identical;
     Alcotest.test_case "serve: cache kind isolation" `Quick
       test_cache_kind_isolation;
+    Alcotest.test_case "serve: rank_regret tracks inserts and deletes" `Quick
+      test_serve_after_updates;
   ]

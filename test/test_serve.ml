@@ -647,6 +647,50 @@ let test_failed_build_reload_retries () =
       (* the retry runs to its (deterministic) failure, not limbo *)
       wait_failed 500)
 
+(* a re-load of a mutated dataset rebuilds from the file and drops the
+   updates, even when the bytes are unchanged: the mutated entry is not
+   joined, so the re-load is a new registration and none of the mutated
+   state (rows, ids, cached answers) is served afterwards *)
+let test_reload_mutated_drops_updates () =
+  let path = write_csv ~name:"seeded" ~n:4 ~d:2 ~seed:67 in
+  let dir = direct_of_csv path in
+  let k = 3 in
+  let listed c key =
+    let j = or_fail "list" (Client.list_datasets c) in
+    Option.bind (Json.member "datasets" j) Json.to_list
+    |> Option.value ~default:[]
+    |> List.find (fun d ->
+           Option.bind (Json.member "name" d) Json.to_str = Some "m")
+    |> Json.member key
+  in
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"m" ~path;
+          let sel0, mrr0 = or_fail "query" (Client.query c ~name:"m" ~k) in
+          let sel_ref, mrr_ref = direct_answer dir ~k in
+          Alcotest.(check (list int)) "fresh load answers the file" sel_ref sel0;
+          Alcotest.check exact_float "fresh load mrr" mrr_ref mrr0;
+          let id =
+            or_fail "insert" (Client.insert c ~name:"m" ~point:[| 0.99; 0.99 |])
+          in
+          Alcotest.(check int) "insert id continues the rows" 4 id;
+          Alcotest.(check bool) "the insert is answered" true
+            (List.mem id (fst (or_fail "query" (Client.query c ~name:"m" ~k))));
+          let j = or_fail "re-load" (Client.load c ~name:"m" ~path) in
+          Alcotest.(check (option string)) "re-load rebuilds" (Some "building")
+            (Option.bind (Json.member "status" j) Json.to_str);
+          or_fail "wait_ready" (Client.wait_ready c ~name:"m");
+          Alcotest.(check (option int)) "live is the file's rows" (Some 4)
+            (Option.bind (listed c "live") Json.to_int);
+          Alcotest.(check (option bool)) "not mutated" (Some false)
+            (Option.bind (listed c "mutated") Json.to_bool);
+          let sel, mrr = or_fail "query" (Client.query c ~name:"m" ~k) in
+          Alcotest.(check (list int)) "updates dropped" sel_ref sel;
+          Alcotest.check exact_float "mrr of the file" mrr_ref mrr;
+          Alcotest.(check int) "ids restart after the file's rows" 4
+            (or_fail "insert" (Client.insert c ~name:"m" ~point:[| 0.99; 0.99 |]))));
+  Sys.remove path
+
 (* ---- event-driven poller: connection lifecycle ---------------------------- *)
 
 (* the regression this guards: the old thread-per-connection server appended
@@ -859,10 +903,10 @@ let test_shard_merge_across_jobs () =
                 (Printf.sprintf "jobs=%d shards=%d union skyline size" jobs
                    shards)
                 (Array.length (Skyline.naive points))
-                (Serve.Shard.n_sky sh);
+                sh.Kregret.Snapshot.n_sky;
               for k = 1 to n_happy do
                 let sel_ref, mrr_ref = direct_answer dir ~k in
-                let sel, mrr = Serve.Shard.query sh ~k in
+                let sel, mrr = Kregret.Snapshot.query sh ~k in
                 Alcotest.(check (list int))
                   (Printf.sprintf "jobs=%d shards=%d k=%d merged selection"
                      jobs shards k)
@@ -1311,6 +1355,8 @@ let suite =
       `Quick test_concurrent_load_idempotent;
     Alcotest.test_case "registry: failed builds are retried on re-load" `Quick
       test_failed_build_reload_retries;
+    Alcotest.test_case "registry: re-load of a mutated dataset drops its \
+                        updates" `Quick test_reload_mutated_drops_updates;
     Alcotest.test_case "poller: 10k-connection churn keeps live state bounded"
       `Slow test_connection_churn;
     Alcotest.test_case "transports: UDS and TCP sessions are byte-identical"
