@@ -365,6 +365,77 @@ let check ?(jobs_hi = 2) inst =
         ]
   end;
 
+  (* rrr-greedy: the unselected candidates' ranks decide every pick, and
+     no other check reads them. Recount every candidate's rank under
+     every net direction directly — Vector.dot scores and a
+     strictly-greater count, no sort — and replay the greedy: each pick
+     must be the first minimizer of max_j min(cur_j, rank_j(c)) over the
+     untaken candidates. Off d = 2, whose lo comes from the exact sweep,
+     the running set rank's maximum is the certified lo. *)
+  begin
+    let nets = if d = 1 then [| [| 1.0 |] |] else snd (net_of ~d) in
+    let nd = Array.length nets and nc = Array.length cands in
+    let ranks = Array.make_matrix nc nd 0 in
+    Array.iteri
+      (fun j w ->
+        let scores = Array.map (fun p -> Vector.dot p w) points in
+        Array.iteri
+          (fun c id ->
+            let x = scores.(id) in
+            let beaten = ref 0 in
+            Array.iter (fun y -> if y > x then incr beaten) scores;
+            ranks.(c).(j) <- 1 + !beaten)
+          cands)
+      nets;
+    let position = Hashtbl.create nc in
+    Array.iteri (fun c id -> Hashtbl.replace position id c) cands;
+    let cur = Array.make nd (n + 1) and taken = Array.make nc false in
+    Array.iteri
+      (fun step id ->
+        let best = ref max_int and best_c = ref (-1) in
+        for c = 0 to nc - 1 do
+          if not taken.(c) then begin
+            let worst = ref 0 in
+            for j = 0 to nd - 1 do
+              let r = min cur.(j) ranks.(c).(j) in
+              if r > !worst then worst := r
+            done;
+            if !worst < !best then begin
+              best := !worst;
+              best_c := c
+            end
+          end
+        done;
+        if !best_c < 0 || cands.(!best_c) <> id then
+          record "rrr-greedy"
+            [
+              Printf.sprintf
+                "step %d: engine picked row %d, the first minimizer of the \
+                 recounted objective is row %d (objective %d)"
+                (step + 1) id
+                (if !best_c < 0 then -1 else cands.(!best_c))
+                !best;
+            ];
+        (* follow the engine's pick, so later steps stay comparable *)
+        match Hashtbl.find_opt position id with
+        | None -> ()
+        | Some c ->
+            taken.(c) <- true;
+            for j = 0 to nd - 1 do
+              if ranks.(c).(j) < cur.(j) then cur.(j) <- ranks.(c).(j)
+            done;
+            let lo = Array.fold_left max 0 cur in
+            if d <> 2 && lo <> bounds.(step).Rrr.lo then
+              record "rrr-greedy"
+                [
+                  Printf.sprintf
+                    "prefix %d: recounted set rank max %d, engine certified \
+                     lo %d"
+                    (step + 1) lo bounds.(step).Rrr.lo;
+                ])
+      order
+  end;
+
   (* rrr-sample: the dual-polytope bound holds off the net too *)
   begin
     let final = bounds.(size - 1) in
@@ -427,10 +498,13 @@ let check ?(jobs_hi = 2) inst =
   with_jobs 1 (fun () ->
       List.iter
         (fun shards ->
-          let sh = Shard.create ~shards points in
+          let sh =
+            Serve.Registry.built_of ~build_seconds:0.
+              (Shard.create ~shards points)
+          in
           List.iter
             (fun k' ->
-              let sel, r = Serve.Registry.backend_rank_regret sh ~k:k' in
+              let sel, r = Serve.Registry.rank_regret sh ~k:k' in
               let sel_ref, r_ref = Rrr.query eng ~k:k' in
               if sel <> sel_ref then
                 record "rrr-shards"

@@ -31,15 +31,24 @@
     - [rrr-net] — at [d >= 3] every net direction's independently
       recomputed rank is [<= lo] and the maximum attains [lo] (so [lo]
       really is the best realized rank on the net).
+    - [rrr-greedy] — every candidate's rank under every net direction,
+      recounted directly (a {!Kregret_geom.Vector.dot} score and a
+      strictly-greater count, no sort), replays the greedy: each step's
+      pick is the first minimizer of [max_j min(cur_j, rank_j(c))] over
+      the untaken candidates, and off [d = 2] the running set rank's
+      maximum equals the certified [lo]. The unselected candidates'
+      ranks decide every pick, and only this check reads them.
     - [rrr-sample] — 32 random directions never exhibit a (tie-tolerant)
       rank above [hi]: the dual-polytope upper bound holds off the net.
     - [rrr-jobs] — order, every certified interval and every witness are
       bit-identical at jobs 1, [jobs_hi], and an oversubscribed width
       past [Domain.recommended_domain_count ()].
-    - [rrr-shards] — {!Kregret_serve.Registry.backend_rank_regret} over
-      the snapshot {!Kregret_serve.Shard.create} publishes at shards
-      {1, 2, 4} answers bit-identically to the monolithic engine (the
-      shard-merged skyline candidates are the monolithic ones).
+    - [rrr-shards] — {!Kregret_serve.Registry.rank_regret}, the server's
+      one read path, over the snapshot {!Kregret_serve.Shard.create}
+      publishes at shards {1, 2, 4} answers bit-identically to the
+      monolithic engine (the shard-merged skyline candidates are the
+      monolithic ones); the second [k] reads the publication's kept rank
+      table.
     - [rrr-serve] — a live server's [rank_regret] verb answers over the
       wire with the offline engine's exact bits.
 

@@ -29,8 +29,14 @@ type t = {
           applied delete, even those that leave [epoch] alone — so it
           versions what rank-regret reads; [0] for static builds *)
   candidates : int array;
-      (** the skyline of [basis], as ascending indices into [basis]: the
-          rank-complete candidate set (the happy funnel is not) *)
+      (** the rank-regret candidates, as ascending indices into [basis].
+          Solo and sharded builds: the skyline of [basis], the
+          rank-complete candidate set (the happy funnel is not). ε builds:
+          the skyline of the merged ε-kernel, which can be much smaller
+          (10 rows against a 34-row basis skyline on a 2,000-row d = 3
+          independent file at ε = 0.2), so an ε load's rank-regret answer
+          is not rank-complete, though its certificates still rank
+          against every row of [basis] *)
 }
 
 (** [prefix stored ~ids] is [(order, mrr)] for a StoredList over some

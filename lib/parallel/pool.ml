@@ -122,8 +122,26 @@ type t = {
   mutable current : job option; (* under mutex *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
-  busy : bool Atomic.t; (* a region is executing: rejects nesting *)
+  id : int; (* names the pool in its workers' [worker_of] slot *)
+  region : Mutex.t; (* held by the thread running a multi-chunk region *)
 }
+
+(* Region ownership. Two threads may open regions on one pool; only a
+   region opened from inside a running region is nesting. A worker domain
+   knows its pool through [worker_of]. The caller's side is a thread, and
+   systhreads share their domain's DLS, so it is told apart by the region
+   mutex instead: OCaml mutexes are error-checking, so a re-lock by the
+   owning thread raises [Sys_error], while any other thread blocks until
+   the running region ends and then runs its own. *)
+let worker_of = Domain.DLS.new_key (fun () -> -1)
+let next_id = Atomic.make 0
+
+let nested () = invalid_arg "Kregret_parallel.Pool: nested parallel region"
+
+let exclusive t f =
+  if Domain.DLS.get worker_of = t.id then nested ();
+  (try Mutex.lock t.region with Sys_error _ -> nested ());
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.region) f
 
 let jobs t = t.jobs
 
@@ -177,11 +195,15 @@ let create ~jobs =
       current = None;
       stop = false;
       workers = [];
-      busy = Atomic.make false;
+      id = Atomic.fetch_and_add next_id 1;
+      region = Mutex.create ();
     }
   in
   t.workers <-
-    List.init (width - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
+    List.init (width - 1) (fun _ ->
+        Domain.spawn (fun () ->
+            Domain.DLS.set worker_of t.id;
+            worker_loop t 0));
   Obs.Gauge.set_int g_width width;
   t
 
@@ -225,7 +247,7 @@ let run_chunks t ~chunks body =
     if t.width = 1 || chunks = 1 then begin
       (* inline: no pool machinery, exceptions propagate naturally. A
          multi-chunk region on a width-capped jobs > 1 pool still takes the
-         busy guard, so nested-region misuse fails on a single-core box
+         region mutex, so nested-region misuse fails on a single-core box
          exactly as it would on a multicore one. *)
       let run () =
         for c = 0 to chunks - 1 do
@@ -233,16 +255,9 @@ let run_chunks t ~chunks body =
         done;
         observe_imbalance ()
       in
-      if t.jobs > 1 && chunks > 1 then begin
-        if not (Atomic.compare_and_set t.busy false true) then
-          invalid_arg "Kregret_parallel.Pool: nested parallel region";
-        Fun.protect ~finally:(fun () -> Atomic.set t.busy false) run
-      end
-      else run ()
+      if t.jobs > 1 && chunks > 1 then exclusive t run else run ()
     end
     else begin
-      if not (Atomic.compare_and_set t.busy false true) then
-        invalid_arg "Kregret_parallel.Pool: nested parallel region";
       let job =
         {
           body = timed_chunk ?durations body;
@@ -252,18 +267,18 @@ let run_chunks t ~chunks body =
           failure = None;
         }
       in
-      Mutex.lock t.mutex;
-      t.current <- Some job;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.mutex;
-      drain t job;
-      Mutex.lock t.mutex;
-      while job.unfinished > 0 do
-        Condition.wait t.work_done t.mutex
-      done;
-      Mutex.unlock t.mutex;
-      Atomic.set t.busy false;
+      exclusive t (fun () ->
+          Mutex.lock t.mutex;
+          t.current <- Some job;
+          t.generation <- t.generation + 1;
+          Condition.broadcast t.work_ready;
+          Mutex.unlock t.mutex;
+          drain t job;
+          Mutex.lock t.mutex;
+          while job.unfinished > 0 do
+            Condition.wait t.work_done t.mutex
+          done;
+          Mutex.unlock t.mutex);
       (* completion happened-before this read (the mutex round above) *)
       observe_imbalance ();
       match job.failure with

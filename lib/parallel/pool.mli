@@ -20,13 +20,17 @@
        calling domain, no pool machinery involved.}}
 
     {b Concurrency rules.} Parallel regions must not nest: calling
-    [parallel_for] / [map_reduce] from inside a running region raises
-    [Invalid_argument] (with [jobs = 1] the inline path permits it, since
-    it is just a nested loop). Bodies may read shared structures freely
-    and write only to disjoint locations; the pool establishes the
-    happens-before edges so the caller observes all writes when the
-    region returns. Exceptions raised by a body are caught, the region
-    drains, and the first exception is re-raised in the caller. *)
+    [parallel_for] / [map_reduce] from inside a running region (from a
+    body on a worker domain, or from the thread that opened the region)
+    raises [Invalid_argument] (with [jobs = 1] the inline path permits
+    it, since it is just a nested loop). A region opened from another
+    thread while one runs is not nesting: it waits for the running region
+    to finish, then runs with its usual result. Bodies may read shared
+    structures freely and write only to disjoint locations; the pool
+    establishes the happens-before edges so the caller observes all
+    writes when the region returns. Exceptions raised by a body are
+    caught, the region drains, and the first exception is re-raised in
+    the caller. *)
 
 type t
 (** A pool of [jobs - 1] worker domains plus the calling domain. *)

@@ -11,6 +11,10 @@ module Obs = Kregret_obs
 
 let c_builds = Obs.Registry.counter "rrr.builds" ~help:"rank-regret engine builds"
 
+let c_rank_tables =
+  Obs.Registry.counter "rrr.rank_tables"
+    ~help:"rank tables built (net scoring and one sort per direction)"
+
 let c_rank_evals =
   Obs.Registry.counter "rrr.rank_evals" ~help:"certified max-rank evaluations"
 
@@ -71,21 +75,28 @@ let make_net ~d ~budget =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Single-direction rank: 1 + #{q : w.q > max over members of w.s}.
-   Same fold discipline as everywhere else: member max replaces the
-   incumbent only when [not (best >= x)]. *)
+(* The scan kernel. [Flat.slacks ~offset:0.] scores every row under one
+   direction into a caller-owned buffer with the same [dot_stride] fold
+   as [Flat.dot] ([x -. 0.] is [x], signed zero and NaN included), so
+   every comparison below sees the bits the boxed [Flat.dot] scan saw,
+   without boxing a score per row. *)
 
-let rank_under ~flat ~set w =
-  let best = ref (Flat.dot flat set.(0) w) in
+let score ~flat w scores = Flat.slacks flat ~normal:w ~offset:0. ~out:scores
+
+(* Single-direction rank from a scored buffer:
+   1 + #{q : w.q > max over members of w.s}. Same fold discipline as
+   everywhere else: member max replaces the incumbent only when
+   [not (best >= x)]. *)
+let rank_of_scores (scores : float array) ~set =
+  let best = ref scores.(set.(0)) in
   for j = 1 to Array.length set - 1 do
-    let v = Flat.dot flat set.(j) w in
+    let v = scores.(set.(j)) in
     if not (!best >= v) then best := v
   done;
   let best = !best in
   let beaten = ref 0 in
-  let n = Flat.rows flat in
-  for i = 0 to n - 1 do
-    if Flat.dot flat i w > best then incr beaten
+  for i = 0 to Array.length scores - 1 do
+    if Array.unsafe_get scores i > best then incr beaten
   done;
   1 + !beaten
 
@@ -199,9 +210,12 @@ let net_lo ~flat ~set net =
   let d = Flat.dim flat in
   let cost = float_of_int (n * d * 4) in
   let map a b =
+    let w = Array.make d 0. and scores = Array.make n 0. in
     let best = ref (-1) and best_j = ref 0 in
     for j = a to b - 1 do
-      let r = rank_under ~flat ~set (Flat.row dirs j) in
+      Flat.blit_row dirs j w;
+      score ~flat w scores;
+      let r = rank_of_scores scores ~set in
       if r > !best then begin
         best := r;
         best_j := j
@@ -268,7 +282,9 @@ let eval_rank ~points ~flat ~net set =
   let d = Flat.dim flat in
   if d = 1 then begin
     let w = [| 1.0 |] in
-    let r = rank_under ~flat ~set w in
+    let scores = Array.make (Flat.rows flat) 0. in
+    score ~flat w scores;
+    let r = rank_of_scores scores ~set in
     { lo = r; hi = r; witness = w; exact = true }
   end
   else if d = 2 then begin
@@ -297,26 +313,141 @@ let max_rank ?(budget = default_budget) ~points set =
   eval_rank ~points ~flat ~net set
 
 (* ------------------------------------------------------------------ *)
+(* The rank table: R(j, c) = rank of candidate c under net direction j
+   against the full dataset, 1 + #{q : w_j.q > w_j.c}. Per direction:
+   score every row into a buffer, sort a copy descending, binary-search
+   the strictly-greater count for each candidate. Every rank is an
+   integer count from the same float comparisons, so the sort order of
+   equal scores can never change one. *)
 
-type t = {
-  t_points : Vector.t array;
-  t_d : int;
-  t_net : net;
-  t_sky : int array;
-  t_cands : int array;
-  t_order : int array;
-  t_bounds : rank array;
+(* Ranks are <= n + 1, so 32 bits hold them: 4 * directions * candidates
+   bytes, stored candidate-major (R(j, c) at c * nd + j) so the greedy
+   reads one candidate's column contiguously. *)
+type ranks = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* [sort_desc a tmp hist len] sorts [a.(0 .. len-1)] (no NaN) descending
+   by a least-significant-digit radix sort on the float's order key:
+   eight byte passes ping-ponging between [a] and [tmp], a pass skipped
+   when every key shares its byte. O(len) on every input — rows come
+   from client CSVs and inserts, so no input may drive it quadratic —
+   and, with no data-dependent branch, about twice as fast as a
+   bottom-up merge sort on 10^4 scores. Returns whichever of [a] and
+   [tmp] holds the result. [hist] has 2048 slots.
+
+   The key maps a float to an integer that ascends as the float
+   descends: negative floats' bits are complemented, positive floats'
+   sign bit is set, and the result complemented. Key order refines float
+   order ([-0.] and [0.] get distinct keys but never compare [>]), so the
+   strictly-greater binary search below sees a monotone predicate. *)
+let[@inline] desc_key x =
+  let b = Int64.bits_of_float x in
+  Int64.lognot
+    (Int64.logxor b (Int64.logor (Int64.shift_right b 63) Int64.min_int))
+
+let[@inline] byte_of x shift =
+  Int64.to_int (Int64.shift_right_logical (desc_key x) shift) land 255
+
+let sort_desc (a : float array) (tmp : float array) (hist : int array) len =
+  Array.fill hist 0 2048 0;
+  for i = 0 to len - 1 do
+    let x = Array.unsafe_get a i in
+    for p = 0 to 7 do
+      let h = (p lsl 8) + byte_of x (8 * p) in
+      Array.unsafe_set hist h (Array.unsafe_get hist h + 1)
+    done
+  done;
+  let src = ref a and dst = ref tmp in
+  for p = 0 to 7 do
+    let base = p lsl 8 in
+    (* counts -> start offsets; a byte every key shares needs no pass *)
+    let uniform = ref false and sum = ref 0 in
+    for b = base to base + 255 do
+      let c = Array.unsafe_get hist b in
+      if c = len then uniform := true;
+      Array.unsafe_set hist b !sum;
+      sum := !sum + c
+    done;
+    if not !uniform then begin
+      let s = !src and t = !dst in
+      for i = 0 to len - 1 do
+        let x = Array.unsafe_get s i in
+        let h = base + byte_of x (8 * p) in
+        let at = Array.unsafe_get hist h in
+        Array.unsafe_set t at x;
+        Array.unsafe_set hist h (at + 1)
+      done;
+      src := t;
+      dst := s
+    end
+  done;
+  !src
+
+(* #{i < len : sorted.(i) > scores.(at)}: the index of the first entry
+   <= the candidate's score. Taking the index, not the float, keeps the
+   score unboxed. *)
+let count_gt (sorted : float array) len (scores : float array) at =
+  let x = scores.(at) in
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get sorted mid > x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* One pool region over direction ranges; each chunk owns its scratch (a
+   direction row, three n-float buffers, a histogram) and writes only its
+   own directions' slots, so the table is scheduling-independent. A NaN
+   score is never greater than anything, so NaNs stay out of the sort and
+   every count is #{q : w.q > x} exactly, for a NaN x too. *)
+let rank_kernel ~flat ~dirs ~cands (ranks : ranks) =
+  let n = Flat.rows flat and d = Flat.dim flat in
+  let nd = Flat.rows dirs and nc = Array.length cands in
+  (* ~ns per direction: the scoring fold, ~48 per row for the radix
+     passes, one binary search per candidate *)
+  let log_n = Float.to_int (Float.log2 (float_of_int (n + 1))) + 1 in
+  let cost = float_of_int ((n * (d + 48)) + (3 * nc * log_n)) in
+  Pool.map_reduce ~lo:0 ~hi:nd ~cost
+    ~reduce:(fun () () -> ())
+    ~map:(fun a b ->
+      let w = Array.make d 0. in
+      let scores = Array.make n 0. in
+      let buf = Array.make n 0. and tmp = Array.make n 0. in
+      let hist = Array.make 2048 0 in
+      for j = a to b - 1 do
+        Flat.blit_row dirs j w;
+        score ~flat w scores;
+        let len = ref 0 in
+        for i = 0 to n - 1 do
+          let x = Array.unsafe_get scores i in
+          if x = x then begin
+            Array.unsafe_set buf !len x;
+            incr len
+          end
+        done;
+        let len = !len in
+        let sorted = sort_desc buf tmp hist len in
+        for c = 0 to nc - 1 do
+          let r = 1 + count_gt sorted len scores cands.(c) in
+          Bigarray.Array1.unsafe_set ranks ((c * nd) + j) (Int32.of_int r)
+        done
+      done)
+    ()
+
+type table = {
+  tb_points : Vector.t array;
+  tb_flat : Flat.t;
+  tb_net : net;
+  tb_sky : int array;
+  tb_cands : int array;
+  tb_ranks : ranks;
 }
 
-let build ?(budget = default_budget) ?max_size ?candidates points =
-  Obs.Counter.incr c_builds;
-  Obs.Span.with_ "rrr.build" @@ fun () ->
+let table ?(budget = default_budget) ?candidates points =
+  Obs.Counter.incr c_rank_tables;
+  Obs.Span.with_ "rrr.table" @@ fun () ->
   let n = Array.length points in
-  if n = 0 then invalid_arg "Rrr.build: empty dataset";
-  if budget < 1 then invalid_arg "Rrr.build: budget must be positive";
-  (match max_size with
-  | Some m when m < 1 -> invalid_arg "Rrr.build: max_size must be positive"
-  | _ -> ());
+  if n = 0 then invalid_arg "Rrr.table: empty dataset";
+  if budget < 1 then invalid_arg "Rrr.table: budget must be positive";
   let d = Vector.dim points.(0) in
   let flat = Flat.of_rows points in
   let net = make_net ~d ~budget in
@@ -337,38 +468,51 @@ let build ?(budget = default_budget) ?max_size ?candidates points =
         let sky = Skyline.sfs points in
         (sky, Array.copy sky)
   in
-  let nc = Array.length cands in
   let dirs = net.n_dirs in
+  let ranks =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout
+      (Flat.rows dirs * Array.length cands)
+  in
+  rank_kernel ~flat ~dirs ~cands ranks;
+  {
+    tb_points = points;
+    tb_flat = flat;
+    tb_net = net;
+    tb_sky = sky;
+    tb_cands = cands;
+    tb_ranks = ranks;
+  }
+
+(* ------------------------------------------------------------------ *)
+
+type t = {
+  t_d : int;
+  t_net : net;
+  t_sky : int array;
+  t_cands : int array;
+  t_order : int array;
+  t_bounds : rank array;
+}
+
+let select ?max_size tb =
+  Obs.Counter.incr c_builds;
+  Obs.Span.with_ "rrr.select" @@ fun () ->
+  (match max_size with
+  | Some m when m < 1 -> invalid_arg "Rrr.select: max_size must be positive"
+  | _ -> ());
+  let points = tb.tb_points and flat = tb.tb_flat and cands = tb.tb_cands in
+  let ranks = tb.tb_ranks in
+  let n = Flat.rows flat and d = Flat.dim flat in
+  let nc = Array.length cands in
+  let dirs = tb.tb_net.n_dirs in
   let nd = Flat.rows dirs in
-  (* Rank matrix: matrix.(j * nc + c) = rank of candidate c under net
-     direction j vs the full dataset. Per direction: score everything,
-     sort a copy descending, binary-search the strictly-greater count —
-     each direction owns its matrix row, so the parallel_for writes are
-     disjoint and the values scheduling-independent. *)
-  let matrix = Array.make (nd * nc) 0 in
-  let cost = float_of_int ((n * d * 4) + (n * 30)) in
-  Pool.parallel_for ~lo:0 ~hi:nd ~cost (fun j ->
-      let w = Flat.row dirs j in
-      let scores = Array.init n (fun i -> Flat.dot flat i w) in
-      let sorted = Array.copy scores in
-      Array.sort (fun (x : float) y -> compare y x) sorted;
-      let count_gt x =
-        (* index of the first sorted entry <= x *)
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sorted.(mid) > x then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
-      let row = j * nc in
-      Array.iteri (fun c id -> matrix.(row + c) <- 1 + count_gt scores.(id)) cands);
   (* Greedy: cur.(j) is the running set rank under direction j (n + 1
      sentinel = empty set); candidate c would improve it to
-     min cur.(j) matrix.(j)(c). Pick the candidate minimizing the max —
-     strict < keeps the first (lowest-position) candidate on ties, and
+     min cur.(j) R(j, c). Pick the candidate minimizing the max — strict
+     < keeps the first (lowest-position) candidate on ties, and
      map_reduce folds chunks left to right, so the choice is pool-width
-     independent. *)
+     independent. A candidate's running max only grows along j, so its
+     scan stops once it reaches the chunk's best: it can no longer win. *)
   let cap = match max_size with Some m -> min m nc | None -> nc in
   let cur = Array.make nd (n + 1) in
   let taken = Array.make nc false in
@@ -380,12 +524,14 @@ let build ?(budget = default_budget) ?max_size ?candidates points =
       let best = ref max_int and best_c = ref (-1) in
       for c = a to b - 1 do
         if not taken.(c) then begin
-          let row_c = c in
-          let worst = ref 0 in
-          for j = 0 to nd - 1 do
-            let r = matrix.((j * nc) + row_c) in
-            let r = if cur.(j) < r then cur.(j) else r in
-            if r > !worst then worst := r
+          let base = c * nd in
+          let worst = ref 0 and j = ref 0 in
+          while !j < nd && !worst < !best do
+            let r = Int32.to_int (Bigarray.Array1.unsafe_get ranks (base + !j)) in
+            let cj = Array.unsafe_get cur !j in
+            let r = if cj < r then cj else r in
+            if r > !worst then worst := r;
+            incr j
           done;
           if !worst < !best then begin
             best := !worst;
@@ -406,8 +552,9 @@ let build ?(budget = default_budget) ?max_size ?candidates points =
     if c < 0 then stop := true
     else begin
       taken.(c) <- true;
+      let base = c * nd in
       for j = 0 to nd - 1 do
-        let r = matrix.((j * nc) + c) in
+        let r = Int32.to_int (Bigarray.Array1.unsafe_get ranks (base + j)) in
         if r < cur.(j) then cur.(j) <- r
       done;
       order := cands.(c) :: !order;
@@ -426,7 +573,7 @@ let build ?(budget = default_budget) ?max_size ?candidates points =
           { lo = r; hi = r; witness = w; exact = true }
         end
         else begin
-          (* cur.(j) IS rank_under the j-th direction for the prefix
+          (* cur.(j) IS the rank of the prefix under the j-th direction
              (same integer min-fold), so lo needs no rescan. *)
           let lo = ref 0 and lo_j = ref 0 in
           for j = 0 to nd - 1 do
@@ -452,14 +599,17 @@ let build ?(budget = default_budget) ?max_size ?candidates points =
   done;
   Obs.Histogram.observe h_set_size (float_of_int !len);
   {
-    t_points = points;
     t_d = d;
-    t_net = net;
-    t_sky = sky;
+    t_net = tb.tb_net;
+    t_sky = tb.tb_sky;
     t_cands = cands;
     t_order = Array.of_list (List.rev !order);
     t_bounds = Array.of_list (List.rev !bounds);
   }
+
+let build ?budget ?max_size ?candidates points =
+  Obs.Span.with_ "rrr.build" @@ fun () ->
+  select ?max_size (table ?budget ?candidates points)
 
 let query t ~k =
   if k < 1 then invalid_arg "Rrr.query: k must be positive";

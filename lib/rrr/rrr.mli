@@ -75,11 +75,13 @@ val default_budget : int
 val max_rank :
   ?budget:int -> points:Kregret_geom.Vector.t array -> int array -> rank
 
-(** A built rank-regret engine: a greedy selection order over the
-    candidate set minimizing the (certified) max rank of each prefix. *)
-type t
+(** A rank table: the net directions, the candidate set and the rank
+    matrix [R(j, c)] of every candidate [c] under every net direction [j]
+    against the {e full} dataset. Everything {!select} needs, and nothing
+    that depends on [max_size] — so one table serves every [k]. *)
+type table
 
-(** [build points] preprocesses a normalized dataset:
+(** [table points] scores a normalized dataset for rank-regret selection:
 
     + candidates default to the skyline — the exact completeness
       class for rank: under any [w >= 0] a dominator scores at least its
@@ -89,21 +91,50 @@ type t
       can still be the strict top-1 of some direction, leaving the happy
       set impossible to drive to rank 1.) [?candidates] overrides with
       explicit row indices (the serving tier passes the published
-      snapshot's skyline — [Dynamic]'s maintained one or the shard-merged
-      one, each equal to the default);
-    + a rank matrix [R(j, c)] = rank of candidate [c] under net
-      direction [j] against the {e full} dataset, one sorted score array
-      per direction, parallel over directions;
-    + greedy: repeatedly add the candidate minimizing
-      [max over j of min(cur(j), R(j, c))] where [cur(j)] is the running
-      set rank under direction [j] (ties: smallest candidate position
-      wins), recording a certified {!rank} for every prefix, stopping at
-      [?max_size] (default: all candidates) or when the bound reaches 1.
+      snapshot's [candidates]: for exact loads the skyline of the basis,
+      for ε loads the skyline of the merged ε-kernel, see
+      [Kregret.Snapshot]);
+    + the rank matrix [R(j, c) = 1 + #{q : w_j.q > w_j.c}], built by one
+      allocation-free kernel: a pool region over direction ranges, each
+      chunk owning its scratch. Per direction it scores every row with
+      {!Kregret_geom.Flat.slacks} (the same fold as
+      {!Kregret_geom.Flat.dot}, unboxed), sorts the non-NaN scores
+      descending with a byte-radix sort on the float's order key (O(n)
+      on every input — rows come from clients, so none may drive the
+      sort quadratic), and binary-searches each candidate's
+      strictly-greater count. Each rank is an integer count of float
+      comparisons, so the table is bit-identical at every pool width
+      and whatever order equal scores sort in.
+
+    Ranks are at most [n + 1] and are stored in 32 bits: a table costs
+    [4 * directions * candidates] bytes beside the flat copy of the rows.
+    Counted by [rrr.rank_tables]. Raises [Invalid_argument] on empty
+    data, [budget < 1], or empty or out-of-range candidates. *)
+val table :
+  ?budget:int -> ?candidates:int array -> Kregret_geom.Vector.t array -> table
+
+(** A built rank-regret engine: a greedy selection order over the
+    candidate set minimizing the (certified) max rank of each prefix. *)
+type t
+
+(** [select tb] runs the greedy over a table: repeatedly add the candidate
+    minimizing [max over j of min(cur(j), R(j, c))] where [cur(j)] is the
+    running set rank under direction [j] (ties: smallest candidate
+    position wins), recording a certified {!rank} for every prefix,
+    stopping at [?max_size] (default: all candidates) or when the bound
+    reaches 1. It reads the table and never changes it, so any number of
+    selections may share one table, concurrently too. Counted by
+    [rrr.builds]. Raises [Invalid_argument] on [max_size < 1]. *)
+val select : ?max_size:int -> table -> t
+
+(** [build points] is [select ?max_size (table ?budget ?candidates
+    points)]: one engine, its table dropped afterwards.
 
     The greedy order is a pure function of the candidate set — a prefix
     of a [build] with a larger [max_size] is bit-identical to a build
-    with the smaller one, so per-[k] queries compose. Raises
-    [Invalid_argument] on empty data or candidates, or [max_size < 1]. *)
+    with the smaller one, so per-[k] queries compose, and [select] over
+    one table answers every [k]. Raises what {!table} and {!select}
+    raise. *)
 val build :
   ?budget:int ->
   ?max_size:int ->
@@ -134,7 +165,7 @@ val cand_ids : t -> int array
 (** Candidate row indices the greedy ran over (the skyline by default). *)
 
 val directions : t -> int
-(** Net directions used for the rank matrix and [lo] certificates. *)
+(** Net directions used for the rank table and [lo] certificates. *)
 
 val resolution : t -> int
 (** Net grid resolution [m]. *)

@@ -38,21 +38,45 @@ let g_datasets =
    touched only by the worker thread. *)
 type backend = Kregret.Snapshot.t
 
-type built = { backend : backend; build_seconds : float }
+(* One rank table per publication: the first rank_regret read of a
+   [built] fills its cell, later reads of any k run only the greedy. The
+   cell is keyed to the snapshot it was built for by physical equality,
+   so a [built] that reached another snapshot through a copy rebuilds
+   instead of answering from a stale table. Readers that arrive during
+   the build wait on the lock rather than build their own. *)
+type rank_cell = {
+  lock : Mutex.t;
+  mutable slot : (backend * Kregret_rrr.Rrr.table) option;
+}
+
+type built = { backend : backend; build_seconds : float; rank_cell : rank_cell }
+
+let built_of ~build_seconds backend =
+  { backend; build_seconds; rank_cell = { lock = Mutex.create (); slot = None } }
 
 let backend_query = Kregret.Snapshot.query
 
-(* Rank-regret over the published basis, with the snapshot's skyline as
-   the candidate set: solo answers track every update, and shard and ε
-   builds hand the engine the monolithic inputs. The engine's greedy
-   prefix is max_size-stable, so per-k builds compose across cache keys. *)
-let backend_rank_regret (b : backend) ~k =
-  if b.live = 0 then invalid_arg "rank_regret: dataset has no live points";
-  let eng =
-    Kregret_rrr.Rrr.build ~max_size:k ~candidates:b.candidates b.basis
+let rank_table b =
+  let cell = b.rank_cell and s = b.backend in
+  Mutex.protect cell.lock (fun () ->
+      match cell.slot with
+      | Some (owner, table) when owner == s -> table
+      | _ ->
+          let table = Kregret_rrr.Rrr.table ~candidates:s.candidates s.basis in
+          cell.slot <- Some (s, table);
+          table)
+
+(* Rank-regret over the published basis, with the snapshot's candidates:
+   solo answers track every update, and shard and ε builds hand the
+   engine the monolithic inputs. The greedy prefix is max_size-stable,
+   so selections of every k share the table. *)
+let rank_regret b ~k =
+  let s = b.backend in
+  if s.live = 0 then invalid_arg "rank_regret: dataset has no live points";
+  let sel, rank =
+    Kregret_rrr.Rrr.query (Kregret_rrr.Rrr.select ~max_size:k (rank_table b)) ~k
   in
-  let sel, rank = Kregret_rrr.Rrr.query eng ~k in
-  (List.map (fun r -> b.basis_ids.(r)) sel, rank)
+  (List.map (fun r -> s.basis_ids.(r)) sel, rank)
 
 type status = Building | Ready of built | Failed of string
 
@@ -192,7 +216,7 @@ let build ~max_length ~shards ~approx points =
             (Some dyn, Dynamic.snapshot dyn)
         in
         Obs.Counter.incr c_builds;
-        (dyn, Ready { backend; build_seconds = Unix.gettimeofday () -. t0 }))
+        (dyn, Ready (built_of ~build_seconds:(Unix.gettimeofday () -. t0) backend)))
   with e ->
     Obs.Counter.incr c_build_failures;
     (None, Failed (Printexc.to_string e))
@@ -289,7 +313,9 @@ let worker_loop t =
               | Some dyn ->
                   Mutex.unlock t.mutex;
                   let r = apply_update dyn u_op in
-                  let published = { b with backend = Dynamic.snapshot dyn } in
+                  let published =
+                    built_of ~build_seconds:b.build_seconds (Dynamic.snapshot dyn)
+                  in
                   Mutex.lock t.mutex;
                   (* republish on the same entry only: an evict/re-load that
                      raced the update owns the name now *)

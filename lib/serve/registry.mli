@@ -15,25 +15,28 @@
     and normalizes the CSV on the calling thread, registers the entry as
     [Building] and hands the expensive GeoGreedy materialization to a
     single background worker thread (which uses the global
-    {!Kregret_parallel.Pool} internally — builds are serialized so parallel
-    regions never nest). Concurrent [load]s of the same unchanged file are
-    idempotent: they join the in-flight build instead of enqueuing a
-    duplicate. Re-[load]ing a name whose build [Failed] on unchanged bytes
-    re-enqueues the build (failures can be transient), counted as
-    [serve.registry.build_retries]. Queries against a still-[Building]
-    entry get a [retry_after] answer from the server, never a blocked
-    accept loop.
+    {!Kregret_parallel.Pool} internally; a [rank_regret] read runs its
+    own pool regions on the caller's thread, and the pool runs regions
+    from different threads one after another). Concurrent [load]s of the
+    same unchanged file are idempotent: they join the in-flight build
+    instead of enqueuing a duplicate. Re-[load]ing a name whose build
+    [Failed] on unchanged bytes re-enqueues the build (failures can be
+    transient), counted as [serve.registry.build_retries]. Queries
+    against a still-[Building] entry get a [retry_after] answer from the
+    server, never a blocked accept loop.
 
     {b Updates.} {!update} enqueues an insert/delete/flush on the {e same}
     worker queue as builds, so updates serialize against builds and against
     each other, and blocks the calling connection thread until the worker
     has applied the op and republished a consistent {!built} snapshot.
     Queries never wait on an in-flight update — they read the last
-    published snapshot under the registry mutex. Each applied update bumps
-    the snapshot's epoch when the stored list could have changed, and its
+    published snapshot under the registry mutex. [rank_regret] reads
+    build one rank table per publication, on first use ({!rank_regret}),
+    never at load or update time. Each applied update bumps the
+    snapshot's epoch when the stored list could have changed, and its
     [basis_version] whenever the live rows changed; servers fold the one
-    a family reads into their cache key so stale cached answers simply age
-    out.
+    a family reads into their cache key so stale cached answers simply
+    age out.
 
     {b Staleness.} Every entry remembers the byte fingerprint of the file
     it was built from. {!fresh} re-hashes the file and must be consulted
@@ -51,24 +54,41 @@
     cache keyed on it could miss. *)
 type backend = Kregret.Snapshot.t
 
-type built = {
+(** The rank table cell of one publication (see {!rank_regret}). *)
+type rank_cell
+
+(** One publication: made only by {!built_of}, so each owns a fresh rank
+    cell. *)
+type built = private {
   backend : backend;
   build_seconds : float;  (** initial build cost (not update repair time) *)
+  rank_cell : rank_cell;
 }
+
+(** [built_of ~build_seconds b] publishes [b] with an empty rank cell. The
+    registry publishes through it after every build and every update job;
+    no table is built here. *)
+val built_of : build_seconds:float -> backend -> built
 
 (** [backend_query b ~k] is {!Kregret.Snapshot.query}: the first [k]
     entries of the stored order and that prefix's regret. *)
 val backend_query : backend -> k:int -> int list * float
 
-(** [backend_rank_regret b ~k] — the rank-regret representative answer of
-    the published backend: {!Kregret_rrr.Rrr.build} over [b.basis] with
-    [b.candidates] (the skyline) as the candidate set, selections mapped
-    through [b.basis_ids]. Solo answers track every update; a fresh
-    dataset, solo or sharded, reproduces the offline engine over the
-    normalized rows bit for bit. Raises [Invalid_argument] when no live
-    points remain. *)
-val backend_rank_regret :
-  backend -> k:int -> int list * Kregret_rrr.Rrr.rank
+(** [rank_regret b ~k] — the rank-regret representative answer of the
+    publication: {!Kregret_rrr.Rrr.select} [~max_size:k] over the
+    publication's rank table, selections mapped through
+    [b.backend.basis_ids]. The table is {!Kregret_rrr.Rrr.table} over
+    [basis] with [candidates] as the candidate set, built by the first
+    [rank_regret] read of this publication and kept for every later [k]
+    (a read arriving during that build waits for it). An update, re-load
+    or evict replaces or drops the publication, and its table with it.
+    Solo answers track every update; a fresh dataset, solo or sharded,
+    reproduces the offline engine over the normalized rows bit for bit.
+    For ε loads [candidates] is the skyline of the merged ε-kernel, not
+    of the basis, so the answer is not rank-complete, though its
+    certificates still rank against every row. Raises [Invalid_argument]
+    when no live points remain. *)
+val rank_regret : built -> k:int -> int list * Kregret_rrr.Rrr.rank
 
 type status = Building | Ready of built | Failed of string
 

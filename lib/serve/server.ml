@@ -133,7 +133,7 @@ let dataset_json info =
   in
   let extra =
     match info.Registry.status with
-    | Registry.Ready { backend = s; build_seconds } ->
+    | Registry.Ready { backend = s; build_seconds; _ } ->
         [
           ("sky", Json.int s.Snapshot.n_sky);
           ("happy", Json.int s.Snapshot.n_happy);
@@ -170,23 +170,23 @@ let handle_load t ~name ~path ~shards ~approx =
 
 let ids_json ids = Json.Arr (List.map Json.int ids)
 
-(* One family's answer over a published backend. Selections are the
-   registry's stable external ids: row indices of the loaded CSV, then
-   fresh ids for inserts. *)
-let answer ~name family backend ~k =
+(* One family's answer over a publication. Selections are the registry's
+   stable external ids: row indices of the loaded CSV, then fresh ids for
+   inserts. *)
+let answer ~name family (b : Registry.built) ~k =
   match family with
   | Protocol.Query ->
-      let ids, mrr = Registry.backend_query backend ~k in
+      let ids, mrr = Registry.backend_query b.backend ~k in
       Ok ([ ("mrr", Json.Num mrr) ], [ ("selection", ids_json ids) ])
   | Protocol.Mrr ->
-      let _, mrr = Registry.backend_query backend ~k in
+      let _, mrr = Registry.backend_query b.backend ~k in
       Ok ([ ("mrr", Json.Num mrr) ], [])
-  | Protocol.Rank_regret when backend.Snapshot.live = 0 ->
+  | Protocol.Rank_regret when b.backend.Snapshot.live = 0 ->
       Error
         (Protocol.err ~code:"empty_dataset"
            (Printf.sprintf "dataset %S has no live points" name))
   | Protocol.Rank_regret ->
-      let ids, rank = Registry.backend_rank_regret backend ~k in
+      let ids, rank = Registry.rank_regret b ~k in
       Ok
         ( [
             ("selection", ids_json ids);
@@ -212,9 +212,8 @@ let handle_read t ~family ~name ~k =
   match Registry.ready t.reg name with
   | Error refused -> refusal t refused
   | Ok (info, b) -> (
-      let backend = b.Registry.backend in
       let key =
-        (info.Registry.generation, version_of family backend, k, family)
+        (info.Registry.generation, version_of family b.Registry.backend, k, family)
       in
       let hit = with_lock t.cache_mutex (fun () -> Lru.get t.cache key) in
       let result, cached, coalesced =
@@ -223,7 +222,7 @@ let handle_read t ~family ~name ~k =
         | None ->
             let r, coalesced =
               Batcher.run t.batcher ~key (fun () ->
-                  let r = answer ~name family backend ~k in
+                  let r = answer ~name family b ~k in
                   Result.iter
                     (fun fields ->
                       with_lock t.cache_mutex (fun () ->

@@ -27,7 +27,8 @@
     arrays — equality is inherited bit-for-bit, at every pool width.
     Every family reads the one published snapshot: the basis is the whole
     input and the candidates are the merged skyline, so rank-regret sees
-    exactly the monolithic inputs too.
+    exactly the monolithic inputs too. (With [?approx] the candidates are
+    the skyline of the merged ε-kernel instead, see {!create}.)
 
     {b Approximation.} With [?approx] set to an ε, the scatter surface
     becomes each chunk's ε-kernel ({!Kregret_approx.Kernel}) instead of
@@ -61,7 +62,10 @@ val create :
   Kregret.Snapshot.t
 (** [create ~shards points] runs the funnel over the {!gather}ed rows and
     publishes the result: epoch [0], every input row in the basis (ids =
-    row indices), the merged skyline as [candidates]. [max_length] caps
+    row indices), and the skyline of the gathered rows as [candidates]:
+    the merged skyline, equal to the skyline of the whole input; with
+    [approx], the skyline of the merged ε-kernel, which is not
+    rank-complete for the basis. [max_length] caps
     the coordinator's StoredList exactly as {!Kregret.Dynamic.create}
     would. Runs on the calling thread (shards build sequentially — the
     parallelism lives inside each stage's pool use, so answers are

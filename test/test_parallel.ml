@@ -97,6 +97,38 @@ let test_nested_use_rejected () =
       ignore (Atomic.fetch_and_add count 1));
   Alcotest.(check int) "pool usable after rejection" 16 (Atomic.get count)
 
+(* Two threads, one pool: a region opened while another thread's region
+   runs is not nested — it waits its turn and gets its usual result. The
+   bodies sleep, releasing the runtime lock mid-region, and the second
+   thread starts only once the first is inside its region. *)
+let test_concurrent_regions_from_threads () =
+  let pool = Pool.create ~jobs:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let entered = Atomic.make false in
+  let sums = Array.make 2 (-1) in
+  let region slot () =
+    sums.(slot) <-
+      Pool.map_reduce ~pool ~chunk_size:1 ~lo:0 ~hi:8
+        ~map:(fun a b ->
+          Atomic.set entered true;
+          Thread.delay 0.005;
+          let s = ref 0 in
+          for i = a to b - 1 do
+            s := !s + i + (100 * slot)
+          done;
+          !s)
+        ~reduce:( + ) 0
+  in
+  let first = Thread.create (region 0) () in
+  while not (Atomic.get entered) do
+    Thread.yield ()
+  done;
+  let second = Thread.create (region 1) () in
+  Thread.join first;
+  Thread.join second;
+  Alcotest.(check (array int)) "both regions finish with their sums"
+    [| 28; 828 |] sums
+
 let test_shutdown_rejects_use () =
   let pool = Pool.create ~jobs:2 in
   Pool.shutdown pool;
@@ -361,6 +393,8 @@ let suite =
       test_exception_propagation;
     Alcotest.test_case "nested regions are rejected" `Quick
       test_nested_use_rejected;
+    Alcotest.test_case "regions from two threads both run" `Quick
+      test_concurrent_regions_from_threads;
     Alcotest.test_case "use after shutdown is rejected" `Quick
       test_shutdown_rejects_use;
     Alcotest.test_case "Dd.create refuses dim > 16" `Quick test_dd_dim_guard;

@@ -277,6 +277,82 @@ let test_prefix_stability () =
       true (a = b)
   done
 
+(* ---- the rank kernel: sort stress across pool widths ---------------------- *)
+
+(* Inputs that stress the per-direction sort at n = 3,000, where the table
+   spans many pool chunks: every row equal; rows on the diagonal, so every
+   direction's scores arrive ascending or descending; a coarse grid where
+   most scores tie. The diagonal's skyline is one row, so those inputs
+   name every 100th row as a candidate to give the greedy a choice. *)
+let stress_inputs () =
+  let n = 3_000 and d = 3 in
+  let diag i = Array.make d (float_of_int (i + 1) /. float_of_int n) in
+  let every = Array.init 30 (fun i -> i * 100) in
+  let st = Testutil.test_rng 71 in
+  let grid =
+    Array.init n (fun _ ->
+        Array.init d (fun _ -> float_of_int (1 + Random.State.int st 4) /. 4.))
+  in
+  [
+    ("equal rows", Array.make n [| 0.5; 0.25; 0.75 |], None);
+    ("ascending scores", Array.init n diag, Some every);
+    ("descending scores", Array.init n (fun i -> diag (n - 1 - i)), Some every);
+    ("coarse grid", grid, None);
+  ]
+
+let stress_budget = 200
+
+let engine_bits eng =
+  (Rrr.order eng, Array.map rank_bits (Rrr.bounds eng))
+
+(* Across pool widths the table, and so the whole trajectory, is bit for
+   bit the same; [select] over one table answers every k as [build] does;
+   and every prefix certificate equals [max_rank] of the prefix, which
+   counts each direction's ranks by a direct scan, with no sort. *)
+let test_kernel_sort_stress () =
+  List.iter
+    (fun (what, points, candidates) ->
+      let build ?max_size () =
+        Rrr.build ~budget:stress_budget ?max_size ?candidates points
+      in
+      let reference = with_jobs 1 (fun () -> engine_bits (build ~max_size:8 ())) in
+      List.iter
+        (fun jobs ->
+          let order, bounds =
+            with_jobs jobs (fun () -> engine_bits (build ~max_size:8 ()))
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s: order at jobs=%d" what jobs)
+            (fst reference) order;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: bounds and witness bits at jobs=%d" what jobs)
+            true
+            (snd reference = bounds))
+        [ 2; 4 ];
+      let table =
+        with_jobs 2 (fun () ->
+            Rrr.table ~budget:stress_budget ?candidates points)
+      in
+      for k = 1 to 8 do
+        let selected = engine_bits (Rrr.select ~max_size:k table) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: select = build at k=%d" what k)
+          true
+          (selected = engine_bits (build ~max_size:k ()))
+      done;
+      let order, bounds = reference in
+      Array.iteri
+        (fun i b ->
+          let direct =
+            Rrr.max_rank ~budget:stress_budget ~points (Array.sub order 0 (i + 1))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: prefix %d certificate = max_rank" what (i + 1))
+            true
+            (rank_bits direct = b))
+        bounds)
+    (stress_inputs ())
+
 (* ---- serving: wire bit-identity and cache kind isolation ------------------ *)
 
 let write_csv ~name ~n ~d ~seed =
@@ -489,6 +565,133 @@ let test_cache_kind_isolation () =
               ignore (or_fail "evict" (Client.evict c ~name ())))
             pairs))
 
+(* ---- serving: one rank table per publication ------------------------------ *)
+
+module Obs = Kregret_obs
+
+let rank_tables () =
+  Option.value ~default:0
+    (List.assoc_opt "rrr.rank_tables" (Obs.Registry.counters ()))
+
+let with_obs f =
+  Obs.Registry.reset ();
+  Obs.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Control.set_enabled false;
+      Obs.Registry.reset ())
+    f
+
+let wire_rank c ~name ~k =
+  or_fail (Printf.sprintf "rank_regret %s k=%d" name k)
+    (Client.rank_regret c ~name ~k)
+
+(* Every k over one publication reads one table; an insert republishes,
+   so the next read builds one over the live rows; evict and reload is a
+   new registration with a new table. *)
+let test_serve_one_table_per_publication () =
+  let path = write_csv ~name:"rrr-tables" ~n:400 ~d:3 ~seed:83 in
+  let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let p = Array.map (fun x -> Float.min 1. (x +. 0.01)) base.(0) in
+  (* offline references first: they build tables of their own *)
+  let fresh = Array.init 4 (fun i -> Rrr.build ~max_size:(i + 1) base) in
+  let inserted = Rrr.build ~max_size:2 (Array.append base [| p |]) in
+  with_obs @@ fun () ->
+  with_server ~cache_capacity:64 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"tab" ~path;
+          let t0 = rank_tables () in
+          for k = 1 to 4 do
+            check_wire ~what:(Printf.sprintf "fresh k=%d" k) fresh.(k - 1) ~k
+              (wire_rank c ~name:"tab" ~k)
+          done;
+          Alcotest.(check int) "k = 1..4 on a fresh load: one table" (t0 + 1)
+            (rank_tables ());
+          let id = or_fail "insert" (Client.insert c ~name:"tab" ~point:p) in
+          Alcotest.(check int) "the insert takes the next id"
+            (Array.length base) id;
+          check_wire ~what:"after an insert" inserted ~k:2
+            (wire_rank c ~name:"tab" ~k:2);
+          Alcotest.(check int) "the read after an insert: one more table"
+            (t0 + 2) (rank_tables ());
+          ignore (or_fail "evict" (Client.evict c ~name:"tab" ()));
+          load_and_wait c ~name:"tab" ~path;
+          check_wire ~what:"after evict and reload" fresh.(2) ~k:3
+            (wire_rank c ~name:"tab" ~k:3);
+          Alcotest.(check int) "evict and reload: one more table" (t0 + 3)
+            (rank_tables ())));
+  Sys.remove path
+
+(* Four clients ask k = 1..4 of one fresh publication at once: one of
+   them builds the table, the others wait for it, and all four get the
+   offline answers. *)
+let test_serve_concurrent_readers_share_table () =
+  let path = write_csv ~name:"rrr-share" ~n:2_000 ~d:4 ~seed:89 in
+  let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let offline = Array.init 4 (fun i -> Rrr.build ~max_size:(i + 1) base) in
+  with_obs @@ fun () ->
+  with_server ~cache_capacity:64 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c -> load_and_wait c ~name:"share" ~path);
+      let t0 = rank_tables () in
+      let arrived = Atomic.make 0 in
+      let answers = Array.make 4 None in
+      let reader k () =
+        with_client ~socket_path (fun c ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < 4 do
+              Thread.yield ()
+            done;
+            answers.(k - 1) <- Some (Client.rank_regret c ~name:"share" ~k))
+      in
+      List.iter Thread.join
+        (List.init 4 (fun i -> Thread.create (reader (i + 1)) ()));
+      Alcotest.(check int) "four concurrent readers: one table" (t0 + 1)
+        (rank_tables ());
+      Array.iteri
+        (fun i a ->
+          let k = i + 1 in
+          match a with
+          | Some (Ok a) ->
+              check_wire ~what:(Printf.sprintf "concurrent k=%d" k)
+                offline.(i) ~k a
+          | Some (Error m) -> Alcotest.failf "concurrent k=%d: %s" k m
+          | None -> Alcotest.failf "concurrent k=%d: no answer" k)
+        answers);
+  Sys.remove path
+
+(* A load whose build runs pool regions while an uncached rank_regret
+   runs its own on a handler thread: neither is a nested region, so the
+   load builds and both answers are right. *)
+let test_serve_load_races_rank_regret () =
+  let path_a = write_csv ~name:"rrr-race-a" ~n:6_000 ~d:4 ~seed:97 in
+  let path_b = write_csv ~name:"rrr-race-b" ~n:6_000 ~d:5 ~seed:101 in
+  let rows path = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  with_jobs 2 @@ fun () ->
+  with_server ~cache_capacity:64 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"a" ~path:path_a;
+          let answer = ref None in
+          let reader =
+            Thread.create
+              (fun () -> answer := Some (Client.rank_regret c ~name:"a" ~k:3))
+              ()
+          in
+          Thread.delay 0.02;
+          with_client ~socket_path (fun c2 ->
+              load_and_wait c2 ~name:"b" ~path:path_b;
+              Thread.join reader;
+              (match !answer with
+              | Some (Ok a) ->
+                  check_wire ~what:"rank_regret beside a load"
+                    (Rrr.build ~max_size:3 (rows path_a)) ~k:3 a
+              | Some (Error m) -> Alcotest.failf "rank_regret beside a load: %s" m
+              | None -> Alcotest.fail "rank_regret beside a load: no answer");
+              check_wire ~what:"the raced load"
+                (Rrr.build ~max_size:2 (rows path_b)) ~k:2
+                (wire_rank c2 ~name:"b" ~k:2))));
+  Sys.remove path_a;
+  Sys.remove path_b
+
 let suite =
   [
     Alcotest.test_case "lo monotone along prefixes (d=3)" `Quick
@@ -511,10 +714,18 @@ let suite =
     Alcotest.test_case "pool-width bit-identity" `Quick
       test_pool_width_bit_identity;
     Alcotest.test_case "greedy prefix stability" `Quick test_prefix_stability;
+    Alcotest.test_case "kernel: sort stress across widths, select = build"
+      `Quick test_kernel_sort_stress;
     Alcotest.test_case "serve: wire bit-identity (solo + sharded)" `Quick
       test_serve_bit_identical;
     Alcotest.test_case "serve: cache kind isolation" `Quick
       test_cache_kind_isolation;
     Alcotest.test_case "serve: rank_regret tracks inserts and deletes" `Quick
       test_serve_after_updates;
+    Alcotest.test_case "serve: one rank table per publication" `Quick
+      test_serve_one_table_per_publication;
+    Alcotest.test_case "serve: concurrent readers share one table" `Quick
+      test_serve_concurrent_readers_share_table;
+    Alcotest.test_case "serve: a load races an uncached rank_regret" `Quick
+      test_serve_load_races_rank_regret;
   ]
