@@ -24,6 +24,7 @@ let pp_failure ppf f = Format.fprintf ppf "[%s] %s" f.check f.message
 let check_names =
   [
     "skyline-agree";
+    "happy-agree";
     "lemma3-inclusion";
     "selection-valid";
     "geo-vs-greedy-mrr";
@@ -111,6 +112,22 @@ let check_inner cfg inst =
         Printf.sprintf "naive skyline [%s] and SFS skyline [%s] differ"
           (pp_order (Array.to_list naive_idx))
           (pp_order (Array.to_list r1.sky_idx));
+      ];
+
+  (* happy-agree: the certified, probe-ordered flat screen against the
+     boxed per-pair reference, index for index *)
+  let reference =
+    let candidates = Array.to_list sky in
+    List.filter
+      (fun i -> Happy.is_happy ~candidates sky.(i))
+      (List.init (Array.length sky) Fun.id)
+  in
+  if Array.to_list r1.happy_idx <> reference then
+    record "happy-agree"
+      [
+        Printf.sprintf "happy screen [%s] and is_happy reference [%s] differ"
+          (pp_order (Array.to_list r1.happy_idx))
+          (pp_order reference);
       ];
 
   (* lemma3-inclusion *)

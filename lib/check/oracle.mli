@@ -6,6 +6,9 @@
     check identifiers used in corpus metadata and by the shrinker):
 
     - [skyline-agree] — naive O(n²) skyline = SFS skyline, index for index;
+    - [happy-agree] — the happy screen = the skyline filtered by the boxed
+      {!Kregret_happy.Happy.is_happy} reference (no certificate, no probe
+      order), index for index;
     - [lemma3-inclusion] — [D_conv ⊆ D_happy ⊆ D_sky];
     - [selection-valid] — GeoGreedy/Greedy orders are in-range, distinct,
       of size ≤ k;

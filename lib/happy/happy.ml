@@ -20,6 +20,10 @@ let c_probes =
   Obs.Registry.counter "happy.subjugation_probes"
     ~help:"pairwise subjugation probes performed"
 
+let c_skips =
+  Obs.Registry.counter "happy.certified_skips"
+    ~help:"pairwise subjugation probes skipped on a certificate"
+
 let c_cut_vertices =
   Obs.Registry.counter "happy.cut_box_vertices"
     ~help:"dual vertices enumerated across all cut boxes"
@@ -51,12 +55,34 @@ let cut_box_vertices ?(eps = default_eps) q =
   done;
   !out
 
+(* Corner [mask] of the unit box, written into [corner]; returns its dot
+   with [q], the [s] every V_q row of this corner is built from. *)
+let corner_sum corner mask q =
+  for i = 0 to Array.length corner - 1 do
+    corner.(i) <- (if mask land (1 lsl i) <> 0 then 1. else 0.)
+  done;
+  Vector.dot_unsafe corner q
+
+(* The V_q row on the box edge that leaves [corner] (dot [s] with [q])
+   upward in dimension [i], whose bit must be clear: present when the cut
+   hyperplane crosses the edge, s < 1 < s + q_i with [eps] margins, and
+   then written into [row]. The enumerator and the certificate both build
+   their rows here, so a certificate row is bit for bit a row the
+   membership sweep tests. *)
+let edge_row ~eps q corner s i row =
+  s < 1. -. eps
+  && s +. q.(i) > 1. +. eps
+  &&
+  (Array.blit corner 0 row 0 (Array.length corner);
+   row.(i) <- (1. -. s) /. q.(i);
+   true)
+
 (* Flat variant of [cut_box_vertices]: the same corner/edge enumeration in
    the same order, written straight into a flat SoA buffer through two
    reusable scratch rows — no per-vertex boxed allocation. The happy screen
    enumerates these sets for every skyline point inside a parallel region;
    on OCaml 5 the allocation traffic of the boxed version was minor-GC
-   pressure that every domain paid for in stop-the-world syncs (ISSUE 6). *)
+   pressure that every domain paid for in stop-the-world syncs. *)
 let cut_box_vertices_flat ?(eps = default_eps) q =
   let d = Vector.dim q in
   if d > 20 then invalid_arg "Happy.cut_box_vertices_flat: d > 20";
@@ -69,25 +95,104 @@ let cut_box_vertices_flat ?(eps = default_eps) q =
      starting from the all-zero corner instead costs a full extra pass per
      probe on average. Verdicts are order-independent; only speed isn't. *)
   for mask = (1 lsl d) - 1 downto 0 do
-    for i = 0 to d - 1 do
-      corner.(i) <- (if mask land (1 lsl i) <> 0 then 1. else 0.)
-    done;
-    let s = Vector.dot_unsafe corner q in
-    (* edges leaving this corner upward in dimension i (bit i clear): the cut
-       hyperplane crosses the edge when s < 1 < s + q_i *)
+    let s = corner_sum corner mask q in
     for i = d - 1 downto 0 do
-      if mask land (1 lsl i) = 0 then begin
-        let s_top = s +. q.(i) in
-        if s < 1. -. eps && s_top > 1. +. eps then begin
-          Array.blit corner 0 edge 0 d;
-          edge.(i) <- (1. -. s) /. q.(i);
-          Flat.push_row out edge
-        end
-      end
+      if mask land (1 lsl i) = 0 && edge_row ~eps q corner s i edge then
+        Flat.push_row out edge
     done;
     if s <= 1. +. eps then Flat.push_row out corner
   done;
   out
+
+(* Relative margin for the float error of the certificate and the cutoff:
+   every sum involved has at most 2d + 1 non-negative terms, so its error
+   is within (2d + 2) ulps, far below 1e-12 for any d the enumerator
+   accepts. *)
+let margin = 1e-12
+
+(* The certificate α_q (DESIGN.md §2): the coordinates of q lie on a
+   circle of circumference Σq, dimension i owning an arc of length q_i. A
+   unit window slid around the circle is a point of Q_q on w·q = 1
+   (coordinate i = covered share of arc i), and over one turn it covers
+   every arc a fraction 1/Σq of the time. The window moves linearly between
+   the breakpoints where one of its ends meets an arc boundary, and at a
+   breakpoint it is the V_q row of the corner of fully covered arcs and
+   the edge of the partial one. So the breakpoint rows, each weighted by
+   half the gap to its two neighbours, average to (1/Σq)·1. α_q is the
+   smallest coordinate of that weighted average as computed, rounded down;
+   0 when Σq <= 1, some q_i is not positive, or a breakpoint row is not in
+   V_q. Only soundness needs proof: any non-negative weights on rows of
+   V_q give a valid certificate. *)
+let certificate ?(eps = default_eps) q =
+  let d = Vector.dim q in
+  let sum = Vector.sum q in
+  if
+    (not (sum > 1.))
+    || (not (eps >= 0.))
+    || Array.exists (fun x -> not (x > 0.)) q
+  then 0.
+  else begin
+    let start = Array.make (d + 1) 0. in
+    for i = 0 to d - 1 do
+      start.(i + 1) <- start.(i) +. q.(i)
+    done;
+    (* breakpoint [2a]: the window starts where arc [a] starts; [2b + 1]:
+       it ends where arc [b] ends. Each maps to (position, mask, partial
+       arc), the mask grown from the aligned end while arcs fit whole. *)
+    let breakpoint k =
+      let aligned = k / 2 and forward = k mod 2 = 0 in
+      let step i = if forward then (i + 1) mod d else (i + d - 1) mod d in
+      let rec grow i mask rem n =
+        if n < d && q.(i) <= rem then
+          grow (step i) (mask lor (1 lsl i)) (rem -. q.(i)) (n + 1)
+        else (mask, i)
+      in
+      let mask, partial = grow aligned 0 1. 0 in
+      let t =
+        if forward then start.(aligned)
+        else
+          let t = start.(aligned + 1) -. 1. in
+          if t < 0. then t +. sum else t
+      in
+      (t, mask, partial)
+    in
+    let bps = Array.init (2 * d) breakpoint in
+    Array.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) bps;
+    let m = Array.length bps in
+    let corner = Array.make d 0. and row = Array.make d 0. in
+    let acc = Array.make d 0. and weight = ref 0. in
+    let rec add k =
+      if k = m then true
+      else begin
+        let t, mask, partial = bps.(k) in
+        let prev, _, _ = bps.((k + m - 1) mod m)
+        and next, _, _ = bps.((k + 1) mod m) in
+        let gap_prev = if k = 0 then t +. sum -. prev else t -. prev
+        and gap_next = if k = m - 1 then next +. sum -. t else next -. t in
+        let mu = Float.max 0. (0.5 *. (gap_prev +. gap_next)) in
+        let s = corner_sum corner mask q in
+        mask land (1 lsl partial) = 0
+        && edge_row ~eps q corner s partial row
+        && begin
+             for i = 0 to d - 1 do
+               acc.(i) <- acc.(i) +. (mu *. row.(i))
+             done;
+             weight := !weight +. mu;
+             add (k + 1)
+           end
+      end
+    in
+    if add 0 && !weight > 0. then
+      Array.fold_left Float.min infinity acc /. !weight *. (1. -. margin)
+    else 0.
+  end
+
+(* Victim [p] skips every q with α_q above this: α_q·Σp then exceeds
+   (1 + eps) with the margins to spare. Infinite (no skip) unless p >= 0,
+   which the bound α_q·Σp <= c·p needs. *)
+let skip_threshold ?(eps = default_eps) p =
+  let mass = if Array.for_all (fun x -> x >= 0.) p then Vector.sum p else 0. in
+  (1. +. eps) *. (1. +. margin) /. (mass *. (1. -. margin))
 
 (* "p is on or below every hyperplane of Y(q)" == p is in the polytope P_q,
    tested against all dual vertices. *)
@@ -113,33 +218,45 @@ let is_happy ?(eps = default_eps) ~candidates p =
 
 let happy_points ?(eps = default_eps) points =
   let n = Array.length points in
-  (* each [Q_q] vertex enumeration is independent: fan out over the pool *)
   Obs.Counter.add c_candidates n;
   let d = if n = 0 then 1 else Vector.dim points.(0) in
   let dummy = Flat.create ~dim:d () in
   let vertex_sets = Array.make n dummy in
-  (* cost hint: one enumeration walks 2^d corners at ~d ns-scale work each,
-     plus the buffer writes *)
+  let alpha = Array.make n 0. in
+  (* each [Q_q] vertex enumeration and its certificate are independent:
+     fan out over the pool. Cost hint: one enumeration walks 2^d corners at
+     ~d ns-scale work each, plus the buffer writes *)
   Pool.parallel_for
     ~cost:(20. *. float_of_int ((1 lsl d) * d))
     ~lo:0 ~hi:n
     (fun i ->
       let vs = cut_box_vertices_flat ~eps points.(i) in
       Obs.Counter.add c_cut_vertices (Flat.rows vs);
-      vertex_sets.(i) <- vs);
-  (* probe strong subjugators first: a point with a large coordinate sum has
-     a large [P_q] and disqualifies most victims, so the inner loop's early
-     exit fires after a handful of probes instead of O(n) *)
+      vertex_sets.(i) <- vs;
+      alpha.(i) <- certificate ~eps points.(i));
+  (* Probe order: ascending α, then coordinate sum descending, then index.
+     α is about 1/Σq, so strong subjugators (large [P_q], early exits for
+     most victims) still come first, and every victim's certified skips
+     form a suffix of the order. *)
+  let sums = Array.map Vector.sum points in
   let probe_order = Array.init n Fun.id in
   Array.sort
-    (fun a b -> compare (Vector.sum points.(b)) (Vector.sum points.(a)))
+    (fun a b ->
+      match Float.compare alpha.(a) alpha.(b) with
+      | 0 -> (
+          match Float.compare sums.(b) sums.(a) with 0 -> compare a b | c -> c)
+      | c -> c)
     probe_order;
+  let sorted_alpha = Array.map (fun j -> alpha.(j)) probe_order in
   (* per-victim verdicts are independent of each other (they only read
      [points] / [vertex_sets]), so the quadratic subjugation loop fans out
      too; verdicts land in disjoint slots and the survivor list is rebuilt
      in index order, identical for every pool width. The membership test
      [p in P_q] streams each flat vertex set with an early-exit dot sweep —
-     the same conjunction the boxed List.for_all computed. *)
+     the same conjunction the boxed List.for_all computed. Victim [p]
+     probes only the prefix of q with α_q <= its threshold: past it, a
+     certificate row refutes [p in P_q] (see .mli), so the verdict there is
+     false without a probe. *)
   let keep = Array.make n false in
   let bound = 1. +. eps in
   Pool.parallel_for
@@ -147,21 +264,32 @@ let happy_points ?(eps = default_eps) points =
     ~lo:0 ~hi:n
     (fun i ->
       let p = points.(i) in
-      let subjugated = ref false in
-      let probes = ref 0 in
-      Array.iter
-        (fun j ->
-          if (not !subjugated) && j <> i then begin
-            incr probes;
-            let q = points.(j) in
-            if
-              (not (Vector.equal ~eps:0. q p))
-              && Flat.for_all_dot_le vertex_sets.(j) p bound
-              && not (on_all_hyperplanes ~eps q p)
-            then subjugated := true
-          end)
-        probe_order;
+      let threshold = skip_threshold ~eps p in
+      (* first position whose α exceeds the threshold *)
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if sorted_alpha.(mid) > threshold then hi := mid else lo := mid + 1
+      done;
+      let cutoff = !lo in
+      let subjugated = ref false and probes = ref 0 and pos = ref 0 in
+      while (not !subjugated) && !pos < cutoff do
+        let j = probe_order.(!pos) in
+        if j <> i then begin
+          incr probes;
+          let q = points.(j) in
+          if
+            (not (Vector.equal ~eps:0. q p))
+            && Flat.for_all_dot_le vertex_sets.(j) p bound
+            && not (on_all_hyperplanes ~eps q p)
+          then subjugated := true
+        end;
+        incr pos
+      done;
       Obs.Counter.add c_probes !probes;
+      if not !subjugated then
+        Obs.Counter.add c_skips
+          (n - cutoff - if alpha.(i) > threshold then 1 else 0);
       keep.(i) <- not !subjugated);
   let out = ref [] in
   for i = n - 1 downto 0 do

@@ -23,7 +23,25 @@
     The pairwise scan is the paper's [O(n^2 d 2^d)] algorithm (Section
     III-B); pass skyline points only — subjugation by a dominated point is
     always witnessed by its dominator, so filtering to [D_sky] first loses
-    nothing and is how the paper's experiments run. *)
+    nothing and is how the paper's experiments run.
+
+    {b Certified skips.} Most pairs of the scan are a happy victim [p]
+    against a [q] whose polytope [P_q] is too small to hold it. Each [q]
+    gets a {!certificate} [α_q]: non-negative weights on rows [r_k] of its
+    own vertex set [V_q] (as {!cut_box_vertices_flat} emits them, bit for
+    bit) whose weighted average [c] has every coordinate [>= α_q]. For
+    [p >= 0] that gives [max_k r_k·p >= c·p >= α_q·Σp]. So when
+    [α_q > skip_threshold p], some row has [r_k·p > 1 + eps] by a relative
+    margin of about [2e-12]. The computed sums have at most [2d + 1]
+    non-negative terms, so each is within [(2d + 2)] ulps of its exact
+    value: [fl(Σp)], the weighted average, and the sweep's own
+    [fl(r_k·p)]. These errors are far below the [1e-12] margins for every
+    [d <= 20], hence [fl(r_k·p) > 1 + eps], and the membership sweep would
+    have refuted [p ∈ P_q]. The screen sorts its probe order by ascending
+    [α] and probes each victim only up to the first [α_q] above its
+    threshold. Every pair it skips has the verdict "no subjugation" it
+    would have had when probed, so the verdicts, and agreement with
+    {!subjugates}, are exact. *)
 
 (** [cut_box_vertices ~eps q] enumerates the vertices of
     [Q_q = [0,1]^d ∩ {w . q <= 1}]: the surviving box corners plus the
@@ -34,9 +52,20 @@ val cut_box_vertices :
 (** [cut_box_vertices_flat ~eps q] is the same enumeration written into a
     flat SoA buffer (rows in generation order — [cut_box_vertices] returns
     the reversed list) with no per-vertex allocation; the hot screen in
-    {!happy_points} runs on these (ISSUE 6). *)
+    {!happy_points} runs on these. *)
 val cut_box_vertices_flat :
   ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Flat.t
+
+(** [certificate ~eps q] is the certificate [α_q] of the screen's skip
+    (see above): about [1/Σq] when [Σq > 1], and [0] (never skips) when
+    [Σq <= 1], some [q_i <= 0], or a row it needs is missing from
+    [V_q]. *)
+val certificate : ?eps:float -> Kregret_geom.Vector.t -> float
+
+(** [skip_threshold ~eps p] is the largest certificate the screen still
+    probes for victim [p]: about [(1 + eps)/Σp], infinite unless
+    [p >= 0]. *)
+val skip_threshold : ?eps:float -> Kregret_geom.Vector.t -> float
 
 (** [subjugates ~eps q p] — does [q] subjugate [p]? Both points must be
     strictly positive and lie in [(0,1]^d]. A point never subjugates itself

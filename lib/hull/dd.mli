@@ -18,12 +18,16 @@
     confines [Q] to [[0,1]^d]); until then, vertices lying on the artificial
     box faces are reported like any others.
 
-    Every vertex carries the exact set of tight constraints; adjacency for
-    the DD step uses the algebraic rank-(d-1) test with a cardinality
-    prefilter. Complexity of one insertion is
-    [O(|cut| * |keep| * d^3 + |V| * m * d)] — the second term recomputes
-    tight sets of newly created vertices against all [m] constraints, which
-    keeps the structure robust under degeneracy. *)
+    Every vertex carries the exact set of tight constraints, as a sorted
+    array and as a bitset. Adjacency for the DD step first counts the
+    common constraints with a popcount over the AND-ed bitsets, and only
+    pairs sharing at least [d-1] of them run the algebraic rank-(d-1)
+    test. Complexity of one insertion is
+    [O(|cut| * |keep| * m/62 + a * d^3 + |V| * m * d)], where [a] counts
+    the pairs that pass the popcount (a small fraction of
+    [|cut| * |keep|] in practice) — the last term recomputes tight sets of
+    newly created vertices against all [m] constraints, which keeps the
+    structure robust under degeneracy. *)
 
 type t
 
@@ -31,6 +35,9 @@ type vertex = {
   id : int;  (** unique, never reused *)
   w : Kregret_geom.Vector.t;  (** coordinates; do not mutate *)
   tight : int array;  (** sorted indices of tight constraints *)
+  bits : int array;
+      (** [tight] as a bitset: constraint [j] is bit [j mod 62] of word
+          [j / 62]; words past the end are zero *)
 }
 
 type event = {
@@ -94,6 +101,10 @@ val find_vertex : t -> int -> vertex option
 
 (** [contains ~eps t w] tests membership of [w] in the current polytope. *)
 val contains : eps:float -> t -> Kregret_geom.Vector.t -> bool
+
+(** [popcount x] counts the set bits of [x], for [0 <= x < 2^62] (one
+    bitset word of {!vertex}). *)
+val popcount : int -> int
 
 (** [check_invariants t] verifies internal consistency (every vertex
     satisfies all constraints; tight sets are exact and of rank [d]); used by

@@ -34,8 +34,8 @@ let g_datasets =
   Obs.Registry.gauge "serve.registry.datasets" ~help:"datasets currently registered"
 
 (* What queries read: one immutable snapshot, republished wholesale after
-   every build and every applied update. The live [Dynamic.t] itself is
-   touched only by the worker thread. *)
+   every build and every update that changes the live rows. The live
+   [Dynamic.t] itself is touched only by the worker thread. *)
 type backend = Kregret.Snapshot.t
 
 (* One rank table per publication: the first rank_regret read of a
@@ -313,15 +313,25 @@ let worker_loop t =
               | Some dyn ->
                   Mutex.unlock t.mutex;
                   let r = apply_update dyn u_op in
+                  (* a delete of an unknown id and a flush leave the live
+                     rows as published, so the publication (and the rank
+                     table it may hold) stays; an insert, an applied delete
+                     or a failed update republishes *)
                   let published =
-                    built_of ~build_seconds:b.build_seconds (Dynamic.snapshot dyn)
+                    match (u_op, r) with
+                    | `Flush, Ok _ | `Delete _, Ok { applied = false; _ } ->
+                        None
+                    | _ ->
+                        Some
+                          (built_of ~build_seconds:b.build_seconds
+                             (Dynamic.snapshot dyn))
                   in
                   Mutex.lock t.mutex;
                   (* republish on the same entry only: an evict/re-load that
                      raced the update owns the name now *)
                   (match Hashtbl.find_opt t.entries u_name with
                   | Some e' when e' == e ->
-                      e'.e_status <- Ready published;
+                      Option.iter (fun b -> e'.e_status <- Ready b) published;
                       (match r with
                       | Ok { applied = true; reclaimed = 0; _ } ->
                           (* a flush changes no live point, so the CSV still

@@ -6,7 +6,9 @@
 
     Every ready dataset publishes the same snapshot type, whatever built
     it: a solo load keeps a {!Kregret.Dynamic} state on the worker and
-    republishes {!Kregret.Dynamic.snapshot} after each applied update; a
+    republishes {!Kregret.Dynamic.snapshot} after each update that changes
+    the live rows (an insert, an applied delete); a delete of an unknown id
+    and a flush keep the publication, and with it its rank table; a
     sharded or ε load publishes {!Shard.create}'s static snapshot.
 
     [load] is cheap and non-blocking: it reads the file {e once},
@@ -28,7 +30,8 @@
     {b Updates.} {!update} enqueues an insert/delete/flush on the {e same}
     worker queue as builds, so updates serialize against builds and against
     each other, and blocks the calling connection thread until the worker
-    has applied the op and republished a consistent {!built} snapshot.
+    has applied the op and, when the live rows changed, republished a
+    consistent {!built} snapshot.
     Queries never wait on an in-flight update — they read the last
     published snapshot under the registry mutex. [rank_regret] reads
     build one rank table per publication, on first use ({!rank_regret}),

@@ -6,6 +6,8 @@ module Extreme = Kregret_hull.Extreme
 module Dataset = Kregret_dataset.Dataset
 module Generator = Kregret_dataset.Generator
 module Rng = Kregret_dataset.Rng
+module Flat = Kregret_geom.Flat
+module Pool = Kregret_parallel.Pool
 
 (* A hand-constructed 2-D configuration with all three candidate tiers
    strictly separated, mirroring the paper's running example:
@@ -90,6 +92,159 @@ let lemma3_property pts =
   && Array.for_all (fun p -> mem sky p) happy
   && Array.length happy <= Array.length sky
 
+(* ---- certified skips ----------------------------------------------------- *)
+
+let eps = 1e-9
+
+(* coordinates where rounding is most likely to bite: next to 0 and 1,
+   on a coarse grid (many exact ties in the cut-box sums), or anywhere *)
+let gen_coord =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 1e-9);
+        (1, map (fun k -> float_of_int k *. 1e-9) (int_range 1 5));
+        (2, return (1. -. 1e-9));
+        (2, return 1.);
+        (1, return (1. +. 1e-9));
+        (3, map (fun k -> float_of_int k /. 8.) (int_range 1 8));
+        (4, float_range 1e-3 1.);
+      ])
+
+let scale v c = Array.map (fun x -> x *. c) v
+
+(* victims placed around q's cutoff: Σp at (1 + eps)·Σq·(1 + δ), either
+   along q itself (where the membership sweep is tight at λ = 1 + eps) or
+   in a fresh direction *)
+let gen_victims q =
+  let d = Array.length q in
+  let sq = Vector.sum q in
+  QCheck.Gen.(
+    list_repeat 16
+      (pair
+         (oneofl
+            [ -4e-12; -2e-12; -1e-12; -1e-13; 0.; 1e-13; 1e-12; 2e-12; 3e-12;
+              4e-12; 1e-11; 1e-9; 1e-6; 1e-2 ])
+         (option (array_repeat d gen_coord)))
+    >|= List.map (fun (delta, dir) ->
+            let target = (1. +. eps) *. sq *. (1. +. delta) in
+            match dir with
+            | None -> scale q ((1. +. eps) *. (1. +. delta))
+            | Some v -> scale v (target /. Vector.sum v)))
+
+let arb_pairs =
+  QCheck.make
+    ~print:(fun (q, ps) ->
+      String.concat " | " (List.map Vector.to_string (q :: ps)))
+    QCheck.Gen.(
+      int_range 2 9 >>= fun d ->
+      array_repeat d gen_coord >>= fun q ->
+      gen_victims q >|= fun ps -> (q, ps))
+
+(* Whenever the screen would skip q for victim p, a row of q's flat vertex
+   set refutes p — the sweep's verdict on the skipped pair is "inside
+   P_q: no". *)
+let certificate_sound (q, ps) =
+  let alpha = Happy.certificate ~eps q in
+  let vs = Happy.cut_box_vertices_flat ~eps q in
+  List.for_all
+    (fun p ->
+      (not (alpha > Happy.skip_threshold ~eps p))
+      || not (Flat.for_all_dot_le vs p (1. +. eps)))
+    ps
+
+(* The certificate is useful: about 1/Σq on generic points, and the skip
+   fires for the large majority of victims past the cutoff. *)
+let test_certificate_tight () =
+  let st = test_rng 91 in
+  let nonzero = ref 0 and total = ref 0 and fired = ref 0 in
+  for _ = 1 to 400 do
+    let d = 2 + Random.State.int st 8 in
+    let q = random_point st d in
+    let sq = Vector.sum q in
+    if sq > 1.05 then begin
+      incr total;
+      let alpha = Happy.certificate q in
+      if alpha > 0. then begin
+        incr nonzero;
+        if abs_float ((alpha *. sq) -. 1.) > 1e-10 then
+          Alcotest.failf "certificate %.17g is not 1/Σq for %s" alpha
+            (Vector.to_string q);
+        let p = scale q (1. +. 1e-8) in
+        if alpha > Happy.skip_threshold p then incr fired
+      end
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "certificate nonzero on %d of %d generic points" !nonzero
+       !total)
+    true
+    (!nonzero * 20 >= !total * 19);
+  Alcotest.(check int) "victims 1e-8 past the cutoff are skipped" !nonzero
+    !fired;
+  Alcotest.(check (float 0.)) "sum <= 1: no certificate" 0.
+    (Happy.certificate [| 0.3; 0.6 |]);
+  Alcotest.(check bool) "a negative victim coordinate: no skip" true
+    (Happy.skip_threshold [| 2.; -0.1; 2. |] = infinity)
+
+(* adversarial point sets for the screen: exact duplicates, scaled copies
+   just past the cutoff, sums within a few ulps of 1 ± eps, grid snaps and
+   coordinates at 1e-9 *)
+let gen_screen_points =
+  QCheck.Gen.(
+    int_range 2 9 >>= fun d ->
+    int_range 1 (if d >= 8 then 14 else 28) >>= fun n ->
+    let ulps k x = Float.of_int k *. Float.epsilon *. x in
+    (* [last] is the previous point, or a fresh one for the first *)
+    let point last =
+      array_repeat d gen_coord >>= fun v ->
+      int_range (-3) 3 >>= fun u ->
+      let last = Option.value last ~default:v in
+      frequency
+        [
+          (5, return v);
+          (2, return last);
+          ( 2,
+            oneofl [ 1e-12; 3e-12; -1e-12 ] >|= fun delta ->
+            scale last ((1. +. eps) *. (1. +. delta)) );
+          ( 2,
+            oneofl [ 1. +. eps; 1. -. eps; 1. ] >|= fun target ->
+            let target = target +. ulps u target in
+            scale v (target /. Vector.sum v) );
+        ]
+    in
+    let rec build k acc =
+      if k = 0 then return (Array.of_list (List.rev acc))
+      else point (List.nth_opt acc 0) >>= fun p -> build (k - 1) (p :: acc)
+    in
+    build n [])
+
+let arb_screen_points =
+  QCheck.make
+    ~print:(fun a ->
+      String.concat "; " (Array.to_list (Array.map Vector.to_string a)))
+    gen_screen_points
+
+let with_jobs j f =
+  let saved = Pool.get_jobs () in
+  Pool.set_jobs j;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
+
+(* The certified screen keeps exactly what the boxed reference keeps,
+   index for index, at every pool width. *)
+let screen_matches_reference pts =
+  let candidates = Array.to_list pts in
+  let reference =
+    List.filter
+      (fun i -> Happy.is_happy ~candidates pts.(i))
+      (List.init (Array.length pts) Fun.id)
+  in
+  List.for_all
+    (fun j ->
+      let screen = with_jobs j (fun () -> Happy.happy_points pts) in
+      Array.to_list screen = reference)
+    [ 1; 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "cut box vertices (2d)" `Quick test_cut_box_vertices_2d;
@@ -105,4 +260,10 @@ let suite =
       (qc_points ~n:20 ~d:3) lemma3_property;
     qcheck_case ~count:15 "Lemma 3: conv <= happy <= sky (d=5)"
       (qc_points ~n:15 ~d:5) lemma3_property;
+    qcheck_case ~count:3000 "certified skip refuted by a V_q row (d=2..9)"
+      arb_pairs certificate_sound;
+    Alcotest.test_case "certificate is 1/Σq on generic points" `Quick
+      test_certificate_tight;
+    qcheck_case ~count:150 "screen = is_happy reference, jobs 1/2/4 (d=2..9)"
+      arb_screen_points screen_matches_reference;
   ]

@@ -622,6 +622,31 @@ let test_serve_one_table_per_publication () =
             (rank_tables ())));
   Sys.remove path
 
+(* A delete of an unknown id and an empty flush change no live row, so
+   they keep the publication and its table: k = 1, 2, 3 around them
+   build one table between them, and answer what the fresh load does. *)
+let test_serve_noop_updates_keep_table () =
+  let path = write_csv ~name:"rrr-noop" ~n:400 ~d:3 ~seed:84 in
+  let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let fresh = Array.init 3 (fun i -> Rrr.build ~max_size:(i + 1) base) in
+  with_obs @@ fun () ->
+  with_server ~cache_capacity:64 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"noop" ~path;
+          let t0 = rank_tables () in
+          check_wire ~what:"k=1" fresh.(0) ~k:1 (wire_rank c ~name:"noop" ~k:1);
+          Alcotest.(check bool) "unknown id: not applied" false
+            (or_fail "delete" (Client.delete c ~name:"noop" ~id:1_000_000));
+          check_wire ~what:"k=2 after a no-op delete" fresh.(1) ~k:2
+            (wire_rank c ~name:"noop" ~k:2);
+          Alcotest.(check int) "empty flush reclaims nothing" 0
+            (or_fail "flush" (Client.flush c ~name:"noop"));
+          check_wire ~what:"k=3 after an empty flush" fresh.(2) ~k:3
+            (wire_rank c ~name:"noop" ~k:3);
+          Alcotest.(check int) "no-op updates keep the table" (t0 + 1)
+            (rank_tables ())));
+  Sys.remove path
+
 (* Four clients ask k = 1..4 of one fresh publication at once: one of
    them builds the table, the others wait for it, and all four get the
    offline answers. *)
@@ -724,6 +749,8 @@ let suite =
       test_serve_after_updates;
     Alcotest.test_case "serve: one rank table per publication" `Quick
       test_serve_one_table_per_publication;
+    Alcotest.test_case "serve: no-op updates keep the rank table" `Quick
+      test_serve_noop_updates_keep_table;
     Alcotest.test_case "serve: concurrent readers share one table" `Quick
       test_serve_concurrent_readers_share_table;
     Alcotest.test_case "serve: a load races an uncached rank_regret" `Quick
