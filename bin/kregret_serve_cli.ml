@@ -258,16 +258,25 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
     Serve.Server.config ~cache_capacity:cache_size ~max_line ~retry_after
       ?max_length:max_k ~workers ~shards ~approx ~listeners ()
   in
+  (* SIGINT/SIGTERM are blocked in every thread (threads and domains
+     inherit the mask, so this precedes the first one) and taken by one
+     thread in sigwait. A handler would run only once some thread reached
+     a poll point, which an idle server, asleep in select, never does. *)
+  let stop_signals = [ Sys.sigint; Sys.sigterm ] in
+  ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
   match Serve.Server.start config with
   | Error m ->
       Fmt.epr "kregret_serve: cannot bind %s@." m;
       1
   | Ok server ->
-      let stop _ = Serve.Server.signal_stop server in
-      (try Sys.set_signal Sys.sigint (Sys.Signal_handle stop)
-       with Invalid_argument _ | Sys_error _ -> ());
-      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
-       with Invalid_argument _ | Sys_error _ -> ());
+      (* only signals the stop: this thread's [wait] below does the
+         cleanup, so the process cannot exit halfway through it *)
+      ignore
+        (Thread.create
+           (fun () ->
+             ignore (Thread.wait_signal stop_signals);
+             Serve.Server.signal_stop server)
+           ());
       let registry = Serve.Server.registry server in
       let preload_failed = ref false in
       List.iter
@@ -290,9 +299,14 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
                (List.map Serve.Endpoint.to_string
                   (Serve.Server.endpoints server)))
             cache_size workers (Pool.get_jobs ());
-        Serve.Server.wait server;
-        if not quiet then Fmt.epr "kregret_serve: stopped@.";
-        0
+        match Serve.Server.wait server with
+        | () ->
+            if not quiet then Fmt.epr "kregret_serve: stopped@.";
+            0
+        | exception e ->
+            Fmt.epr "kregret_serve: the IO loop failed: %s@."
+              (Printexc.to_string e);
+            1
       end
 
 (* ---- cmdliner ------------------------------------------------------------ *)

@@ -5,9 +5,32 @@
    the critical section O(connections) and starve the workers — measured
    as a 13x throughput collapse at 100 clients). The IO thread is the only
    closer of fds, so a descriptor in a select set can never be closed out
-   from under it. *)
+   from under it. [handle] runs under the mutex, so it may take other
+   locks (registry, cache) but the holders of those never take this one:
+   completions are called with no other lock held. *)
 
+module Obs = Kregret_obs
+
+let c_exceptions =
+  Obs.Registry.counter "serve.handler_exceptions"
+    ~help:"exceptions caught around a request handler"
+
+let c_refused =
+  Obs.Registry.counter "serve.refused_connections"
+    ~help:"connections turned away at the connection caps"
+
+type reply = string * bool
+type outcome = Answer of reply | Work of (unit -> reply) | Handed_off
 type frame = Line of string | Too_long
+
+let max_connections = 1000
+let max_unsent = 65536
+
+(* [select] cannot watch a descriptor numbered FD_SETSIZE or more *)
+let fd_setsize = 1024
+
+(* on Unix a [file_descr] is the descriptor number *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 type conn = {
   c_id : int;
@@ -17,7 +40,7 @@ type conn = {
   c_out : Buffer.t;  (* response bytes not yet handed to the writer *)
   mutable c_wchunk : string;  (* IO-owned write chunk in flight *)
   mutable c_wpos : int;
-  mutable c_busy : bool;  (* one in-flight request on a worker *)
+  mutable c_busy : bool;  (* one request in flight off the IO thread *)
   mutable c_read_closed : bool;  (* EOF seen, or input abandoned *)
   mutable c_close_after_flush : bool;
   mutable c_dead : bool;
@@ -26,7 +49,7 @@ type conn = {
 type t = {
   m : Mutex.t;
   jobs_cond : Condition.t;
-  jobs : (int * frame) Queue.t;
+  jobs : (int * (unit -> reply)) Queue.t;
   conns : (int, conn) Hashtbl.t;
   by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* IO thread only *)
   mutable listeners : Unix.file_descr list;
@@ -34,13 +57,15 @@ type t = {
   wake_w : Unix.file_descr;
   mutable wake_closed : bool;
   hello : string;
-  handle : string -> string * bool;
+  refuse : string;  (* newline included *)
+  handle : complete:(reply -> unit) -> string -> outcome;
   too_long : unit -> string;
   max_line : int;
   drain_timeout : float;
   on_accept : unit -> unit;
   mutable next_id : int;
   mutable accepted : int;
+  mutable unsent_peak : int;
   mutable stopping : bool;
   mutable stop_workers : bool;
   mutable worker_threads : Thread.t list;
@@ -73,20 +98,63 @@ let destroy t c =
     close_fd c.c_fd
   end
 
-(* mutex held: [c_out] is appended to by workers *)
-let out_pending c =
-  String.length c.c_wchunk > c.c_wpos || Buffer.length c.c_out > 0
+(* mutex held: reply bytes appended but not yet written *)
+let unsent c = Buffer.length c.c_out + String.length c.c_wchunk - c.c_wpos
 
-(* called with the mutex held *)
-let dispatch t c =
-  if (not c.c_busy) && (not c.c_dead) && not (Queue.is_empty c.c_lines) then begin
-    c.c_busy <- true;
-    Queue.push (c.c_id, Queue.pop c.c_lines) t.jobs;
-    Condition.signal t.jobs_cond
+(* Mutex held. The one way a request finishes, whichever thread answered
+   it: append the reply and clear the in-flight mark. *)
+let complete t c (resp, close_after) =
+  if resp <> "" then begin
+    Buffer.add_string c.c_out resp;
+    Buffer.add_char c.c_out '\n';
+    t.unsent_peak <- max t.unsent_peak (unsent c)
+  end;
+  c.c_busy <- false;
+  if close_after then begin
+    c.c_close_after_flush <- true;
+    c.c_read_closed <- true;
+    Queue.clear c.c_lines
   end
 
-(* worker body: pop a job, run the handler off the lock, append the
-   response, hand the connection back to the IO thread *)
+(* [complete] for a request answered on another thread, which then wakes
+   the IO thread to write the reply and dispatch the next frame *)
+let completion t id reply =
+  Mutex.lock t.m;
+  (match Hashtbl.find_opt t.conns id with
+  | Some c -> complete t c reply
+  | None -> ()  (* the connection died while we computed *));
+  Mutex.unlock t.m;
+  wake t
+
+let outcome t c frame =
+  try
+    match frame with
+    | Too_long -> Answer (t.too_long (), true)
+    | Line line -> t.handle ~complete:(completion t c.c_id) line
+  with _ ->
+    (* [handle] is total; belt and braces *)
+    Obs.Counter.incr c_exceptions;
+    Answer ("", true)
+
+(* Mutex held, IO thread: the one place a connection's next frame is
+   dispatched. Frames are answered inline until one needs another thread
+   (in flight until its completion) or the client stops reading. *)
+let rec dispatch t c =
+  if (not c.c_busy) && (not c.c_dead) && unsent c < max_unsent then
+    match Queue.take_opt c.c_lines with
+    | None -> ()
+    | Some frame -> (
+        c.c_busy <- true;
+        match outcome t c frame with
+        | Answer reply ->
+            complete t c reply;
+            dispatch t c
+        | Work work ->
+            Queue.push (c.c_id, work) t.jobs;
+            Condition.signal t.jobs_cond
+        | Handed_off -> ())
+
+(* worker body: pop a job, run it off the lock, complete it *)
 let worker_loop t =
   let rec loop () =
     Mutex.lock t.m;
@@ -95,39 +163,23 @@ let worker_loop t =
     done;
     if Queue.is_empty t.jobs && t.stop_workers then Mutex.unlock t.m
     else begin
-      let id, frame = Queue.pop t.jobs in
+      let id, work = Queue.pop t.jobs in
       Mutex.unlock t.m;
-      let resp, close_after =
-        match frame with
-        | Too_long -> (t.too_long (), true)
-        | Line line -> (
-            try t.handle line
-            with _ -> ("", true) (* [handle] is total; belt and braces *))
+      let reply =
+        try work ()
+        with _ ->
+          Obs.Counter.incr c_exceptions;
+          ("", true)
       in
-      Mutex.lock t.m;
-      (match Hashtbl.find_opt t.conns id with
-      | None -> ()  (* the connection died while we computed *)
-      | Some c ->
-          if resp <> "" then begin
-            Buffer.add_string c.c_out resp;
-            Buffer.add_char c.c_out '\n'
-          end;
-          c.c_busy <- false;
-          if close_after then begin
-            c.c_close_after_flush <- true;
-            c.c_read_closed <- true;
-            Queue.clear c.c_lines
-          end
-          else dispatch t c);
-      Mutex.unlock t.m;
-      wake t;
+      completion t id reply;
       loop ()
     end
   in
   loop ()
 
 let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
-    ?(on_accept = fun () -> ()) ~listeners ~hello ~handle ~too_long () =
+    ?(on_accept = fun () -> ()) ~listeners ~hello ~refuse ~handle ~too_long ()
+    =
   if workers < 1 then invalid_arg "Poller.create: workers < 1";
   if max_line < 1 then invalid_arg "Poller.create: max_line < 1";
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -145,6 +197,7 @@ let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
       wake_w;
       wake_closed = false;
       hello;
+      refuse = refuse ^ "\n";
       handle;
       too_long;
       max_line;
@@ -152,6 +205,7 @@ let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
       on_accept;
       next_id = 0;
       accepted = 0;
+      unsent_peak = 0;
       stopping = false;
       stop_workers = false;
       worker_threads = [];
@@ -168,6 +222,7 @@ let stop t =
 
 let live_connections t = locked t (fun () -> Hashtbl.length t.conns)
 let accepted t = locked t (fun () -> t.accepted)
+let unsent_peak t = locked t (fun () -> t.unsent_peak)
 
 (* ---- IO-thread helpers (mutex held unless noted) -------------------------- *)
 
@@ -176,6 +231,19 @@ let accept_new t lfd =
     match Unix.accept ~cloexec:true lfd with
     | fd, _ ->
         if t.stopping then close_fd fd
+        else if
+          Hashtbl.length t.conns >= max_connections
+          || fd_number fd >= fd_setsize
+        then begin
+          (* past the caps: the refusal in place of the hello, then hang
+             up; a fresh socket takes one small write without blocking *)
+          Obs.Counter.incr c_refused;
+          (try
+             Unix.set_nonblock fd;
+             ignore (Unix.write_substring fd t.refuse 0 (String.length t.refuse))
+           with Unix.Unix_error _ -> ());
+          close_fd fd
+        end
         else begin
           (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
           (* latency over throughput: single small frames per round trip *)
@@ -203,9 +271,9 @@ let accept_new t lfd =
           Buffer.add_string c.c_out t.hello;
           Buffer.add_char c.c_out '\n';
           Hashtbl.replace t.conns id c;
-          Hashtbl.replace t.by_fd fd c;
-          drain ()
-        end
+          Hashtbl.replace t.by_fd fd c
+        end;
+        drain ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
     | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
@@ -215,7 +283,8 @@ let accept_new t lfd =
   drain ()
 
 (* frame complete lines out of a freshly read chunk (cf. Protocol.reader,
-   which owns the same framing for the blocking client side) *)
+   which owns the same framing for the blocking client side), then
+   dispatch *)
 let ingest t c chunk len =
   let push_frame f =
     match f with
@@ -255,28 +324,18 @@ let ingest t c chunk len =
   done;
   dispatch t c
 
-(* IO thread, mutex NOT held around the syscall: the fd and [scratch] are
-   IO-owned, so only the shared state updates take the lock *)
-let read_conn t c =
-  match Unix.read c.c_fd t.scratch 0 (Bytes.length t.scratch) with
-  | 0 ->
-      (* close once drained, in the sweep *)
-      locked t (fun () -> c.c_read_closed <- true)
-  | n -> locked t (fun () -> ingest t c t.scratch n)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    ->
-      ()
-  | exception Unix.Unix_error _ -> locked t (fun () -> destroy t c)
-  | exception _ -> locked t (fun () -> destroy t c)
+(* mutex held: once the write chunk is done, the appended replies become
+   the next one *)
+let take_output c =
+  if c.c_wpos >= String.length c.c_wchunk then begin
+    c.c_wchunk <- Buffer.contents c.c_out;
+    c.c_wpos <- 0;
+    Buffer.clear c.c_out
+  end
 
-(* IO thread. [c_wchunk] is IO-owned; only the swap out of the shared
-   [c_out] buffer takes the lock, the write syscall runs without it *)
-let write_conn t c =
-  if c.c_wpos >= String.length c.c_wchunk then
-    locked t (fun () ->
-        c.c_wchunk <- Buffer.contents c.c_out;
-        c.c_wpos <- 0;
-        Buffer.clear c.c_out);
+(* IO thread, mutex NOT held: [c_wchunk] is IO-owned, so the write syscall
+   runs without the lock *)
+let write_chunk t c =
   let len = String.length c.c_wchunk in
   if c.c_wpos < len then
     match Unix.write_substring c.c_fd c.c_wchunk c.c_wpos (len - c.c_wpos) with
@@ -292,15 +351,38 @@ let write_conn t c =
     | exception Unix.Unix_error _ -> locked t (fun () -> destroy t c)
     | exception _ -> locked t (fun () -> destroy t c)
 
+let write_conn t c =
+  if c.c_wpos >= String.length c.c_wchunk then locked t (fun () -> take_output c);
+  write_chunk t c
+
+(* IO thread, mutex NOT held around the read syscall: the fd and
+   [scratch] are IO-owned. One lock section frames, dispatches and takes
+   the inline answers for writing, which goes out before the next
+   select. *)
+let read_conn t c =
+  match Unix.read c.c_fd t.scratch 0 (Bytes.length t.scratch) with
+  | 0 ->
+      (* close once drained, in the sweep *)
+      locked t (fun () -> c.c_read_closed <- true)
+  | n ->
+      locked t (fun () ->
+          ingest t c t.scratch n;
+          take_output c);
+      write_chunk t c
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      ()
+  | exception Unix.Unix_error _ -> locked t (fun () -> destroy t c)
+  | exception _ -> locked t (fun () -> destroy t c)
+
 (* a connection with nothing left to do goes away; the table only ever
    holds live connections *)
 let sweep t =
   let closable =
     Hashtbl.fold
       (fun _ c acc ->
-        let flushed = not (out_pending c) in
         if
-          flushed
+          unsent c = 0
           && (c.c_close_after_flush
              || (c.c_read_closed && (not c.c_busy) && Queue.is_empty c.c_lines))
         then c :: acc
@@ -319,7 +401,7 @@ let drain_wake t =
   in
   go ()
 
-let run t =
+let loop t =
   let stop_seen = ref false in
   let deadline = ref infinity in
   let finished = ref false in
@@ -334,6 +416,8 @@ let run t =
             (* no further input: drain what is already in flight *)
             Hashtbl.iter (fun _ c -> c.c_read_closed <- true) t.conns
           end;
+          (* the frames a completion or a drained write let through *)
+          Hashtbl.iter (fun _ c -> dispatch t c) t.conns;
           sweep t;
           if !stop_seen && Hashtbl.length t.conns = 0 then (None, [], 0.)
           else begin
@@ -342,11 +426,13 @@ let run t =
             let writes = ref [] in
             Hashtbl.iter
               (fun _ c ->
+                let pending = unsent c in
                 if
                   (not c.c_read_closed)
                   && Queue.length c.c_lines < max_pending
+                  && pending < max_unsent
                 then reads := c.c_fd :: !reads;
-                if out_pending c then writes := c.c_fd :: !writes)
+                if pending > 0 then writes := c.c_fd :: !writes)
               t.conns;
             let timeout = if !stop_seen then 0.05 else -1. in
             (Some !reads, !writes, timeout)
@@ -388,13 +474,31 @@ let run t =
                   | Some c when not c.c_dead -> write_conn t c
                   | _ -> ())
                 ready_w)
-  done;
-  (* listeners are gone and the table is empty: retire the workers *)
-  locked t (fun () ->
-      t.stop_workers <- true;
-      Condition.broadcast t.jobs_cond);
-  List.iter Thread.join t.worker_threads;
-  locked t (fun () ->
-      t.wake_closed <- true;
-      close_fd t.wake_r;
-      close_fd t.wake_w)
+  done
+
+let run t =
+  let retire () =
+    locked t (fun () ->
+        t.stop_workers <- true;
+        Condition.broadcast t.jobs_cond);
+    List.iter Thread.join t.worker_threads;
+    locked t (fun () ->
+        t.wake_closed <- true;
+        close_fd t.wake_r;
+        close_fd t.wake_w)
+  in
+  match loop t with
+  | () ->
+      (* listeners are gone and the table is empty: retire the workers *)
+      retire ()
+  | exception e ->
+      (* the loop itself failed: hang up on every client rather than
+         leave it waiting on a dead loop *)
+      locked t (fun () ->
+          t.stopping <- true;
+          List.iter close_fd t.listeners;
+          t.listeners <- [];
+          Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+          |> List.iter (fun c -> destroy t c));
+      retire ();
+      raise e

@@ -40,9 +40,9 @@
     v}
 
     [insert]/[delete]/[flush] run on the registry's single worker thread,
-    serialized with background builds; the calling connection blocks until
-    the update (and its incremental repair — see {!Kregret.Dynamic}) is
-    published. Queries never block on an in-flight update: they answer from
+    serialized with background builds; the reply comes once the update
+    (and its incremental repair — see {!Kregret.Dynamic}) is published,
+    and the connection's later requests wait behind it. Queries never block on an in-flight update: they answer from
     the last published snapshot. Inserted points must be pre-normalized
     (finite coordinates in [(0, 1]], dimension matching the dataset) —
     anything else is a [bad_point] error. Updates against a dataset loaded
@@ -57,7 +57,9 @@
     [missing_field], [bad_field], [unknown_op], [frame_too_large],
     [not_found], [building], [build_failed], [load_failed],
     [stale_dataset], [static_dataset], [bad_point], [empty_dataset],
-    [internal]. [empty_dataset] answers a [rank_regret] read on a dataset
+    [internal], and [too_many_connections] (sent in place of the hello to
+    a connection past the server's caps, which is then closed).
+    [empty_dataset] answers a [rank_regret] read on a dataset
     whose every point was deleted: a rank needs at least one point to rank
     against ([query] and [mrr] answer such a dataset with the empty
     selection and mrr [0]). *)

@@ -138,7 +138,7 @@ type job =
       u_name : string;
       u_fingerprint : string;
       u_op : update_op;
-      u_cell : update_reply option ref;  (* filled under the mutex *)
+      u_done : update_reply -> unit;  (* called once, outside the mutex *)
     }
 
 type t = {
@@ -259,6 +259,14 @@ let apply_update dyn op =
     Ok outcome
   with Invalid_argument m -> Error ("bad_point", m)
 
+let reply u_done r =
+  (match r with
+  | Ok _ -> Obs.Counter.incr c_updates
+  | Error _ -> Obs.Counter.incr c_update_failures);
+  u_done r
+
+let shut_down = ("internal", "registry is shut down")
+
 let worker_loop t =
   Mutex.lock t.mutex;
   while not t.stop do
@@ -290,13 +298,12 @@ let worker_loop t =
                   e'.e_status <- status
               | _ -> ())
           | _ -> ()  (* superseded or evicted job *))
-      | Update { u_name; u_fingerprint; u_op; u_cell } -> (
+      | Update { u_name; u_fingerprint; u_op; u_done } -> (
           let reply r =
-            (match r with
-            | Ok _ -> Obs.Counter.incr c_updates
-            | Error _ -> Obs.Counter.incr c_update_failures);
-            u_cell := Some r;
-            Condition.broadcast t.cond
+            (* the reply goes out with no registry lock held *)
+            Mutex.unlock t.mutex;
+            reply u_done r;
+            Mutex.lock t.mutex
           in
           (* re-checked here: a load may have re-registered the name (as
              static, or with new bytes) while the job sat queued *)
@@ -342,15 +349,6 @@ let worker_loop t =
                   reply r))
     end
   done;
-  (* drain: outstanding update waiters must not hang on shutdown *)
-  Queue.iter
-    (function
-      | Build _ -> ()
-      | Update { u_cell; _ } ->
-          u_cell := Some (Error ("internal", "registry is shut down")))
-    t.queue;
-  Queue.clear t.queue;
-  Condition.broadcast t.cond;
   Mutex.unlock t.mutex
 
 let create ?max_length () =
@@ -369,11 +367,25 @@ let create ?max_length () =
   t.worker <- Some (Thread.create worker_loop t);
   t
 
-let shutdown t =
-  let worker =
+let stop t =
+  let queued =
     locked t (fun () ->
         t.stop <- true;
         Condition.broadcast t.cond;
+        let queued =
+          Queue.fold
+            (fun acc -> function Update u -> u.u_done :: acc | Build _ -> acc)
+            [] t.queue
+        in
+        Queue.clear t.queue;
+        List.rev queued)
+  in
+  List.iter (fun u_done -> reply u_done (Error shut_down)) queued
+
+let shutdown t =
+  stop t;
+  let worker =
+    locked t (fun () ->
         let w = t.worker in
         t.worker <- None;
         w)
@@ -474,11 +486,10 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                     Ok (snapshot e)
               end))
 
-let update t ~name op =
-  let cell = ref None in
+let update t ~name op u_done =
   let enqueued =
     locked t (fun () ->
-        if t.stop then Error ("internal", "registry is shut down")
+        if t.stop then Error shut_down
         else
           match update_target t name with
           | Error _ as refused -> refused
@@ -489,24 +500,14 @@ let update t ~name op =
                      u_name = name;
                      u_fingerprint = e.e_fingerprint;
                      u_op = op;
-                     u_cell = cell;
+                     u_done;
                    })
                 t.queue;
               Condition.broadcast t.cond;
               Ok ())
   in
-  match enqueued with
-  | Error _ as e ->
-      Obs.Counter.incr c_update_failures;
-      e
-  | Ok () ->
-      locked t (fun () ->
-          while !cell = None && not t.stop do
-            Condition.wait t.cond t.mutex
-          done;
-          match !cell with
-          | Some r -> r
-          | None -> Error ("internal", "registry is shut down"))
+  if Result.is_error enqueued then Obs.Counter.incr c_update_failures;
+  enqueued
 
 let find t name =
   locked t (fun () ->
@@ -530,19 +531,19 @@ let evict t name =
           Obs.Gauge.set_int g_datasets (Hashtbl.length t.entries);
           Some e.e_generation)
 
+let unchanged info =
+  (* a mutated dataset has diverged from its CSV by design: the file is a
+     seed, not the source of truth, and rewrites of it are irrelevant until
+     the next explicit re-load. Otherwise the per-query common case: same
+     inode, size and mtime as when the bytes were hashed *)
+  info.mutated
+  || match Fingerprint.sig_of_path info.path with
+     | Ok s -> s = info.stat
+     | Error _ -> false
+
 let fresh _t info =
-  if info.mutated then
-    (* the dataset has diverged from its CSV by design: the file is a seed,
-       not the source of truth, and rewrites of it are irrelevant until the
-       next explicit re-load *)
-    Ok ()
+  if unchanged info then Ok ()
   else
-    match Fingerprint.sig_of_path info.path with
-    | Ok s when s = info.stat ->
-        (* fast path (the per-query common case): same inode, size and
-           mtime as when the bytes were hashed — nothing to re-read *)
-        Ok ()
-    | Ok _ | Error _ -> (
     match Fingerprint.of_file info.path with
     | Error m ->
         Obs.Counter.incr c_stale;
@@ -559,7 +560,7 @@ let fresh _t info =
                "dataset %S: %s changed on disk since load (loaded %s, file now \
                 hashes to %s); re-load it"
                info.name info.path info.fingerprint fp)
-        end)
+        end
 
 let ready t name =
   match find t name with

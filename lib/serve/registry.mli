@@ -29,9 +29,9 @@
 
     {b Updates.} {!update} enqueues an insert/delete/flush on the {e same}
     worker queue as builds, so updates serialize against builds and against
-    each other, and blocks the calling connection thread until the worker
-    has applied the op and, when the live rows changed, republished a
-    consistent {!built} snapshot.
+    each other, and returns at once. Nothing waits for it: the worker calls
+    the update's completion once it has applied the op and, when the live
+    rows changed, republished a consistent {!built} snapshot.
     Queries never wait on an in-flight update — they read the last
     published snapshot under the registry mutex. [rank_regret] reads
     build one rank table per publication, on first use ({!rank_regret}),
@@ -141,9 +141,15 @@ type t
     whole materialized list. *)
 val create : ?max_length:int -> unit -> t
 
-(** [shutdown t] stops and joins the worker (waits for an in-flight build
-    or update; pending queued updates are answered with an [internal]
-    error, never left hanging). Idempotent. *)
+(** [stop t] stops taking work, without blocking: later loads and updates
+    are refused, queued builds are dropped, and each queued update's
+    completion is called at once with [Error ("internal", "registry is
+    shut down")], so no caller is left hanging. An in-flight build or
+    update finishes. Idempotent. *)
+val stop : t -> unit
+
+(** [shutdown t] — {!stop}, then joins the worker (waits for an in-flight
+    build or update). Idempotent. *)
 val shutdown : t -> unit
 
 (** [load t ~name ~path] registers (or re-registers, when the
@@ -165,12 +171,21 @@ val load :
   path:string ->
   (info, string) result
 
-(** [update t ~name op] — blocking insert/delete/flush against a [Ready]
-    solo dataset. Points must be pre-normalized (finite, in [(0, 1]],
-    matching dimension): anything else is [Error ("bad_point", _)].
-    Sharded and approximate datasets answer
-    [Error ("static_dataset", _)]. *)
-val update : t -> name:string -> update_op -> update_reply
+(** [update t ~name op complete] — insert/delete/flush against a [Ready]
+    solo dataset, without waiting for it. [Error] refuses it now
+    ([not_found], [building], [build_failed], [static_dataset] — sharded
+    and approximate datasets are static — or [internal] after {!stop});
+    [complete] is then never called. [Ok ()] enqueued it: the worker
+    calls [complete] exactly once, on its own thread (or the one calling
+    {!stop}) with no registry lock held, after the repair is published.
+    Points must be pre-normalized (finite, in [(0, 1]], matching
+    dimension): anything else completes with [Error ("bad_point", _)]. *)
+val update :
+  t ->
+  name:string ->
+  update_op ->
+  (update_reply -> unit) ->
+  (unit, string * string) result
 
 val find : t -> string -> info option
 
@@ -183,6 +198,11 @@ val list : t -> info list
     targets exactly the entry that was removed — reading it with a
     separate {!find} first raced a concurrent re-load of the same name. *)
 val evict : t -> string -> int option
+
+(** [unchanged info] — {!fresh} decided without reading the file: the
+    dataset is mutated, or a [stat] of [info.path] matches [info.stat].
+    [false] says only that {!fresh} would have to re-hash. *)
+val unchanged : info -> bool
 
 (** [fresh t info] — fail when [info.path] no longer holds the loaded
     bytes (counted as [serve.stale_rejections]). The common case is O(1):

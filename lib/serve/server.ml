@@ -9,6 +9,14 @@ let c_requests = Obs.Registry.counter "serve.requests" ~help:"request frames han
 let c_errors =
   Obs.Registry.counter "serve.errors" ~help:"requests answered with a structured error"
 
+let c_inline =
+  Obs.Registry.counter "serve.inline_answers"
+    ~help:"cached reads answered on the IO thread"
+
+let c_exceptions =
+  Obs.Registry.counter "serve.handler_exceptions"
+    ~help:"exceptions caught around a request handler"
+
 type config = {
   listeners : Endpoint.t list;
   cache_capacity : int;
@@ -70,6 +78,7 @@ type t = {
   resolved : Endpoint.t list;  (* as bound: tcp port 0 replaced *)
   mutable poller : Poller.t option;  (* set before the IO thread runs *)
   mutable io_thread : Thread.t option;
+  mutable io_failure : exn option;  (* what ended the IO loop, if it raised *)
   state_mutex : Mutex.t;
   mutable stopped : bool;
   mutable requests : int;
@@ -94,6 +103,9 @@ let live_connections t =
 
 let accepted_connections t =
   match poller_of t with Some p -> Poller.accepted p | None -> 0
+
+let unsent_peak t =
+  match poller_of t with Some p -> Poller.unsent_peak p | None -> 0
 
 (* ---- request handling ---------------------------------------------------- *)
 
@@ -204,70 +216,104 @@ let version_of family (s : Snapshot.t) =
   | Protocol.Query | Protocol.Mrr -> s.epoch
   | Protocol.Rank_regret -> s.basis_version
 
-(* The serving hot path, one skeleton for every read family. Cache first;
-   on a miss, coalesce concurrent identical computations through the
-   batcher, so one computation answers every in-flight duplicate. Only
-   answers are cached, never refusals. *)
-let handle_read t ~family ~name ~k =
-  match Registry.ready t.reg name with
-  | Error refused -> refusal t refused
-  | Ok (info, b) -> (
-      let key =
-        (info.Registry.generation, version_of family b.Registry.backend, k, family)
-      in
-      let hit = with_lock t.cache_mutex (fun () -> Lru.get t.cache key) in
-      let result, cached, coalesced =
-        match hit with
-        | Some fields -> (Ok fields, true, false)
-        | None ->
-            let r, coalesced =
-              Batcher.run t.batcher ~key (fun () ->
-                  let r = answer ~name family b ~k in
-                  Result.iter
-                    (fun fields ->
-                      with_lock t.cache_mutex (fun () ->
-                          Lru.put t.cache key fields))
-                    r;
-                  r)
-            in
-            (r, false, coalesced)
-      in
-      match result with
-      | Error e -> error t e
-      | Ok (before, after) ->
-          let request =
-            [
-              ("op", Json.Str (Protocol.family_name family));
-              ("name", Json.Str name);
-              ("k", Json.int k);
-            ]
-          and flags =
-            [ ("cached", Json.Bool cached); ("coalesced", Json.Bool coalesced) ]
-          in
-          Protocol.ok_response (request @ before @ flags @ after))
+(* requests never take the server down: an exception is an [internal]
+   error frame, and counted *)
+let internal t e =
+  Obs.Counter.incr c_exceptions;
+  (error t (Protocol.err ~code:"internal" (Printexc.to_string e)), false)
 
-(* insert/delete/flush: hand the op to the registry worker and block this
-   worker thread until the incremental repair is published *)
-let handle_update t ~name ~kind op =
-  match Registry.update t.reg ~name op with
-  | Error refused -> refusal t refused
-  | Ok o ->
-      let base =
+(* a computation for a handler worker, as total as the rest of [handle] *)
+let work t f = Poller.Work (fun () -> try f () with e -> internal t e)
+
+let read_reply t ~family ~name ~k ~cached ~coalesced = function
+  | Error e -> error t e
+  | Ok (before, after) ->
+      let request =
         [
-          ("op", Json.Str kind);
+          ("op", Json.Str (Protocol.family_name family));
           ("name", Json.Str name);
-          ("applied", Json.Bool o.Registry.applied);
-          ("live", Json.int o.Registry.live);
-          ("epoch", Json.int o.Registry.epoch);
+          ("k", Json.int k);
         ]
+      and flags =
+        [ ("cached", Json.Bool cached); ("coalesced", Json.Bool coalesced) ]
       in
-      let extra =
-        match (o.Registry.inserted_id, kind) with
-        | Some id, _ -> [ ("id", Json.int id) ]
-        | None, "flush" -> [ ("reclaimed", Json.int o.Registry.reclaimed) ]
-        | None, _ -> []
-      in
-      Protocol.ok_response (base @ extra)
+      Protocol.ok_response (request @ before @ flags @ after)
+
+(* The read skeleton, one for every family and for both threads that run
+   it. Cache first; on a miss, the computation, which coalesces concurrent
+   identical ones through the batcher, so one computation answers every
+   in-flight duplicate. Only answers are cached, never refusals. *)
+let read t ~family ~name ~k (info, b) =
+  let key =
+    (info.Registry.generation, version_of family b.Registry.backend, k, family)
+  in
+  match with_lock t.cache_mutex (fun () -> Lru.get t.cache key) with
+  | Some fields ->
+      `Hit (read_reply t ~family ~name ~k ~cached:true ~coalesced:false (Ok fields))
+  | None ->
+      `Miss
+        (fun () ->
+          let r, coalesced =
+            Batcher.run t.batcher ~key (fun () ->
+                let r = answer ~name family b ~k in
+                Result.iter
+                  (fun fields ->
+                    with_lock t.cache_mutex (fun () -> Lru.put t.cache key fields))
+                  r;
+                r)
+          in
+          read_reply t ~family ~name ~k ~cached:false ~coalesced r)
+
+(* On the IO thread: a ready dataset whose file kept its stat signature
+   answers a hit now and hands a miss to a worker. Anything else goes to a
+   worker whole: a refusal, or a moved signature, which [Registry.ready]
+   settles by re-hashing the file. *)
+let handle_read t ~family ~name ~k =
+  match Registry.find t.reg name with
+  | Some ({ Registry.status = Registry.Ready b; _ } as info)
+    when Registry.unchanged info -> (
+      match read t ~family ~name ~k (info, b) with
+      | `Hit reply ->
+          Obs.Counter.incr c_inline;
+          Poller.Answer (reply, false)
+      | `Miss compute -> work t (fun () -> (compute (), false)))
+  | _ ->
+      work t (fun () ->
+          match Registry.ready t.reg name with
+          | Error refused -> (refusal t refused, false)
+          | Ok publication -> (
+              match read t ~family ~name ~k publication with
+              | `Hit reply -> (reply, false)
+              | `Miss compute -> (compute (), false)))
+
+(* insert/delete/flush: from the IO thread straight onto the registry
+   worker, which completes the request once the repair is published; a
+   refusal is answered now *)
+let handle_update t ~complete ~name ~kind op =
+  let reply = function
+    | Error refused -> (refusal t refused, false)
+    | Ok o ->
+        let base =
+          [
+            ("op", Json.Str kind);
+            ("name", Json.Str name);
+            ("applied", Json.Bool o.Registry.applied);
+            ("live", Json.int o.Registry.live);
+            ("epoch", Json.int o.Registry.epoch);
+          ]
+        in
+        let extra =
+          match (o.Registry.inserted_id, kind) with
+          | Some id, _ -> [ ("id", Json.int id) ]
+          | None, "flush" -> [ ("reclaimed", Json.int o.Registry.reclaimed) ]
+          | None, _ -> []
+        in
+        (Protocol.ok_response (base @ extra), false)
+  in
+  let reply r = try reply r with e -> internal t e in
+  match Registry.update t.reg ~name op (fun r -> complete (reply r)) with
+  | Ok () -> Poller.Handed_off
+  | Error refused -> Poller.Answer (reply (Error refused))
 
 let handle_evict t ~name =
   match name with
@@ -338,37 +384,41 @@ let handle_list t =
       ("datasets", Json.Arr (List.map dataset_json (Registry.list t.reg)));
     ]
 
-let signal_stop t = match poller_of t with Some p -> Poller.stop p | None -> ()
+(* the poller stops taking input, and the registry answers its queued
+   updates now, so their connections drain instead of timing out *)
+let signal_stop t =
+  (match poller_of t with Some p -> Poller.stop p | None -> ());
+  Registry.stop t.reg
 
-(* returns (response frame, close connection afterwards) *)
-let handle_request t line =
+(* Parse once, on the IO thread, and say who answers: the IO thread
+   itself, a handler worker, or the registry worker. *)
+let handle_request t ~complete line =
   with_lock t.state_mutex (fun () -> t.requests <- t.requests + 1);
   Obs.Counter.incr c_requests;
   match Protocol.parse_request ~max_line:t.cfg.max_line line with
-  | Error e -> (error t e, false)
+  | Error e -> Poller.Answer (error t e, false)
   | Ok req -> (
       try
         match req with
-        | Protocol.Ping -> (Protocol.ok_response [ ("op", Json.Str "ping") ], false)
-        | Protocol.List -> (handle_list t, false)
-        | Protocol.Stats -> (handle_stats t, false)
-        | Protocol.Shutdown ->
-            signal_stop t;
-            (Protocol.ok_response [ ("op", Json.Str "shutdown") ], true)
-        | Protocol.Load { name; path; shards; approx } ->
-            (handle_load t ~name ~path ~shards ~approx, false)
-        | Protocol.Read { family; name; k } ->
-            (handle_read t ~family ~name ~k, false)
+        | Protocol.Ping ->
+            Poller.Answer (Protocol.ok_response [ ("op", Json.Str "ping") ], false)
+        | Protocol.Read { family; name; k } -> handle_read t ~family ~name ~k
         | Protocol.Insert { name; point } ->
-            (handle_update t ~name ~kind:"insert" (`Insert point), false)
+            handle_update t ~complete ~name ~kind:"insert" (`Insert point)
         | Protocol.Delete { name; id } ->
-            (handle_update t ~name ~kind:"delete" (`Delete id), false)
+            handle_update t ~complete ~name ~kind:"delete" (`Delete id)
         | Protocol.Flush { name } ->
-            (handle_update t ~name ~kind:"flush" (`Flush), false)
-        | Protocol.Evict { name } -> (handle_evict t ~name, false)
-      with e ->
-        (* requests never take the server down *)
-        (error t (Protocol.err ~code:"internal" (Printexc.to_string e)), false))
+            handle_update t ~complete ~name ~kind:"flush" `Flush
+        | Protocol.List -> work t (fun () -> (handle_list t, false))
+        | Protocol.Stats -> work t (fun () -> (handle_stats t, false))
+        | Protocol.Shutdown ->
+            work t (fun () ->
+                signal_stop t;
+                (Protocol.ok_response [ ("op", Json.Str "shutdown") ], true))
+        | Protocol.Load { name; path; shards; approx } ->
+            work t (fun () -> (handle_load t ~name ~path ~shards ~approx, false))
+        | Protocol.Evict { name } -> work t (fun () -> (handle_evict t ~name, false))
+      with e -> Poller.Answer (internal t e))
 
 (* ---- lifecycle ------------------------------------------------------------ *)
 
@@ -418,6 +468,7 @@ let start cfg =
           resolved;
           poller = None;
           io_thread = None;
+          io_failure = None;
           state_mutex = Mutex.create ();
           stopped = false;
           requests = 0;
@@ -431,7 +482,11 @@ let start cfg =
           ~on_accept:(fun () -> Obs.Counter.incr c_connections)
           ~listeners:(List.map snd bound)
           ~hello:Protocol.hello
-          ~handle:(fun line -> handle_request t line)
+          ~refuse:
+            (Protocol.error_response
+               (Protocol.err ~code:"too_many_connections"
+                  "the server is at its connection limit; try again later"))
+          ~handle:(handle_request t)
           ~too_long:(fun () ->
             error t
               (Protocol.err ~code:"frame_too_large"
@@ -441,7 +496,13 @@ let start cfg =
           ()
       in
       t.poller <- Some poller;
-      t.io_thread <- Some (Thread.create Poller.run poller);
+      t.io_thread <-
+        Some
+          (Thread.create
+             (fun () ->
+               try Poller.run poller
+               with e -> with_lock t.state_mutex (fun () -> t.io_failure <- Some e))
+             ());
       Ok t
 
 let start_exn cfg =
@@ -462,7 +523,8 @@ let wait t =
   if cleanup then begin
     Registry.shutdown t.reg;
     List.iter Endpoint.unlink_if_unix t.resolved
-  end
+  end;
+  Option.iter raise (with_lock t.state_mutex (fun () -> t.io_failure))
 
 let stop t =
   signal_stop t;

@@ -3,16 +3,21 @@
     the dataset {!Registry} (background builds, solo or sharded), the
     {!Lru} result cache and the single-flight {!Batcher}.
 
-    Architecture (PR 8 — replacing one thread per connection): a single IO
-    thread runs a {!Poller} readiness loop over every listener and every
-    connection, framing requests out of per-connection read buffers and
-    flushing per-connection write buffers; a small worker pool runs the
-    request handler so a StoredList scan or a blocking registry update
-    never stalls accepts or other connections' IO. Shutdown wakes the loop
-    through a self-pipe, which works identically for both listener kinds.
-    Connection state is kept for {e live} connections only — a busy
-    server's footprint is bounded by its concurrency, not by how many
-    connections it has ever accepted.
+    Architecture: a single IO thread runs a {!Poller} readiness loop over
+    every listener and every connection, and each request goes straight to
+    the thread that does its work. The IO thread parses every frame once
+    and answers what needs no computation itself — cache hits, [ping],
+    malformed frames, refused updates — writing the reply in the same loop
+    iteration. Cache misses, [rank_regret] tables and the admin verbs
+    ([load], [list], [stats], [evict], [shutdown]) go to the [workers]
+    pool, so none of them stalls accepts or other connections' IO.
+    [insert]/[delete]/[flush] go to the registry worker, which completes
+    the request once its repair is published ({!Registry.update}). Shutdown
+    wakes the loop through a self-pipe, which works identically for both
+    listener kinds. Connection state is kept for {e live} connections
+    only — a busy server's footprint is bounded by its concurrency, not by
+    how many connections it has ever accepted — and both the live count
+    and each connection's unsent output are capped ({!Poller}).
 
     Design invariants (enforced by [test/test_serve.ml] and the [serve]
     oracle of the fuzzer):
@@ -85,19 +90,27 @@ val endpoints : t -> Endpoint.t list
     table, not a historical count). *)
 val live_connections : t -> int
 
-(** [accepted_connections t] — connections accepted since {!start}. *)
+(** [accepted_connections t] — connections served since {!start}. *)
 val accepted_connections : t -> int
 
+(** [unsent_peak t] — the most unsent reply bytes one connection has held
+    (see {!Poller.unsent_peak}): a client that never reads stops being
+    answered at {!Poller.max_unsent}. *)
+val unsent_peak : t -> int
+
 (** [signal_stop t] asks the IO loop to stop (what the [shutdown] verb
-    does internally — one byte down the poller's self-pipe). Non-blocking,
-    idempotent. *)
+    does internally — one byte down the poller's self-pipe) and stops the
+    registry ({!Registry.stop}), so an update still queued behind a build
+    is answered with the shutdown error instead of holding the drain.
+    Non-blocking, idempotent. *)
 val signal_stop : t -> unit
 
 (** [wait t] blocks until the server stops (a [shutdown] request or
     {!signal_stop}): the poller drains in-flight requests and write
     buffers (force-closing stragglers after its drain timeout, so this
     cannot hang), the workers and build worker are joined, and Unix socket
-    files are removed. *)
+    files are removed. Should the IO loop itself have raised, that
+    exception is re-raised here, after the same cleanup. *)
 val wait : t -> unit
 
 (** [stop t] — {!signal_stop} followed by {!wait}. Idempotent. *)

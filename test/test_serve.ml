@@ -1075,6 +1075,283 @@ let test_approx_load_end_to_end () =
           Alcotest.(check (option (float 0.))) "approx approx field" (Some eps)
             (approx_of "apx")))
 
+(* ---- who answers: the IO thread, a worker, the registry worker ------------ *)
+
+module Protocol = Serve.Protocol
+
+let write_anti_correlated ~n ~d ~seed =
+  let ds =
+    Kregret_dataset.Generator.anti_correlated (Kregret_dataset.Rng.create seed)
+      ~n ~d
+  in
+  let path = Filename.temp_file "kregret_serve_test" ".csv" in
+  Csv_io.save path ds;
+  path
+
+(* a raw connection, past its hello, for pipelining and for watching when
+   a reply arrives *)
+let raw_session socket_path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  let r = Protocol.reader fd in
+  (match Protocol.read_line r ~max:Protocol.default_max_line with
+  | `Line l when l = Protocol.hello -> ()
+  | _ -> Alcotest.fail "raw connection: no hello");
+  (fd, r)
+
+let read_reply r =
+  match Protocol.read_line r ~max:Protocol.default_max_line with
+  | `Line l -> l
+  | `Eof -> Alcotest.fail "server closed the connection"
+  | `Too_long -> Alcotest.fail "oversized reply"
+  | `Error m -> Alcotest.failf "receive: %s" m
+
+let send fd frame = or_fail "send" (Protocol.write_line fd frame)
+
+let field_of reply path =
+  match Json.parse reply with
+  | Error m -> Alcotest.failf "unparsable reply %S: %s" reply m
+  | Ok j ->
+      List.fold_left (fun j f -> Option.bind j (Json.member f)) (Some j) path
+
+(* The one handler worker computes a cold rank table; a cached read on
+   another connection is answered by the IO thread meanwhile. *)
+let test_hit_while_workers_busy () =
+  let big = write_anti_correlated ~n:20_000 ~d:5 ~seed:3 in
+  let small = write_csv ~name:"small" ~n:80 ~d:3 ~seed:31 in
+  with_server ~workers:1 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"big" ~path:big;
+          load_and_wait c ~name:"small" ~path:small;
+          ignore (or_fail "prime" (Client.query c ~name:"small" ~k:3));
+          let fd, r = raw_session socket_path in
+          send fd {|{"op":"rank_regret","name":"big","k":4}|};
+          (* let the worker take it *)
+          Thread.delay 0.2;
+          let hit = or_fail "hit" (Client.query_json c ~name:"small" ~k:3) in
+          let pending, _, _ = Unix.select [ fd ] [] [] 0. in
+          Alcotest.(check (option bool))
+            "a cache hit" (Some true)
+            (Option.bind (Json.member "cached" hit) Json.to_bool);
+          Alcotest.(check bool)
+            "answered while the only worker still computes" true (pending = []);
+          Alcotest.(check (option bool))
+            "the rank table finishes" (Some true)
+            (Option.bind (field_of (read_reply r) [ "ok" ]) Json.to_bool);
+          Unix.close fd));
+  List.iter Sys.remove [ big; small ]
+
+(* Every path in one write: a hit (IO thread), a miss (worker), an insert
+   (registry worker), a hit again, a malformed frame and a ping. The
+   replies keep request order and match the frames sent one at a time. *)
+let test_pipelined_order () =
+  let path = write_csv ~name:"p" ~n:120 ~d:3 ~seed:41 in
+  let frames =
+    [
+      {|{"op":"query","name":"p","k":3}|};
+      {|{"op":"query","name":"p","k":5}|};
+      (* dominated by every row: the stored list and its epoch stay *)
+      {|{"op":"insert","name":"p","point":[0.01,0.01,0.01]}|};
+      {|{"op":"query","name":"p","k":3}|};
+      "this is not json";
+      {|{"op":"ping"}|};
+    ]
+  in
+  let session f =
+    with_server (fun ~socket_path _server ->
+        with_client ~socket_path (fun c ->
+            load_and_wait c ~name:"p" ~path;
+            ignore (or_fail "prime" (Client.query c ~name:"p" ~k:3));
+            f ~socket_path c))
+  in
+  let one_at_a_time =
+    session (fun ~socket_path:_ c ->
+        List.map (fun f -> or_fail f (Client.request_raw c f)) frames)
+  in
+  let pipelined =
+    session (fun ~socket_path _ ->
+        let fd, r = raw_session socket_path in
+        send fd (String.concat "\n" frames);
+        let replies = List.map (fun _ -> read_reply r) frames in
+        Unix.close fd;
+        replies)
+  in
+  Alcotest.(check (list string)) "pipelined == one at a time" one_at_a_time
+    pipelined;
+  let flag i path = Option.bind (field_of (List.nth pipelined i) path) Json.to_bool in
+  let code i = Option.bind (field_of (List.nth pipelined i) [ "error"; "code" ]) Json.to_str in
+  Alcotest.(check (list (option bool)))
+    "hit, miss, insert applied, hit"
+    [ Some true; Some false; Some true; Some true ]
+    [ flag 0 [ "cached" ]; flag 1 [ "cached" ]; flag 2 [ "applied" ]; flag 3 [ "cached" ] ];
+  Alcotest.(check (option string)) "malformed" (Some "parse_error") (code 4);
+  Alcotest.(check string) "ping" {|{"ok":true,"op":"ping"}|} (List.nth pipelined 5);
+  Sys.remove path
+
+(* An update queued behind a build when the server stops gets the
+   structured shutdown error, and the stop returns. *)
+let test_shutdown_with_queued_update () =
+  let small = write_csv ~name:"small" ~n:80 ~d:3 ~seed:51 in
+  let slow = write_anti_correlated ~n:800 ~d:7 ~seed:5 in
+  let socket_path = Server.temp_socket_path () in
+  let server = Server.start_exn (Server.config ~socket_path ()) in
+  let reply =
+    with_client ~socket_path (fun c ->
+        load_and_wait c ~name:"small" ~path:small;
+        (* a d = 7 build keeps the registry worker busy for a while *)
+        ignore (or_fail "load slow" (Client.load c ~name:"slow" ~path:slow));
+        let fd, r = raw_session socket_path in
+        send fd {|{"op":"insert","name":"small","point":[0.9,0.9,0.9]}|};
+        (* let the insert reach the registry queue *)
+        Thread.delay 0.2;
+        let stopped = Atomic.make false in
+        let stopper =
+          Thread.create
+            (fun () ->
+              Server.stop server;
+              Atomic.set stopped true)
+            ()
+        in
+        let reply = read_reply r in
+        let deadline = Unix.gettimeofday () +. 60. in
+        while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        Alcotest.(check bool) "Server.stop returned" true (Atomic.get stopped);
+        Thread.join stopper;
+        Unix.close fd;
+        reply)
+  in
+  Alcotest.(check string) "the queued update's structured error"
+    {|{"ok":false,"error":{"code":"internal","message":"registry is shut down"}}|}
+    reply;
+  List.iter Sys.remove [ small; slow ]
+
+(* Past the caps a connection gets a structured refusal instead of taking
+   the IO loop down (select cannot watch an fd past FD_SETSIZE). In one
+   process the clients' own fds share the table, so the descriptor cap
+   may refuse some before the count cap does. *)
+let test_connection_cap () =
+  with_server (fun ~socket_path server ->
+      let n = Serve.Poller.max_connections + 20 in
+      let deadline = Unix.gettimeofday () +. 10. in
+      (* a full backlog would block a connect for good on a dead loop:
+         connect without blocking, and retry while the loop accepts *)
+      let rec connect fd =
+        match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
+        | () -> true
+        | exception Unix.Unix_error (Unix.EAGAIN, _, _)
+          when Unix.gettimeofday () < deadline ->
+            Thread.delay 0.001;
+            connect fd
+        | exception Unix.Unix_error _ -> false
+      in
+      let fds =
+        List.init n (fun _ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.set_nonblock fd;
+            let connected = connect fd in
+            Unix.clear_nonblock fd;
+            (fd, connected))
+      in
+      let firsts =
+        List.map
+          (fun (fd, connected) ->
+            (* no select here: the test's own fds pass FD_SETSIZE too *)
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+              (Float.max 0.01 (deadline -. Unix.gettimeofday ()));
+            if not connected then "(not accepted)"
+            else
+              match Protocol.read_line (Protocol.reader fd) ~max:4096 with
+              | `Line l -> l
+              | `Eof -> "(closed)"
+              | `Too_long | `Error _ -> "(silent)")
+          fds
+      in
+      let fds = List.map fst fds in
+      let live = Server.live_connections server in
+      List.iter Unix.close fds;
+      let served = List.filter (String.equal Protocol.hello) firsts in
+      let refused =
+        List.filter
+          (fun l ->
+            Option.bind (field_of l [ "error"; "code" ]) Json.to_str
+            = Some "too_many_connections")
+          firsts
+      in
+      Alcotest.(check int) "every socket served or refused" n
+        (List.length served + List.length refused);
+      Alcotest.(check bool)
+        (Printf.sprintf "at least the 20 extra refused (%d)" (List.length refused))
+        true
+        (List.length refused >= 20);
+      Alcotest.(check bool)
+        (Printf.sprintf "live connections within the cap (%d)" live)
+        true
+        (live <= Serve.Poller.max_connections);
+      let rec settle tries =
+        if Server.live_connections server > 0 && tries > 0 then begin
+          Thread.delay 0.01;
+          settle (tries - 1)
+        end
+      in
+      settle 500;
+      with_client ~socket_path (fun c ->
+          ignore (or_fail "ping after the refusals" (Client.ping c))))
+
+(* A client that pipelines cached reads and never reads stops being
+   answered at the high-water mark; once it reads, every reply arrives in
+   order, byte-equal to the same reads answered one at a time. *)
+let test_unread_output_bounded () =
+  let path = write_csv ~name:"u" ~n:120 ~d:3 ~seed:61 in
+  with_server (fun ~socket_path server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"u" ~path;
+          let frames =
+            [| {|{"op":"query","name":"u","k":3}|}; {|{"op":"mrr","name":"u","k":4}|} |]
+          in
+          let expected =
+            Array.map
+              (fun f ->
+                ignore (or_fail "prime" (Client.request_raw c f));
+                or_fail "cached" (Client.request_raw c f))
+              frames
+          in
+          let n = 40_000 in
+          let fd, r = raw_session socket_path in
+          let burst =
+            String.concat "\n" (List.init n (fun i -> frames.(i mod 2)))
+          in
+          (* the server stops reading once paused: write from a thread *)
+          let writer = Thread.create (fun () -> send fd burst) () in
+          let deadline = Unix.gettimeofday () +. 20. in
+          while
+            Server.unsent_peak server < Serve.Poller.max_unsent
+            && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.01
+          done;
+          (* paused: nothing more piles up *)
+          Thread.delay 0.2;
+          let peak = Server.unsent_peak server in
+          let longest = Array.fold_left (fun m e -> max m (String.length e + 1)) 0 expected in
+          Alcotest.(check bool)
+            (Printf.sprintf "the mark was reached (peak %d)" peak)
+            true
+            (peak >= Serve.Poller.max_unsent);
+          Alcotest.(check bool)
+            (Printf.sprintf "buffered output <= mark + one reply (peak %d)" peak)
+            true
+            (peak <= Serve.Poller.max_unsent + longest);
+          for i = 0 to n - 1 do
+            let got = read_reply r in
+            if got <> expected.(i mod 2) then
+              Alcotest.failf "reply %d: %S, expected %S" i got expected.(i mod 2)
+          done;
+          Thread.join writer;
+          Unix.close fd));
+  Sys.remove path
+
 (* ---- golden wire transcript ----------------------------------------------- *)
 
 (* The exact bytes of every read reply and every read-path error, pinned.
@@ -1373,4 +1650,14 @@ let suite =
     Alcotest.test_case "golden: read replies and read-path errors are \
                         byte-identical to the pinned transcript" `Quick
       test_golden_wire;
+    Alcotest.test_case "poller: a cache hit is answered while every worker \
+                        computes" `Quick test_hit_while_workers_busy;
+    Alcotest.test_case "poller: pipelined hit, miss, insert, error, ping \
+                        keep request order" `Quick test_pipelined_order;
+    Alcotest.test_case "registry: shutdown answers a queued update" `Quick
+      test_shutdown_with_queued_update;
+    Alcotest.test_case "poller: connections past the caps are refused, the \
+                        server lives" `Quick test_connection_cap;
+    Alcotest.test_case "poller: a client that never reads has bounded \
+                        output" `Quick test_unread_output_bounded;
   ]
