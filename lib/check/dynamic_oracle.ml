@@ -158,6 +158,36 @@ let float_bits_equal a b =
 (* one digest per op — compared bit-for-bit across pool widths *)
 type digest = { g_ids : int array; g_mrr : float array; g_live : int; g_epoch : int }
 
+(* what a publication answers, copied out: its order and prefix regrets,
+   and the basis it builds *)
+type view = {
+  v_order : int array;
+  v_mrr : float array;
+  v_ids : int array;
+  v_rows : float array array;
+  v_candidates : int array;
+}
+
+let view (s : Snapshot.t) =
+  let b = s.basis () in
+  {
+    v_order = Array.copy s.order;
+    v_mrr = Array.copy s.mrr;
+    v_ids = Array.copy b.ids;
+    v_rows = Array.map Array.copy b.rows;
+    v_candidates = Array.copy b.candidates;
+  }
+
+let rows_bits_equal a b =
+  Array.length a = Array.length b && Array.for_all2 float_bits_equal a b
+
+let view_equal a b =
+  a.v_order = b.v_order
+  && float_bits_equal a.v_mrr b.v_mrr
+  && a.v_ids = b.v_ids
+  && rows_bits_equal a.v_rows b.v_rows
+  && a.v_candidates = b.v_candidates
+
 let run_trace inst ops =
   let failures = ref [] in
   let fail i fmt =
@@ -169,7 +199,10 @@ let run_trace inst ops =
   (* the mirror: live (id, point) pairs in insertion order *)
   let mirror = ref (Array.to_list (Array.mapi (fun i p -> (i, p)) inst.Instance.points)) in
   let digests = ref [] in
-  let compare_full i =
+  (* every op's publication with what it answered when made; each must
+     answer the same bits at the end of the trace, whatever came after *)
+  let published = ref [] in
+  let compare_full i v =
     let live = Array.of_list !mirror in
     let e = expected_of_live live in
     let got_ids, got_mrr = full_answer dyn in
@@ -198,15 +231,16 @@ let run_trace inst ops =
     if Dynamic.live dyn <> Array.length live then
       fail i "live count %d, mirror says %d" (Dynamic.live dyn) (Array.length live);
     (* the published read state: what the serving tier answers from *)
-    let s = Dynamic.snapshot dyn in
-    if s.Snapshot.order <> got_ids || not (float_bits_equal s.Snapshot.mrr got_mrr)
-    then fail i "snapshot order/mrr differ from the live structure";
-    if s.Snapshot.basis_ids <> Array.map fst live then
-      fail i "snapshot basis [%s], mirror says [%s]" (pp_ids s.Snapshot.basis_ids)
+    if v.v_order <> got_ids || not (float_bits_equal v.v_mrr got_mrr) then
+      fail i "snapshot order/mrr differ from the live structure";
+    if v.v_ids <> Array.map fst live then
+      fail i "snapshot basis [%s], mirror says [%s]" (pp_ids v.v_ids)
         (pp_ids (Array.map fst live));
-    if s.Snapshot.candidates <> e.x_sky then
+    if not (rows_bits_equal v.v_rows (Array.map snd live)) then
+      fail i "snapshot basis rows differ from the mirror's points";
+    if v.v_candidates <> e.x_sky then
       fail i "snapshot candidates [%s], rebuild skyline [%s]"
-        (pp_ids s.Snapshot.candidates) (pp_ids e.x_sky)
+        (pp_ids v.v_candidates) (pp_ids e.x_sky)
   in
   let delete_one i id =
     let was_live = List.mem_assoc id !mirror in
@@ -263,13 +297,21 @@ let run_trace inst ops =
       let mutating =
         match op with Query _ | Mrr _ -> false | _ -> true
       in
+      let s = Dynamic.snapshot dyn in
+      let v = view s in
+      published := (i, s, v) :: !published;
       if (mutating && (List.length !mirror <= 120 || last)) || ((not mutating) && last)
-      then compare_full i;
+      then compare_full i v;
       let g_ids, g_mrr = full_answer dyn in
       digests :=
         { g_ids; g_mrr; g_live = Dynamic.live dyn; g_epoch = Dynamic.epoch dyn }
         :: !digests)
     ops;
+  List.iter
+    (fun (i, s, v) ->
+      if not (view_equal (view s) v) then
+        fail i "its publication answers differently at the end of the trace")
+    (List.rev !published);
   (List.rev !failures, List.rev !digests)
 
 (* ---- the check ------------------------------------------------------------ *)

@@ -9,8 +9,12 @@
     live count — is compared {e bit-for-bit} against running the static
     pipeline (naive skyline, happy screen, stored-list preprocessing) on
     the live points, and its published {!Kregret.Snapshot} must carry the
-    same answer, the live ids as its basis and the naive skyline of that
-    basis as its candidates. The whole trace is repeated at pool widths
+    same answer, the live ids and points as its basis and the naive
+    skyline of that basis as its candidates. Every op publishes a
+    snapshot, and at the end of the trace each of them must still answer
+    — order, prefix regrets, basis, candidates — the bits it answered
+    when it was made, whatever updates, flushes and growth came after.
+    The whole trace is repeated at pool widths
     [{1, 2, 4, jobs_hi}] ([1] only when [jobs_hi <= 1]) and the per-op
     answer streams must be identical across widths.
 

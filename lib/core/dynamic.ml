@@ -59,6 +59,12 @@ let h_repair_depth =
        the first invalidated position to the end of the list)"
     ~buckets:[| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 1024. |]
 
+(* named for the stage it measures: the basis a publication builds on its
+   first rank read *)
+let c_basis_rows =
+  Obs.Registry.counter "snapshot.basis_rows"
+    ~help:"live rows copied into rank bases built from published snapshots"
+
 let g_tombstone_ratio =
   Obs.Registry.gauge "dynamic.tombstone_ratio"
     ~help:"tombstoned fraction of the slot store (last updated dataset)"
@@ -77,12 +83,24 @@ let memo_cap = 8
 type t = {
   max_length : int option;
   dim : int;
-  (* slot store, in insertion order; deletions tombstone ([alive] flips),
-     [flush] compacts. Slot positions are internal — external ids are
-     stable across compaction. *)
+  (* slot store, in insertion order; a delete tombstones its slot by
+     recording the [basis_version] it died at in [died] ([max_int] while
+     live), [flush] compacts. Slot positions are internal — external ids
+     are stable across compaction.
+
+     Append-only: every snapshot shares [data], [ids], [died] and [sky]
+     as they were when it was published, so no slot below [used] is ever
+     written again in an array already handed out. [insert] writes at
+     [used]; [grow] and [compact] build new arrays; [sky] is only ever
+     replaced, never written in place. The one write below [used] is a
+     delete's [died.(p) <- basis_version], and that version exceeds the
+     [basis_version] of every earlier snapshot, which therefore still
+     sees the slot live (a basis built on another thread while the write
+     lands reads [max_int] or the new version, live either way). Keep it
+     that way: the snapshots' bases depend on it. *)
   mutable data : Vector.t array;
   mutable ids : int array;
-  mutable alive : bool array;
+  mutable died : int array;
   mutable used : int;
   mutable live : int;
   mutable next_id : int;
@@ -102,6 +120,9 @@ type t = {
   mutable memo : (Vector.t array * Stored_list.t) list;
   mutable epoch : int;
   mutable basis_version : int;  (* live-set changes: inserts + deletes *)
+  (* [(epoch, order, mrr)] of the last snapshot: reused while the epoch
+     stays put *)
+  mutable prefix : int * int array * float array;
 }
 
 (* ---- small helpers ------------------------------------------------------- *)
@@ -136,6 +157,7 @@ let live t = t.live
 let slots t = t.used
 let tombstones t = t.used - t.live
 let epoch t = t.epoch
+let is_live t p = t.died.(p) = max_int
 let sky_size t = Array.length t.sky
 let happy_size t = Array.length t.happy
 
@@ -168,27 +190,40 @@ let mrr_at t ~k =
 
 (* ---- snapshots ----------------------------------------------------------- *)
 
-let snapshot t =
-  (* the live rows in slot order (= ascending id); [t.sky] holds live slots
-     in ascending order too, so the same walk maps each skyline member to
-     its basis index *)
-  let basis_ids = Array.make t.live 0 and basis = Array.make t.live [||] in
-  let m = Array.length t.sky in
+(* The basis of a snapshot published at [version]: the [live] slots below
+   [used] that had not died by then, in slot order (= ascending id).
+   [sky] holds live slots in ascending order too, so the same walk maps
+   each skyline member to its basis index. *)
+let basis_at ~data ~ids ~died ~used ~version ~sky ~live () =
+  Obs.Counter.add c_basis_rows live;
+  let basis_ids = Array.make live 0 and rows = Array.make live [||] in
+  let m = Array.length sky in
   let candidates = Array.make m 0 in
   let j = ref 0 and s = ref 0 in
-  for p = 0 to t.used - 1 do
-    if t.alive.(p) then begin
-      if !s < m && t.sky.(!s) = p then begin
+  for p = 0 to used - 1 do
+    if died.(p) > version then begin
+      if !s < m && sky.(!s) = p then begin
         candidates.(!s) <- !j;
         incr s
       end;
-      basis_ids.(!j) <- t.ids.(p);
-      basis.(!j) <- t.data.(p);
+      basis_ids.(!j) <- ids.(p);
+      rows.(!j) <- data.(p);
       incr j
     end
   done;
+  { Snapshot.ids = basis_ids; rows; candidates }
+
+(* O(1) in the rows: the basis closure shares the slot store (see [t]) *)
+let snapshot t =
   let order, mrr =
-    Snapshot.prefix t.stored ~ids:(Array.map (fun p -> t.ids.(p)) t.happy)
+    match t.prefix with
+    | e, order, mrr when e = t.epoch -> (order, mrr)
+    | _ ->
+        let order, mrr =
+          Snapshot.prefix t.stored ~ids:(Array.map (fun p -> t.ids.(p)) t.happy)
+        in
+        t.prefix <- (t.epoch, order, mrr);
+        (order, mrr)
   in
   {
     Snapshot.epoch = t.epoch;
@@ -197,10 +232,10 @@ let snapshot t =
     n_happy = Array.length t.happy;
     order;
     mrr;
-    basis_ids;
-    basis;
     basis_version = t.basis_version;
-    candidates;
+    basis =
+      basis_at ~data:t.data ~ids:t.ids ~died:t.died ~used:t.used
+        ~version:t.basis_version ~sky:t.sky ~live:t.live;
   }
 
 (* ---- stored-list maintenance --------------------------------------------- *)
@@ -344,7 +379,7 @@ let create ?max_length points =
     dim = d;
     data;
     ids = Array.init cap (fun i -> if i < n then i else 0);
-    alive = Array.init cap (fun i -> i < n);
+    died = Array.make cap max_int;
     used = n;
     live = n;
     next_id = n;
@@ -357,6 +392,7 @@ let create ?max_length points =
     memo = [];
     epoch = 0;
     basis_version = 0;
+    prefix = (-1, [||], [||]);
   }
 
 (* ---- compaction ---------------------------------------------------------- *)
@@ -366,20 +402,18 @@ let compact t =
     let remap = Array.make t.used (-1) in
     let data = Array.make (max 16 (2 * t.live)) [||] in
     let ids = Array.make (Array.length data) 0 in
-    let alive = Array.make (Array.length data) false in
     let j = ref 0 in
     for p = 0 to t.used - 1 do
-      if t.alive.(p) then begin
+      if is_live t p then begin
         remap.(p) <- !j;
         data.(!j) <- t.data.(p);
         ids.(!j) <- t.ids.(p);
-        alive.(!j) <- true;
         incr j
       end
     done;
     t.data <- data;
     t.ids <- ids;
-    t.alive <- alive;
+    t.died <- Array.make (Array.length data) max_int;
     t.used <- t.live;
     Hashtbl.reset t.id_index;
     for p = 0 to t.used - 1 do
@@ -424,13 +458,13 @@ let grow t =
     let cap = 2 * Array.length t.data in
     let data = Array.make cap [||] in
     let ids = Array.make cap 0 in
-    let alive = Array.make cap false in
+    let died = Array.make cap max_int in
     Array.blit t.data 0 data 0 t.used;
     Array.blit t.ids 0 ids 0 t.used;
-    Array.blit t.alive 0 alive 0 t.used;
+    Array.blit t.died 0 died 0 t.used;
     t.data <- data;
     t.ids <- ids;
-    t.alive <- alive
+    t.died <- died
   end
 
 let insert t vec =
@@ -446,7 +480,7 @@ let insert t vec =
   let id = t.next_id in
   t.data.(pos) <- vec;
   t.ids.(pos) <- id;
-  t.alive.(pos) <- true;
+  t.died.(pos) <- max_int;
   t.used <- t.used + 1;
   t.live <- t.live + 1;
   t.next_id <- t.next_id + 1;
@@ -514,13 +548,13 @@ let delete t id =
   | None ->
       Obs.Counter.incr c_delete_noops;
       false
-  | Some pos when not t.alive.(pos) ->
+  | Some pos when not (is_live t pos) ->
       Obs.Counter.incr c_delete_noops;
       false
   | Some pos ->
-      t.alive.(pos) <- false;
-      t.live <- t.live - 1;
       t.basis_version <- t.basis_version + 1;
+      t.died.(pos) <- t.basis_version;
+      t.live <- t.live - 1;
       Hashtbl.remove t.id_index id;
       Obs.Counter.incr c_deletes;
       let in_sky = Hashtbl.mem t.verdicts pos in
@@ -539,7 +573,7 @@ let delete t id =
            what is left (earlier slot wins an equal pair). *)
         let cands = ref [] in
         for q = t.used - 1 downto 0 do
-          if t.alive.(q) && not (Hashtbl.mem t.verdicts q) then
+          if is_live t q && not (Hashtbl.mem t.verdicts q) then
             match Dominance.compare x t.data.(q) with
             | Dominance.Dominates | Dominance.Equal -> cands := q :: !cands
             | Dominance.Dominated | Dominance.Incomparable -> ()

@@ -34,11 +34,20 @@
     update actually invalidated (distance from the first divergent position
     to the end).
 
+    {b The slot store is append-only.} A slot below the store's high-water
+    mark is never written again in an array already handed out: inserts
+    write at the mark, growth and {!flush} build new arrays, and the
+    skyline array is replaced, never edited. A delete records the
+    [basis_version] it bumped to in a per-slot death version instead of
+    clearing a flag. {!snapshot} relies on this to share the store with
+    every publication instead of copying it.
+
     Not thread-safe: the serve layer serializes updates and builds on one
-    worker and answers concurrent queries from immutable {!Snapshot}s. All
-    update paths are sequential, so results are identical for every
-    [Kregret_parallel.Pool] width (the rebuild pipeline underneath is
-    width-invariant by the repo-wide determinism contract). *)
+    worker and answers concurrent queries from {!Snapshot}s, which never
+    change once published. All update paths are sequential, so results
+    are identical for every [Kregret_parallel.Pool] width (the rebuild
+    pipeline underneath is width-invariant by the repo-wide determinism
+    contract). *)
 
 type t
 
@@ -93,9 +102,16 @@ val stored_length : t -> int
     false invalidations. *)
 val epoch : t -> int
 
-(** [snapshot t] is the immutable read state the serve layer publishes
-    after the build and after each applied update: the stored order and
-    its prefix regrets as external ids, the live rows as the basis, and
-    the maintained skyline as [candidates] (equal to [Skyline.sfs] over
-    the basis, so rank-regret needs no skyline pass of its own). *)
+(** [snapshot t] is the read state the serve layer publishes after the
+    build and after each update that moved its [epoch] or [basis_version]:
+    the stored order and its prefix regrets as external ids, and a basis
+    closure over the live rows with the maintained skyline as
+    [candidates] (equal to [Skyline.sfs] over the basis, so rank-regret
+    needs no skyline pass of its own).
+
+    O(1) in the number of rows: it copies nothing, and while the epoch
+    stays put it hands out the previous snapshot's [order] and [mrr]. The
+    basis closure shares the append-only slot store and copies the live
+    rows only when called, O(live) per call. No later update, flush or
+    growth changes what an earlier snapshot answers. *)
 val snapshot : t -> Snapshot.t

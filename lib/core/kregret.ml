@@ -11,7 +11,7 @@
     - {!Stored_list} — materialize once, answer any [k] in O(k); its
       [funnel] is the one skyline → happy → StoredList composition.
     - {!Dynamic} — incremental inserts/deletes, bit-identical to a rebuild.
-    - {!Snapshot} — the immutable read state a ready dataset publishes.
+    - {!Snapshot} — the read state a ready dataset publishes, fixed once made.
     - {!Greedy_lp} / {!Cube} — the VLDB 2010 baselines.
     - {!Optimal2d} — exact optimum in two dimensions (DP).
     - {!Mrr} — evaluate the maximum regret ratio of any selection.

@@ -1,3 +1,9 @@
+type basis = {
+  ids : int array;
+  rows : Kregret_geom.Vector.t array;
+  candidates : int array;
+}
+
 type t = {
   epoch : int;
   live : int;
@@ -5,10 +11,8 @@ type t = {
   n_happy : int;
   order : int array;
   mrr : float array;
-  basis_ids : int array;
-  basis : Kregret_geom.Vector.t array;
   basis_version : int;
-  candidates : int array;
+  basis : unit -> basis;
 }
 
 let prefix stored ~ids =

@@ -2,6 +2,8 @@ module Vector = Kregret_geom.Vector
 module Dataset = Kregret_dataset.Dataset
 module Csv_io = Kregret_dataset.Csv_io
 module Dynamic = Kregret.Dynamic
+module Snapshot = Kregret.Snapshot
+module Rrr = Kregret_rrr.Rrr
 module Obs = Kregret_obs
 
 let c_loads =
@@ -33,20 +35,21 @@ let c_stale =
 let g_datasets =
   Obs.Registry.gauge "serve.registry.datasets" ~help:"datasets currently registered"
 
-(* What queries read: one immutable snapshot, republished wholesale after
-   every build and every update that changes the live rows. The live
+(* What queries read: one snapshot, republished after every build and
+   every update that moved its epoch or basis version. The live
    [Dynamic.t] itself is touched only by the worker thread. *)
-type backend = Kregret.Snapshot.t
+type backend = Snapshot.t
 
-(* One rank table per publication: the first rank_regret read of a
-   [built] fills its cell, later reads of any k run only the greedy. The
-   cell is keyed to the snapshot it was built for by physical equality,
-   so a [built] that reached another snapshot through a copy rebuilds
-   instead of answering from a stale table. Readers that arrive during
-   the build wait on the lock rather than build their own. *)
+(* One basis and one rank table per publication: the first rank_regret
+   read of a [built] builds both, later reads of any k run only the
+   greedy. The cell is keyed to the snapshot it was built for by physical
+   equality, so a [built] that reached another snapshot through a copy
+   rebuilds instead of answering from a stale table. Readers that arrive
+   during the build wait on the lock rather than build their own, so
+   [basis] runs once per publication, on one thread at a time. *)
 type rank_cell = {
   lock : Mutex.t;
-  mutable slot : (backend * Kregret_rrr.Rrr.table) option;
+  mutable slot : (backend * Snapshot.basis * Rrr.table) option;
 }
 
 type built = { backend : backend; build_seconds : float; rank_cell : rank_cell }
@@ -54,29 +57,29 @@ type built = { backend : backend; build_seconds : float; rank_cell : rank_cell }
 let built_of ~build_seconds backend =
   { backend; build_seconds; rank_cell = { lock = Mutex.create (); slot = None } }
 
-let backend_query = Kregret.Snapshot.query
+let backend_query = Snapshot.query
 
 let rank_table b =
   let cell = b.rank_cell and s = b.backend in
   Mutex.protect cell.lock (fun () ->
       match cell.slot with
-      | Some (owner, table) when owner == s -> table
+      | Some (owner, basis, table) when owner == s -> (basis, table)
       | _ ->
-          let table = Kregret_rrr.Rrr.table ~candidates:s.candidates s.basis in
-          cell.slot <- Some (s, table);
-          table)
+          let basis = s.basis () in
+          let table = Rrr.table ~candidates:basis.candidates basis.rows in
+          cell.slot <- Some (s, basis, table);
+          (basis, table))
 
-(* Rank-regret over the published basis, with the snapshot's candidates:
-   solo answers track every update, and shard and ε builds hand the
-   engine the monolithic inputs. The greedy prefix is max_size-stable,
-   so selections of every k share the table. *)
+(* Rank-regret over the published basis, with its candidates: solo
+   answers track every update, and shard and ε builds hand the engine the
+   monolithic inputs. The greedy prefix is max_size-stable, so selections
+   of every k share the table. *)
 let rank_regret b ~k =
-  let s = b.backend in
-  if s.live = 0 then invalid_arg "rank_regret: dataset has no live points";
-  let sel, rank =
-    Kregret_rrr.Rrr.query (Kregret_rrr.Rrr.select ~max_size:k (rank_table b)) ~k
-  in
-  (List.map (fun r -> s.basis_ids.(r)) sel, rank)
+  if b.backend.live = 0 then
+    invalid_arg "rank_regret: dataset has no live points";
+  let basis, table = rank_table b in
+  let sel, rank = Rrr.query (Rrr.select ~max_size:k table) ~k in
+  (List.map (fun r -> basis.ids.(r)) sel, rank)
 
 type status = Building | Ready of built | Failed of string
 
@@ -320,31 +323,28 @@ let worker_loop t =
               | Some dyn ->
                   Mutex.unlock t.mutex;
                   let r = apply_update dyn u_op in
-                  (* a delete of an unknown id and a flush leave the live
-                     rows as published, so the publication (and the rank
-                     table it may hold) stays; an insert, an applied delete
-                     or a failed update republishes *)
+                  (* republish iff the epoch or the basis version moved
+                     since the published snapshot; anything else (a
+                     rejected insert, a delete of an unknown id, a flush)
+                     keeps the publication and the rank table it may
+                     hold *)
+                  let s = Dynamic.snapshot dyn in
                   let published =
-                    match (u_op, r) with
-                    | `Flush, Ok _ | `Delete _, Ok { applied = false; _ } ->
-                        None
-                    | _ ->
-                        Some
-                          (built_of ~build_seconds:b.build_seconds
-                             (Dynamic.snapshot dyn))
+                    if
+                      s.epoch = b.backend.epoch
+                      && s.basis_version = b.backend.basis_version
+                    then None
+                    else Some (built_of ~build_seconds:b.build_seconds s)
                   in
                   Mutex.lock t.mutex;
                   (* republish on the same entry only: an evict/re-load that
-                     raced the update owns the name now *)
-                  (match Hashtbl.find_opt t.entries u_name with
-                  | Some e' when e' == e ->
-                      Option.iter (fun b -> e'.e_status <- Ready b) published;
-                      (match r with
-                      | Ok { applied = true; reclaimed = 0; _ } ->
-                          (* a flush changes no live point, so the CSV still
-                             describes the dataset; inserts/deletes diverge *)
-                          e'.e_mutated <- true
-                      | _ -> ())
+                     raced the update owns the name now. A republish means
+                     the live rows moved, so the CSV no longer describes
+                     the dataset; a flush changes no live point *)
+                  (match (Hashtbl.find_opt t.entries u_name, published) with
+                  | Some e', Some b when e' == e ->
+                      e'.e_status <- Ready b;
+                      e'.e_mutated <- true
                   | _ -> ());
                   reply r))
     end

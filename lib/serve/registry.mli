@@ -1,15 +1,19 @@
 (** Dataset registry: load CSV datasets once, precompute skyline → happy
     points → StoredList in the background, publish the result as one
-    immutable {!Kregret.Snapshot.t}, serve any [k] afterwards as an O(k)
-    prefix read — and accept incremental [insert]/[delete]/[flush] updates
-    that repair the precomputation instead of rebuilding it.
+    {!Kregret.Snapshot.t}, serve any [k] afterwards as an O(k) prefix read
+    — and accept incremental [insert]/[delete]/[flush] updates that repair
+    the precomputation instead of rebuilding it.
 
     Every ready dataset publishes the same snapshot type, whatever built
-    it: a solo load keeps a {!Kregret.Dynamic} state on the worker and
-    republishes {!Kregret.Dynamic.snapshot} after each update that changes
-    the live rows (an insert, an applied delete); a delete of an unknown id
-    and a flush keep the publication, and with it its rank table; a
-    sharded or ε load publishes {!Shard.create}'s static snapshot.
+    it: a solo load keeps a {!Kregret.Dynamic} state on the worker, and a
+    sharded or ε load publishes {!Shard.create}'s static snapshot. One
+    rule decides when an update republishes: iff it moved the epoch or
+    the [basis_version] since the published snapshot, the worker
+    publishes a new {!Kregret.Dynamic.snapshot} (O(1) in the rows: it
+    shares the slot store), and marks the dataset {!info.mutated}.
+    Anything else — an insert rejected as [bad_point], a delete of an
+    unknown id, a flush — keeps the publication, and with it its rank
+    table.
 
     [load] is cheap and non-blocking: it reads the file {e once},
     fingerprints exactly the bytes it parsed ({!Fingerprint.of_string} —
@@ -30,12 +34,12 @@
     {b Updates.} {!update} enqueues an insert/delete/flush on the {e same}
     worker queue as builds, so updates serialize against builds and against
     each other, and returns at once. Nothing waits for it: the worker calls
-    the update's completion once it has applied the op and, when the live
-    rows changed, republished a consistent {!built} snapshot.
+    the update's completion once it has applied the op and, when its
+    versions moved, republished a consistent {!built} snapshot.
     Queries never wait on an in-flight update — they read the last
     published snapshot under the registry mutex. [rank_regret] reads
-    build one rank table per publication, on first use ({!rank_regret}),
-    never at load or update time. Each applied update bumps the
+    build one basis and one rank table per publication, on first use
+    ({!rank_regret}), never at load or update time. Each applied update bumps the
     snapshot's epoch when the stored list could have changed, and its
     [basis_version] whenever the live rows changed; servers fold the one
     a family reads into their cache key so stale cached answers simply
@@ -52,12 +56,13 @@
     updates): a mutated entry is never joined, even when the file is
     unchanged — the re-load takes a fresh {!info.generation}. *)
 
-(** The immutable answer state behind a [Ready] dataset. Its epoch is
-    always 0 for sharded and ε builds — they never change, so nothing a
-    cache keyed on it could miss. *)
+(** The answer state behind a [Ready] dataset; it never changes once
+    published. Its epoch is always 0 for sharded and ε builds — they
+    never change, so nothing a cache keyed on it could miss. *)
 type backend = Kregret.Snapshot.t
 
-(** The rank table cell of one publication (see {!rank_regret}). *)
+(** The basis and rank table cell of one publication (see
+    {!rank_regret}). *)
 type rank_cell
 
 (** One publication: made only by {!built_of}, so each owns a fresh rank
@@ -69,8 +74,8 @@ type built = private {
 }
 
 (** [built_of ~build_seconds b] publishes [b] with an empty rank cell. The
-    registry publishes through it after every build and every update job;
-    no table is built here. *)
+    registry publishes through it after every build and every update that
+    moved the versions; no basis or table is built here. *)
 val built_of : build_seconds:float -> backend -> built
 
 (** [backend_query b ~k] is {!Kregret.Snapshot.query}: the first [k]
@@ -79,12 +84,14 @@ val backend_query : backend -> k:int -> int list * float
 
 (** [rank_regret b ~k] — the rank-regret representative answer of the
     publication: {!Kregret_rrr.Rrr.select} [~max_size:k] over the
-    publication's rank table, selections mapped through
-    [b.backend.basis_ids]. The table is {!Kregret_rrr.Rrr.table} over
-    [basis] with [candidates] as the candidate set, built by the first
-    [rank_regret] read of this publication and kept for every later [k]
-    (a read arriving during that build waits for it). An update, re-load
-    or evict replaces or drops the publication, and its table with it.
+    publication's rank table, selections mapped through the basis [ids].
+    The first [rank_regret] read of this publication calls the snapshot's
+    [basis] and builds {!Kregret_rrr.Rrr.table} over its rows with its
+    [candidates] as the candidate set, both under the cell's lock, and
+    keeps the two for every later [k] (a read arriving during that build
+    waits for it, so [basis] runs once per publication and never on two
+    threads at once). An update that republishes, a re-load or an evict
+    replaces or drops the publication, and its basis and table with it.
     Solo answers track every update; a fresh dataset, solo or sharded,
     reproduces the offline engine over the normalized rows bit for bit.
     For ε loads [candidates] is the skyline of the merged ε-kernel, not

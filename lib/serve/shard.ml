@@ -62,6 +62,13 @@ let create ?max_length ?approx ~shards points =
     Kregret.Snapshot.prefix f.Stored_list.stored ~ids:(to_ids f.Stored_list.happy)
   in
   let n = Array.length points in
+  let basis =
+    {
+      Kregret.Snapshot.ids = Array.init n Fun.id;
+      rows = points;
+      candidates = to_ids f.Stored_list.sky;
+    }
+  in
   Obs.Counter.incr c_builds;
   {
     Kregret.Snapshot.epoch = 0;
@@ -70,8 +77,6 @@ let create ?max_length ?approx ~shards points =
     n_happy = Array.length f.Stored_list.happy;
     order;
     mrr;
-    basis_ids = Array.init n Fun.id;
-    basis = points;
     basis_version = 0;
-    candidates = to_ids f.Stored_list.sky;
+    basis = (fun () -> basis);
   }

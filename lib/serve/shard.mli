@@ -61,8 +61,10 @@ val create :
   Kregret_geom.Vector.t array ->
   Kregret.Snapshot.t
 (** [create ~shards points] runs the funnel over the {!gather}ed rows and
-    publishes the result: epoch [0], every input row in the basis (ids =
-    row indices), and the skyline of the gathered rows as [candidates]:
+    publishes the result: epoch [0], and a basis built here and handed
+    over as is by every call of the snapshot's [basis]: every input row,
+    uncopied (ids = row indices), and the skyline of the gathered rows as
+    [candidates]:
     the merged skyline, equal to the skyline of the whole input; with
     [approx], the skyline of the merged ε-kernel, which is not
     rank-complete for the basis. [max_length] caps

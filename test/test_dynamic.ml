@@ -33,8 +33,8 @@ let answer_bits dyn =
 (* rebuild-from-scratch expectation over the live points (the snapshot's
    basis), in external ids *)
 let rebuild_bits dyn =
-  let s = Dynamic.snapshot dyn in
-  let vecs = s.Snapshot.basis in
+  let b = (Dynamic.snapshot dyn).Snapshot.basis () in
+  let vecs = b.Snapshot.rows in
   if Array.length vecs = 0 then ([], [])
   else begin
     let sky_idx = Skyline.naive vecs in
@@ -46,7 +46,7 @@ let rebuild_bits dyn =
       let stored = Stored_list.preprocess happy in
       let len = Stored_list.length stored in
       ( List.map
-          (fun e -> s.Snapshot.basis_ids.(sky_idx.(happy_idx.(e))))
+          (fun e -> b.Snapshot.ids.(sky_idx.(happy_idx.(e))))
           (Stored_list.order stored),
         List.init len (fun i ->
             Int64.bits_of_float (Stored_list.mrr_at stored ~k:(i + 1))) )
@@ -58,9 +58,9 @@ let check_matches_rebuild msg dyn =
   let want_ids, want_mrr = rebuild_bits dyn in
   Alcotest.(check (list int)) (msg ^ ": ids match rebuild") want_ids got_ids;
   Alcotest.(check (list int64)) (msg ^ ": mrr bits match rebuild") want_mrr got_mrr;
-  let s = Dynamic.snapshot dyn in
+  let b = (Dynamic.snapshot dyn).Snapshot.basis () in
   Alcotest.(check (array int)) (msg ^ ": candidates are the basis skyline")
-    (Skyline.naive s.Snapshot.basis) s.Snapshot.candidates
+    (Skyline.naive b.Snapshot.rows) b.Snapshot.candidates
 
 let test_insert_delete_round_trip () =
   let points = points_of ~n:40 ~d:3 ~seed:11 in
@@ -225,6 +225,109 @@ let incremental_equals_batch =
         else true
       end)
 
+(* what a publication answers, as bits: every prefix query, and the
+   basis (ids, row bits, candidates) it builds *)
+let publication_bits (s : Snapshot.t) =
+  let b = s.basis () in
+  ( List.init
+      (Array.length s.order + 1)
+      (fun i ->
+        let sel, mrr = Snapshot.query s ~k:(i + 1) in
+        (sel, Int64.bits_of_float mrr)),
+    Array.copy b.ids,
+    Array.map (Array.map Int64.bits_of_float) b.rows,
+    Array.copy b.candidates )
+
+(* qcheck: a snapshot published after some updates answers the same bits
+   after any later insert, skyline and non-skyline delete, flush, or
+   growth of the slot store *)
+let publication_never_moves =
+  QCheck.Test.make ~count:40 ~name:"a publication never moves"
+    QCheck.(triple (Testutil.qc_points ~n:24 ~d:3) small_nat small_nat)
+    (fun (pts, seed, step) ->
+      let dyn = Dynamic.create (Array.of_list pts) in
+      let st = Random.State.make [| seed |] in
+      let next_id = ref (List.length pts) in
+      let insert p =
+        incr next_id;
+        Dynamic.insert dyn p
+      in
+      (* a fresh insert, a delete of a selected (skyline) id, or a delete
+         of any id, usually off the skyline or already gone *)
+      let update () =
+        match Random.State.int st 3 with
+        | 0 -> ignore (insert (Testutil.random_point st 3))
+        | 1 -> (
+            match fst (Dynamic.query dyn ~k:4) with
+            | [] -> ()
+            | sel ->
+                ignore
+                  (Dynamic.delete dyn
+                     (List.nth sel (Random.State.int st (List.length sel)))))
+        | _ -> ignore (Dynamic.delete dyn (Random.State.int st !next_id))
+      in
+      for _ = 1 to step mod 8 do
+        update ()
+      done;
+      let s = Dynamic.snapshot dyn in
+      let before = publication_bits s in
+      for _ = 1 to 6 do
+        update ()
+      done;
+      (match fst (Dynamic.query dyn ~k:1) with
+      | [ top ] -> ignore (Dynamic.delete dyn top)
+      | _ -> ());
+      (* every point has coordinates >= 0.01, so this one is dominated
+         unless nothing is live: its delete is off the skyline *)
+      let tiny = [| 0.001; 0.001; 0.001 |] in
+      ignore (Dynamic.delete dyn (insert tiny));
+      ignore (Dynamic.flush dyn);
+      (* the capacity never exceeds max 16 (2 * slots): this many inserts
+         grow the store at least once *)
+      for _ = 1 to (2 * Dynamic.slots dyn) + 17 do
+        ignore (insert tiny)
+      done;
+      ignore (insert (Testutil.random_point st 3));
+      let after = publication_bits s in
+      if after <> before then
+        QCheck.Test.fail_reportf "the publication after %d updates moved"
+          (step mod 8)
+      else true)
+
+(* words [f ()] allocates, from the GC's counters: [Gc.minor_words] reads
+   the live allocation pointer ([Gc.counters]' minor count lags it in
+   native code), and a large array goes straight to the major heap *)
+let words_allocated f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* the words one publication allocates after a no-op insert into [n]
+   rows *)
+let snapshot_words n =
+  let points =
+    (Dataset.normalize (Generator.independent (Rng.create 7) ~n ~d:3))
+      .Dataset.points
+  in
+  let dyn = Dynamic.create points in
+  ignore (Dynamic.snapshot dyn);
+  let epoch = Dynamic.epoch dyn in
+  (* a copy of a row is dominated or equalled by a skyline member *)
+  ignore (Dynamic.insert dyn (Vector.copy points.(n / 2)));
+  Alcotest.(check int) "the insert is a no-op" epoch (Dynamic.epoch dyn);
+  words_allocated (fun () -> Dynamic.snapshot dyn)
+
+let test_snapshot_cost_flat () =
+  let small = snapshot_words 2_000 and large = snapshot_words 20_000 in
+  if large > small then
+    Alcotest.failf
+      "a publication allocates %.0f words at n = 20,000 against %.0f at n = \
+       2,000"
+      large small
+
 let suite =
   [
     Alcotest.test_case "insert-then-delete round trip is bit-identical" `Quick
@@ -242,4 +345,7 @@ let suite =
     Alcotest.test_case "fuzz oracle clean on fixed instances at jobs {1,2,4}"
       `Slow test_oracle_interleavings_across_widths;
     QCheck_alcotest.to_alcotest incremental_equals_batch;
+    QCheck_alcotest.to_alcotest publication_never_moves;
+    Alcotest.test_case "a publication's cost does not grow with n" `Quick
+      test_snapshot_cost_flat;
   ]

@@ -622,9 +622,10 @@ let test_serve_one_table_per_publication () =
             (rank_tables ())));
   Sys.remove path
 
-(* A delete of an unknown id and an empty flush change no live row, so
-   they keep the publication and its table: k = 1, 2, 3 around them
-   build one table between them, and answer what the fresh load does. *)
+(* A rejected insert, a delete of an unknown id and an empty flush move
+   neither the epoch nor the basis version, so they keep the publication
+   and its table: k = 1, 2, 3 around them build one table between them,
+   and answer what the fresh load does. *)
 let test_serve_noop_updates_keep_table () =
   let path = write_csv ~name:"rrr-noop" ~n:400 ~d:3 ~seed:84 in
   let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
@@ -633,18 +634,40 @@ let test_serve_noop_updates_keep_table () =
   with_server ~cache_capacity:64 (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"noop" ~path;
+          let rejected what point =
+            match Client.insert c ~name:"noop" ~point with
+            | Ok id -> Alcotest.failf "%s: inserted as #%d" what id
+            | Error m ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: bad_point (got %s)" what m)
+                  true
+                  (Testutil.contains m "bad_point")
+          in
           let t0 = rank_tables () in
           check_wire ~what:"k=1" fresh.(0) ~k:1 (wire_rank c ~name:"noop" ~k:1);
+          rejected "wrong dimension" [| 0.5; 0.5 |];
           Alcotest.(check bool) "unknown id: not applied" false
             (or_fail "delete" (Client.delete c ~name:"noop" ~id:1_000_000));
-          check_wire ~what:"k=2 after a no-op delete" fresh.(1) ~k:2
+          check_wire ~what:"k=2 after a rejected insert and a no-op delete"
+            fresh.(1) ~k:2
             (wire_rank c ~name:"noop" ~k:2);
+          rejected "out of range" [| 0.5; 1.5; 0.5 |];
           Alcotest.(check int) "empty flush reclaims nothing" 0
             (or_fail "flush" (Client.flush c ~name:"noop"));
-          check_wire ~what:"k=3 after an empty flush" fresh.(2) ~k:3
+          check_wire ~what:"k=3 after a rejected insert and an empty flush"
+            fresh.(2) ~k:3
             (wire_rank c ~name:"noop" ~k:3);
           Alcotest.(check int) "no-op updates keep the table" (t0 + 1)
-            (rank_tables ())));
+            (rank_tables ());
+          (* no live row moved, so the CSV still describes the dataset *)
+          let listed = or_fail "list" (Client.list_datasets c) in
+          let mutated =
+            Option.bind (Json.member "datasets" listed) Json.to_list
+            |> Option.value ~default:[]
+            |> List.map (fun d -> Option.bind (Json.member "mutated" d) Json.to_bool)
+          in
+          Alcotest.(check (list (option bool))) "no-op updates: not mutated"
+            [ Some false ] mutated));
   Sys.remove path
 
 (* Four clients ask k = 1..4 of one fresh publication at once: one of
