@@ -444,12 +444,15 @@ let flush t =
   Obs.Gauge.set g_tombstone_ratio 0.;
   reclaimed
 
+(* whether [tombs] tombstones call for an automatic compaction *)
+let compaction_due t ~tombs =
+  t.used >= 64 && float_of_int tombs > damage_ratio *. float_of_int t.used
+
 let maybe_flush t =
   let tombs = t.used - t.live in
   Obs.Gauge.set g_tombstone_ratio
     (if t.used = 0 then 0. else float_of_int tombs /. float_of_int t.used);
-  if t.used >= 64 && float_of_int tombs > damage_ratio *. float_of_int t.used
-  then ignore (flush t)
+  if compaction_due t ~tombs then ignore (flush t)
 
 (* ---- updates ------------------------------------------------------------- *)
 
@@ -467,32 +470,24 @@ let grow t =
     t.died <- died
   end
 
-let insert t vec =
+let check_point t vec =
   if Array.length vec <> t.dim then
     invalid_arg "Dynamic.insert: wrong dimension";
   Array.iter
     (fun x ->
       if not (Float.is_finite x) || x <= 0. || x > 1. then
         invalid_arg "Dynamic.insert: coordinates must lie in (0, 1]")
-    vec;
-  grow t;
-  let pos = t.used in
-  let id = t.next_id in
-  t.data.(pos) <- vec;
-  t.ids.(pos) <- id;
-  t.died.(pos) <- max_int;
-  t.used <- t.used + 1;
-  t.live <- t.live + 1;
-  t.next_id <- t.next_id + 1;
-  t.basis_version <- t.basis_version + 1;
-  Hashtbl.replace t.id_index id pos;
-  (* classify against the skyline: if some member dominates or equals the
-     new point it cannot enter (the member is earlier, so even an exact
-     duplicate stays out — the skyline keeps the first of an equal pair),
-     and nothing else changes: dominance by any live point is always
-     witnessed by a skyline member. Otherwise it enters, evicting the
-     members it strictly dominates. Both verdicts cannot hold at once
-     (dominance is transitive and the skyline has no dominated pairs). *)
+    vec
+
+(* Classify a new point against the skyline: [None] when some member
+   dominates or equals it, so it cannot enter (the member is earlier, so
+   even an exact duplicate stays out — the skyline keeps the first of an
+   equal pair) and nothing else changes: dominance by any live point is
+   always witnessed by a skyline member. Otherwise [Some evicted]: it
+   enters, evicting the members it strictly dominates. Both verdicts
+   cannot hold at once (dominance is transitive and the skyline has no
+   dominated pairs). *)
+let sky_entry t vec =
   let excluded = ref false in
   let evicted = ref [] in
   let i = ref 0 in
@@ -505,43 +500,61 @@ let insert t vec =
     | Dominance.Incomparable -> ());
     incr i
   done;
-  if !excluded then begin
-    Obs.Counter.incr c_insert_noops;
-    id
-  end
-  else begin
-    Obs.Counter.incr c_inserts;
-    let evicted_tbl = Hashtbl.create 8 in
-    List.iter
-      (fun s ->
-        Hashtbl.replace evicted_tbl s ();
-        Hashtbl.remove t.verdicts s;
-        Obs.Counter.incr c_sky_evictions)
-      !evicted;
-    let survivors =
-      Array.of_list
-        (List.filter
-           (fun s -> not (Hashtbl.mem evicted_tbl s))
-           (Array.to_list t.sky))
-    in
-    (* the new point has the largest slot position: append keeps ascending *)
-    t.sky <- Array.append survivors [| pos |];
-    (* bounded re-screen: a surviving happy member can only have gained the
-       new point as a subjugator; a surviving unhappy member stays unhappy
-       unless its cached witness was evicted (or never determined) *)
-    Array.iter
-      (fun s ->
-        match Hashtbl.find t.verdicts s with
-        | V_happy ->
-            if Happy.subjugates vec t.data.(s) then
-              Hashtbl.replace t.verdicts s (V_unhappy pos)
-        | V_unhappy w ->
-            if w < 0 || Hashtbl.mem evicted_tbl w then rescreen t s)
-      survivors;
-    rescreen t pos;
-    refresh_after_sky_change t;
-    id
-  end
+  if !excluded then None else Some !evicted
+
+(* [insert] of a checked point, once [sky_entry] has classified it *)
+let insert_as t vec entry =
+  grow t;
+  let pos = t.used in
+  let id = t.next_id in
+  t.data.(pos) <- vec;
+  t.ids.(pos) <- id;
+  t.died.(pos) <- max_int;
+  t.used <- t.used + 1;
+  t.live <- t.live + 1;
+  t.next_id <- t.next_id + 1;
+  t.basis_version <- t.basis_version + 1;
+  Hashtbl.replace t.id_index id pos;
+  match entry with
+  | None ->
+      Obs.Counter.incr c_insert_noops;
+      id
+  | Some evicted ->
+      Obs.Counter.incr c_inserts;
+      let evicted_tbl = Hashtbl.create 8 in
+      List.iter
+        (fun s ->
+          Hashtbl.replace evicted_tbl s ();
+          Hashtbl.remove t.verdicts s;
+          Obs.Counter.incr c_sky_evictions)
+        evicted;
+      let survivors =
+        Array.of_list
+          (List.filter
+             (fun s -> not (Hashtbl.mem evicted_tbl s))
+             (Array.to_list t.sky))
+      in
+      (* the new point has the largest slot position: append keeps ascending *)
+      t.sky <- Array.append survivors [| pos |];
+      (* bounded re-screen: a surviving happy member can only have gained the
+         new point as a subjugator; a surviving unhappy member stays unhappy
+         unless its cached witness was evicted (or never determined) *)
+      Array.iter
+        (fun s ->
+          match Hashtbl.find t.verdicts s with
+          | V_happy ->
+              if Happy.subjugates vec t.data.(s) then
+                Hashtbl.replace t.verdicts s (V_unhappy pos)
+          | V_unhappy w ->
+              if w < 0 || Hashtbl.mem evicted_tbl w then rescreen t s)
+        survivors;
+      rescreen t pos;
+      refresh_after_sky_change t;
+      id
+
+let insert t vec =
+  check_point t vec;
+  insert_as t vec (sky_entry t vec)
 
 let delete t id =
   match Hashtbl.find_opt t.id_index id with
@@ -648,3 +661,27 @@ let delete t id =
       end;
       maybe_flush t;
       true
+
+type cheap = Inserted of int | Deleted of bool
+
+(* The one decision of which updates are cheap: those that cannot move
+   the skyline, and so leave the epoch alone, at O(|sky| * d) for an
+   insert (one [sky_entry] scan) and O(1) for a delete. A skyline delete
+   (re-entry scan, re-screens, a stored-list pass) and a delete whose
+   tombstone trips the auto-compaction are not. *)
+let apply_cheap t op =
+  match op with
+  | `Insert vec -> (
+      check_point t vec;
+      match sky_entry t vec with
+      | None -> Some (Inserted (insert_as t vec None))
+      | Some _ -> None)
+  | `Delete id -> (
+      match Hashtbl.find_opt t.id_index id with
+      | Some pos
+        when is_live t pos
+             && (Hashtbl.mem t.verdicts pos
+                || compaction_due t ~tombs:(t.used - t.live + 1)) ->
+          None
+      | _ -> Some (Deleted (delete t id)))
+  | `Flush -> None

@@ -42,11 +42,14 @@
     clearing a flag. {!snapshot} relies on this to share the store with
     every publication instead of copying it.
 
-    Not thread-safe: the serve layer serializes updates and builds on one
-    worker and answers concurrent queries from {!Snapshot}s, which never
-    change once published. All update paths are sequential, so results
-    are identical for every [Kregret_parallel.Pool] width (the rebuild
-    pipeline underneath is width-invariant by the repo-wide determinism
+    Not thread-safe: one writer at a time. The serve layer keeps one
+    writer per dataset — its IO thread applies {!apply_cheap} updates in
+    place while no update of the dataset is queued or running on the
+    registry worker, which applies every other update — and answers
+    concurrent queries from {!Snapshot}s, which never change once
+    published. All update paths are sequential, so results are identical
+    for every [Kregret_parallel.Pool] width (the rebuild pipeline
+    underneath is width-invariant by the repo-wide determinism
     contract). *)
 
 type t
@@ -72,6 +75,26 @@ val insert : t -> Kregret_geom.Vector.t -> int
     store holds at least 64 slots and more than half of them are
     tombstones. *)
 val delete : t -> int -> bool
+
+(** What a cheap update did: {!insert}'s id, or {!delete}'s result. *)
+type cheap = Inserted of int | Deleted of bool
+
+(** [apply_cheap t op] applies [op] iff it cannot move the skyline, and
+    returns what {!insert} or {!delete} would; otherwise [None], having
+    touched nothing. The one classification of an update:
+
+    - cheap: an insert that a skyline member dominates or equals (one
+      O(|sky| * d) scan, shared with {!insert}); a delete of an unknown or
+      dead id; a delete of a live non-skyline point whose tombstone does
+      not trip the auto-compaction — O(1), plus the amortised growth of
+      the slot store;
+    - not cheap ([None]): an insert that enters the skyline, a skyline
+      delete, a compaction-triggering delete and a flush.
+
+    A cheap update leaves {!epoch} alone. Raises [Invalid_argument] where
+    {!insert} would, having touched nothing. *)
+val apply_cheap :
+  t -> [ `Insert of Kregret_geom.Vector.t | `Delete of int | `Flush ] -> cheap option
 
 (** [flush t] compacts tombstoned slots immediately and returns how many
     were reclaimed. External ids, answers and {!epoch} are unaffected. *)

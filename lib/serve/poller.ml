@@ -26,6 +26,10 @@ type frame = Line of string | Too_long
 let max_connections = 1000
 let max_unsent = 65536
 
+(* how long the listeners sit out of the select set after [accept] ran out
+   of descriptors, unless a connection closes first *)
+let accept_backoff = 0.1
+
 (* [select] cannot watch a descriptor numbered FD_SETSIZE or more *)
 let fd_setsize = 1024
 
@@ -53,6 +57,10 @@ type t = {
   conns : (int, conn) Hashtbl.t;
   by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* IO thread only *)
   mutable listeners : Unix.file_descr list;
+  mutable accept_resume : float;
+      (* 0., or the time the listeners are watched again after EMFILE or
+         ENFILE: a connection left in the backlog keeps its listener
+         readable, and watching it would spin the loop *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mutable wake_closed : bool;
@@ -95,7 +103,9 @@ let destroy t c =
     c.c_dead <- true;
     Hashtbl.remove t.conns c.c_id;
     Hashtbl.remove t.by_fd c.c_fd;
-    close_fd c.c_fd
+    close_fd c.c_fd;
+    (* a descriptor is free again: accept what the backlog holds *)
+    t.accept_resume <- 0.
   end
 
 (* mutex held: reply bytes appended but not yet written *)
@@ -193,6 +203,7 @@ let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
       conns = Hashtbl.create 64;
       by_fd = Hashtbl.create 64;
       listeners;
+      accept_resume = 0.;
       wake_r;
       wake_w;
       wake_closed = false;
@@ -278,6 +289,8 @@ let accept_new t lfd =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
     | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
         drain ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        t.accept_resume <- Unix.gettimeofday () +. accept_backoff
     | exception Unix.Unix_error _ -> ()
   in
   drain ()
@@ -422,7 +435,18 @@ let loop t =
           if !stop_seen && Hashtbl.length t.conns = 0 then (None, [], 0.)
           else begin
             let reads = ref [ t.wake_r ] in
-            List.iter (fun fd -> reads := fd :: !reads) t.listeners;
+            let accept_wait =
+              if t.accept_resume = 0. then -1.
+              else
+                let left = t.accept_resume -. Unix.gettimeofday () in
+                if left > 0. then left
+                else begin
+                  t.accept_resume <- 0.;
+                  -1.
+                end
+            in
+            if accept_wait < 0. then
+              List.iter (fun fd -> reads := fd :: !reads) t.listeners;
             let writes = ref [] in
             Hashtbl.iter
               (fun _ c ->
@@ -434,7 +458,7 @@ let loop t =
                 then reads := c.c_fd :: !reads;
                 if pending > 0 then writes := c.c_fd :: !writes)
               t.conns;
-            let timeout = if !stop_seen then 0.05 else -1. in
+            let timeout = if !stop_seen then 0.05 else accept_wait in
             (Some !reads, !writes, timeout)
           end)
     in

@@ -11,11 +11,13 @@
       ever closes an fd — so the select sets can never race a close;
     - it parses each frame once, through [handle], whose {!outcome} says
       who answers it. An {!Answer} (a cached read, [ping], a framing or
-      parse error, a refused update) is appended at once and written in
-      the same loop iteration; {!Work} (a cache miss, a rank table, a
-      load) goes to one of the [workers] threads; {!Handed_off} (an
-      update) was given to another thread — the registry worker — with
-      the request's completion;
+      parse error, a refused update, an update applied in place because
+      it cannot move the skyline) is appended at once and written in the
+      same loop iteration; {!Work} (a cache miss, a rank table, a load)
+      goes to one of the [workers] threads; {!Handed_off} (a repair: an
+      update that moves the skyline, a compaction, a flush) was given to
+      another thread — the registry worker — with the request's
+      completion;
     - every way a request finishes (inline, worker, hand-off) goes through
       one completion: append the reply, clear the connection's in-flight
       mark, and wake the IO thread when it came from elsewhere;
@@ -36,7 +38,11 @@
     the [refuse] frame in place of the hello and is closed. A connection
     holding more than {!max_unsent} unsent reply bytes (a client that
     pipelines and never reads) is neither read nor answered until its
-    output drains below the mark, so its memory stays bounded.
+    output drains below the mark, so its memory stays bounded. When
+    [accept] runs out of descriptors (EMFILE, ENFILE), the connection
+    stays in the backlog and the listeners leave the select set until a
+    connection closes or a 100 ms back-off passes, so the loop waits
+    instead of spinning on a listener that stays readable.
 
     On {!stop} the loop closes the listeners, stops reading, drains
     in-flight requests and write buffers (bounded by [drain_timeout],
@@ -55,7 +61,8 @@ type outcome =
   | Work of (unit -> reply)  (** a computation for a worker thread *)
   | Handed_off
       (** given to another thread, which calls the request's completion
-          exactly once *)
+          exactly once (in the server: a repair, on the registry
+          worker) *)
 
 val max_connections : int
 (** Live connections the poller serves at once (1000). *)

@@ -24,6 +24,10 @@ let c_updates =
   Obs.Registry.counter "serve.registry.updates"
     ~help:"insert/delete/flush jobs applied on the worker"
 
+let c_inline_updates =
+  Obs.Registry.counter "serve.registry.inline_updates"
+    ~help:"epoch-preserving inserts/deletes applied on the caller's thread"
+
 let c_update_failures =
   Obs.Registry.counter "serve.registry.update_failures"
     ~help:"update jobs answered with an error"
@@ -37,7 +41,7 @@ let g_datasets =
 
 (* What queries read: one snapshot, republished after every build and
    every update that moved its epoch or basis version. The live
-   [Dynamic.t] itself is touched only by the worker thread. *)
+   [Dynamic.t] itself has one writer at a time (see [update]). *)
 type backend = Snapshot.t
 
 (* One basis and one rank table per publication: the first rank_regret
@@ -130,16 +134,16 @@ type entry = {
   e_shards : int;  (* 1 = solo; >1 = scatter-gather, static *)
   e_approx : float;  (* 0. = exact; >0. = ε-kernel tier, static *)
   points : Vector.t array;  (* normalized rows, the initial id space *)
-  mutable e_dyn : Dynamic.t option;  (* worker-owned once Ready (solo only) *)
+  mutable e_dyn : Dynamic.t option;  (* Ready solo entries only *)
   mutable e_mutated : bool;  (* diverged from the CSV via updates *)
   mutable e_status : status;
+  mutable e_pending : int;  (* updates queued on, or running on, the worker *)
 }
 
 type job =
   | Build of string * string  (* name, fingerprint *)
   | Update of {
-      u_name : string;
-      u_fingerprint : string;
+      u_entry : entry;  (* counted in its [e_pending] until answered *)
       u_op : update_op;
       u_done : update_reply -> unit;  (* called once, outside the mutex *)
     }
@@ -174,11 +178,11 @@ let snapshot e =
     status = e.e_status;
   }
 
-(* The entry an update may run against, or the wire error refusing it:
-   one check for the enqueue and for the worker, which passes the
-   fingerprint the update was enqueued for. Shard tiers and ε-kernel
-   tiers are static materializations with no incremental repair. *)
-let update_target ?fingerprint t name =
+(* The entry an update may run against and its state, or the wire error
+   refusing it: one check for the enqueue and for the worker. Shard tiers
+   and ε-kernel tiers are static materializations with no incremental
+   repair. *)
+let update_target t name =
   match Hashtbl.find_opt t.entries name with
   | None -> Error (unavailable name None)
   | Some e when e.e_shards > 1 ->
@@ -195,9 +199,10 @@ let update_target ?fingerprint t name =
             "dataset %S is an ε-kernel approximation and static; re-load it \
              without \"approx\" to update it"
             name )
-  | Some ({ e_status = Ready b; _ } as e)
-    when fingerprint = None || fingerprint = Some e.e_fingerprint ->
-      Ok (e, b)
+  | Some ({ e_status = Ready _; e_dyn = Some dyn; _ } as e) -> Ok (e, dyn)
+  | Some { e_status = Ready _; e_dyn = None; _ } ->
+      Error
+        ("internal", Printf.sprintf "dataset %S is ready with no state" name)
   | Some e -> Error (unavailable name (Some e.e_status))
 
 (* The full offline pipeline of the paper. Solo: materialized as a
@@ -224,49 +229,60 @@ let build ~max_length ~shards ~approx points =
     Obs.Counter.incr c_build_failures;
     (None, Failed (Printexc.to_string e))
 
-(* apply one update on the worker thread, off the mutex; the [Dynamic]
-   raises [Invalid_argument] on malformed points, which maps to the
-   [bad_point] wire error *)
+let outcome dyn ?inserted_id ?(reclaimed = 0) applied =
+  Ok
+    {
+      applied;
+      inserted_id;
+      reclaimed;
+      epoch = Dynamic.epoch dyn;
+      live = Dynamic.live dyn;
+    }
+
+(* apply any update, repairs included: on the worker thread, off the
+   mutex. The [Dynamic] raises [Invalid_argument] on malformed points,
+   which maps to the [bad_point] wire error. *)
 let apply_update dyn op =
   try
-    let outcome =
-      match op with
-      | `Insert p ->
-          let id = Dynamic.insert dyn p in
-          {
-            applied = true;
-            inserted_id = Some id;
-            reclaimed = 0;
-            epoch = Dynamic.epoch dyn;
-            live = Dynamic.live dyn;
-          }
-      | `Delete id ->
-          let ok = Dynamic.delete dyn id in
-          {
-            applied = ok;
-            inserted_id = None;
-            reclaimed = 0;
-            epoch = Dynamic.epoch dyn;
-            live = Dynamic.live dyn;
-          }
-      | `Flush ->
-          let reclaimed = Dynamic.flush dyn in
-          {
-            applied = reclaimed > 0;
-            inserted_id = None;
-            reclaimed;
-            epoch = Dynamic.epoch dyn;
-            live = Dynamic.live dyn;
-          }
-    in
-    Ok outcome
+    match op with
+    | `Insert p -> outcome dyn ~inserted_id:(Dynamic.insert dyn p) true
+    | `Delete id -> outcome dyn (Dynamic.delete dyn id)
+    | `Flush ->
+        let reclaimed = Dynamic.flush dyn in
+        outcome dyn ~reclaimed (reclaimed > 0)
   with Invalid_argument m -> Error ("bad_point", m)
 
-let reply u_done r =
-  (match r with
-  | Ok _ -> Obs.Counter.incr c_updates
-  | Error _ -> Obs.Counter.incr c_update_failures);
-  u_done r
+(* apply an update in place iff [Dynamic.apply_cheap] finds it cheap:
+   on the caller's thread, mutex held *)
+let apply_in_place dyn op =
+  match Dynamic.apply_cheap dyn op with
+  | None -> None
+  | Some (Dynamic.Inserted id) -> Some (outcome dyn ~inserted_id:id true)
+  | Some (Dynamic.Deleted ok) -> Some (outcome dyn ok)
+  | exception Invalid_argument m -> Some (Error ("bad_point", m))
+
+let count applied r =
+  Obs.Counter.incr (if Result.is_ok r then applied else c_update_failures)
+
+(* Mutex held. The one way an update publishes, on either thread: a new
+   snapshot iff the epoch or the basis version moved since the published
+   one, and only while [e] still owns its name — an evict or a re-load
+   that raced the update owns it now. A republish means the live rows
+   moved, so the CSV no longer describes the dataset. Anything else (a
+   rejected insert, a delete of an unknown id, a flush) keeps the
+   publication and the rank table it may hold. *)
+let publish t e dyn =
+  match (Hashtbl.find_opt t.entries e.e_name, e.e_status) with
+  | Some e', Ready b when e' == e ->
+      let s = Dynamic.snapshot dyn in
+      if
+        s.epoch <> b.backend.epoch
+        || s.basis_version <> b.backend.basis_version
+      then begin
+        e.e_status <- Ready (built_of ~build_seconds:b.build_seconds s);
+        e.e_mutated <- true
+      end
+  | _ -> ()
 
 let shut_down = ("internal", "registry is shut down")
 
@@ -301,52 +317,27 @@ let worker_loop t =
                   e'.e_status <- status
               | _ -> ())
           | _ -> ()  (* superseded or evicted job *))
-      | Update { u_name; u_fingerprint; u_op; u_done } -> (
-          let reply r =
-            (* the reply goes out with no registry lock held *)
-            Mutex.unlock t.mutex;
-            reply u_done r;
-            Mutex.lock t.mutex
+      | Update { u_entry = e; u_op; u_done } ->
+          (* re-checked here: an evict or a re-load may have taken the
+             name while the job sat queued, and only this entry's state is
+             ours to write *)
+          let r =
+            match update_target t e.e_name with
+            | Ok (e', dyn) when e' == e ->
+                Mutex.unlock t.mutex;
+                let r = apply_update dyn u_op in
+                Mutex.lock t.mutex;
+                publish t e dyn;
+                r
+            | Ok _ -> Error (unavailable e.e_name None)
+            | Error refused -> Error refused
           in
-          (* re-checked here: a load may have re-registered the name (as
-             static, or with new bytes) while the job sat queued *)
-          match update_target ~fingerprint:u_fingerprint t u_name with
-          | Error e -> reply (Error e)
-          | Ok (e, b) -> (
-              match e.e_dyn with
-              | None ->
-                  reply
-                    (Error
-                       ( "internal",
-                         Printf.sprintf "dataset %S is ready with no state"
-                           u_name ))
-              | Some dyn ->
-                  Mutex.unlock t.mutex;
-                  let r = apply_update dyn u_op in
-                  (* republish iff the epoch or the basis version moved
-                     since the published snapshot; anything else (a
-                     rejected insert, a delete of an unknown id, a flush)
-                     keeps the publication and the rank table it may
-                     hold *)
-                  let s = Dynamic.snapshot dyn in
-                  let published =
-                    if
-                      s.epoch = b.backend.epoch
-                      && s.basis_version = b.backend.basis_version
-                    then None
-                    else Some (built_of ~build_seconds:b.build_seconds s)
-                  in
-                  Mutex.lock t.mutex;
-                  (* republish on the same entry only: an evict/re-load that
-                     raced the update owns the name now. A republish means
-                     the live rows moved, so the CSV no longer describes
-                     the dataset; a flush changes no live point *)
-                  (match (Hashtbl.find_opt t.entries u_name, published) with
-                  | Some e', Some b when e' == e ->
-                      e'.e_status <- Ready b;
-                      e'.e_mutated <- true
-                  | _ -> ());
-                  reply r))
+          e.e_pending <- e.e_pending - 1;
+          (* the reply goes out with no registry lock held *)
+          Mutex.unlock t.mutex;
+          count c_updates r;
+          u_done r;
+          Mutex.lock t.mutex
     end
   done;
   Mutex.unlock t.mutex
@@ -374,13 +365,21 @@ let stop t =
         Condition.broadcast t.cond;
         let queued =
           Queue.fold
-            (fun acc -> function Update u -> u.u_done :: acc | Build _ -> acc)
+            (fun acc -> function
+              | Update u ->
+                  u.u_entry.e_pending <- u.u_entry.e_pending - 1;
+                  u.u_done :: acc
+              | Build _ -> acc)
             [] t.queue
         in
         Queue.clear t.queue;
         List.rev queued)
   in
-  List.iter (fun u_done -> reply u_done (Error shut_down)) queued
+  List.iter
+    (fun u_done ->
+      Obs.Counter.incr c_update_failures;
+      u_done (Error shut_down))
+    queued
 
 let shutdown t =
   stop t;
@@ -477,6 +476,7 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                         e_dyn = None;
                         e_mutated = false;
                         e_status = Building;
+                        e_pending = 0;
                       }
                     in
                     Hashtbl.replace t.entries name e;
@@ -486,28 +486,32 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                     Ok (snapshot e)
               end))
 
+(* One writer per dataset: an update is applied in place only while
+   none of its dataset's is queued or running on the worker; otherwise it
+   queues behind them, so each dataset's updates apply in arrival order. *)
 let update t ~name op u_done =
-  let enqueued =
+  let now =
     locked t (fun () ->
-        if t.stop then Error shut_down
+        if t.stop then Some (Error shut_down)
         else
           match update_target t name with
-          | Error _ as refused -> refused
-          | Ok (e, _) ->
-              Queue.push
-                (Update
-                   {
-                     u_name = name;
-                     u_fingerprint = e.e_fingerprint;
-                     u_op = op;
-                     u_done;
-                   })
-                t.queue;
-              Condition.broadcast t.cond;
-              Ok ())
+          | Error _ as refused -> Some refused
+          | Ok (e, dyn) -> (
+              match if e.e_pending = 0 then apply_in_place dyn op else None with
+              | Some _ as r ->
+                  publish t e dyn;
+                  r
+              | None ->
+                  e.e_pending <- e.e_pending + 1;
+                  Queue.push (Update { u_entry = e; u_op = op; u_done }) t.queue;
+                  Condition.broadcast t.cond;
+                  None))
   in
-  if Result.is_error enqueued then Obs.Counter.incr c_update_failures;
-  enqueued
+  match now with
+  | None -> `Queued
+  | Some r ->
+      count c_inline_updates r;
+      `Now r
 
 let find t name =
   locked t (fun () ->

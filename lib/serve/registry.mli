@@ -5,11 +5,11 @@
     the precomputation instead of rebuilding it.
 
     Every ready dataset publishes the same snapshot type, whatever built
-    it: a solo load keeps a {!Kregret.Dynamic} state on the worker, and a
-    sharded or ε load publishes {!Shard.create}'s static snapshot. One
-    rule decides when an update republishes: iff it moved the epoch or
-    the [basis_version] since the published snapshot, the worker
-    publishes a new {!Kregret.Dynamic.snapshot} (O(1) in the rows: it
+    it: a solo load keeps a {!Kregret.Dynamic} state, and a sharded or ε
+    load publishes {!Shard.create}'s static snapshot. One rule decides
+    when an update republishes: iff it moved the epoch or the
+    [basis_version] since the published snapshot, the thread that applied
+    it publishes a new {!Kregret.Dynamic.snapshot} (O(1) in the rows: it
     shares the slot store), and marks the dataset {!info.mutated}.
     Anything else — an insert rejected as [bad_point], a delete of an
     unknown id, a flush — keeps the publication, and with it its rank
@@ -31,19 +31,31 @@
     against a still-[Building] entry get a [retry_after] answer from the
     server, never a blocked accept loop.
 
-    {b Updates.} {!update} enqueues an insert/delete/flush on the {e same}
-    worker queue as builds, so updates serialize against builds and against
-    each other, and returns at once. Nothing waits for it: the worker calls
-    the update's completion once it has applied the op and, when its
-    versions moved, republished a consistent {!built} snapshot.
-    Queries never wait on an in-flight update — they read the last
-    published snapshot under the registry mutex. [rank_regret] reads
-    build one basis and one rank table per publication, on first use
-    ({!rank_regret}), never at load or update time. Each applied update bumps the
-    snapshot's epoch when the stored list could have changed, and its
-    [basis_version] whenever the live rows changed; servers fold the one
-    a family reads into their cache key so stale cached answers simply
-    age out.
+    {b Updates.} {!update} takes one of two paths, chosen by
+    {!Kregret.Dynamic.apply_cheap}, the one classification of an update.
+    An update that cannot move the skyline — a dominated or duplicate
+    insert, a rejected ([bad_point]) insert, a delete of an unknown id or
+    of a live non-skyline point whose tombstone trips no compaction — is
+    applied in place on the caller's thread (in the server, the IO
+    thread) and answered at once, counted as
+    [serve.registry.inline_updates]. Every other update (a skyline-moving
+    insert or delete, a compaction-triggering delete, a flush) goes on
+    the {e same} worker queue as builds, so repairs serialize against
+    builds and against each other, counted as [serve.registry.updates];
+    the worker calls the update's completion once it has applied the op.
+    One writer per dataset: each entry counts its updates queued on, or
+    running on, the worker, and an update is applied in place only while
+    that count is 0 — otherwise it queues behind them, so each dataset's
+    updates apply in arrival order. Both paths publish through one
+    function, under one rule: a new {!built} snapshot iff the op moved
+    the epoch or the [basis_version]. Queries never wait on an update —
+    they read the last published snapshot under the registry mutex.
+    [rank_regret] reads build one basis and one rank table per
+    publication, on first use ({!rank_regret}), never at load or update
+    time. Each applied update bumps the snapshot's epoch when the stored
+    list could have changed, and its [basis_version] whenever the live
+    rows changed; servers fold the one a family reads into their cache
+    key so stale cached answers simply age out.
 
     {b Staleness.} Every entry remembers the byte fingerprint of the file
     it was built from. {!fresh} re-hashes the file and must be consulted
@@ -179,20 +191,28 @@ val load :
   (info, string) result
 
 (** [update t ~name op complete] — insert/delete/flush against a [Ready]
-    solo dataset, without waiting for it. [Error] refuses it now
-    ([not_found], [building], [build_failed], [static_dataset] — sharded
-    and approximate datasets are static — or [internal] after {!stop});
-    [complete] is then never called. [Ok ()] enqueued it: the worker
-    calls [complete] exactly once, on its own thread (or the one calling
-    {!stop}) with no registry lock held, after the repair is published.
-    Points must be pre-normalized (finite, in [(0, 1]], matching
-    dimension): anything else completes with [Error ("bad_point", _)]. *)
+    solo dataset, without waiting for a repair. [`Now r] answered it on
+    the calling thread: a refusal ([not_found], [building],
+    [build_failed], [static_dataset] — sharded and approximate datasets
+    are static — or [internal] after {!stop}), or an update applied in
+    place (see Updates above), published before [update] returns;
+    [complete] is then never called. [`Queued] handed it to the worker,
+    which calls [complete] exactly once, on its own thread (or the one
+    calling {!stop}) with no registry lock held, after the repair is
+    published. A queued update applies only to the registration it was
+    queued for: when an evict or a re-load took the name meanwhile,
+    [complete] gets that name's refusal ([not_found] while any
+    registration of it is ready). Points must be pre-normalized (finite, in [(0, 1]],
+    matching dimension): anything else is answered with
+    [Error ("bad_point", _)]. Takes the registry mutex, and runs an
+    in-place update under it: O(|sky| * d) for an insert, O(1) for a
+    delete. *)
 val update :
   t ->
   name:string ->
   update_op ->
   (update_reply -> unit) ->
-  (unit, string * string) result
+  [ `Now of update_reply | `Queued ]
 
 val find : t -> string -> info option
 

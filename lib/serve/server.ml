@@ -72,7 +72,10 @@ type fields = (string * Json.t) list * (string * Json.t) list
 type t = {
   cfg : config;
   reg : Registry.t;
-  cache : (key, fields) Lru.t;
+  cache : (key, string) Lru.t;
+      (* each row is the exact bytes of its hit reply: the name and [k]
+         inside are fixed by the key, since a generation names exactly
+         one registration *)
   cache_mutex : Mutex.t;
   batcher : (key, (fields, Protocol.error) result) Batcher.t;
   resolved : Endpoint.t list;  (* as bound: tcp port 0 replaced *)
@@ -225,31 +228,31 @@ let internal t e =
 (* a computation for a handler worker, as total as the rest of [handle] *)
 let work t f = Poller.Work (fun () -> try f () with e -> internal t e)
 
-let read_reply t ~family ~name ~k ~cached ~coalesced = function
-  | Error e -> error t e
-  | Ok (before, after) ->
-      let request =
-        [
-          ("op", Json.Str (Protocol.family_name family));
-          ("name", Json.Str name);
-          ("k", Json.int k);
-        ]
-      and flags =
-        [ ("cached", Json.Bool cached); ("coalesced", Json.Bool coalesced) ]
-      in
-      Protocol.ok_response (request @ before @ flags @ after)
+let render ~family ~name ~k ~cached ~coalesced (before, after) =
+  let request =
+    [
+      ("op", Json.Str (Protocol.family_name family));
+      ("name", Json.Str name);
+      ("k", Json.int k);
+    ]
+  and flags =
+    [ ("cached", Json.Bool cached); ("coalesced", Json.Bool coalesced) ]
+  in
+  Protocol.ok_response (request @ before @ flags @ after)
 
 (* The read skeleton, one for every family and for both threads that run
-   it. Cache first; on a miss, the computation, which coalesces concurrent
-   identical ones through the batcher, so one computation answers every
-   in-flight duplicate. Only answers are cached, never refusals. *)
+   it. Cache first: a hit is the row's stored reply, rendered once by the
+   computation that filled it. On a miss, the computation, which
+   coalesces concurrent identical ones through the batcher, so one
+   computation answers every in-flight duplicate; each renders its own
+   reply from the family's fields. Only answers are cached, never
+   refusals. *)
 let read t ~family ~name ~k (info, b) =
   let key =
     (info.Registry.generation, version_of family b.Registry.backend, k, family)
   in
   match with_lock t.cache_mutex (fun () -> Lru.get t.cache key) with
-  | Some fields ->
-      `Hit (read_reply t ~family ~name ~k ~cached:true ~coalesced:false (Ok fields))
+  | Some reply -> `Hit reply
   | None ->
       `Miss
         (fun () ->
@@ -258,11 +261,16 @@ let read t ~family ~name ~k (info, b) =
                 let r = answer ~name family b ~k in
                 Result.iter
                   (fun fields ->
-                    with_lock t.cache_mutex (fun () -> Lru.put t.cache key fields))
+                    let hit =
+                      render ~family ~name ~k ~cached:true ~coalesced:false fields
+                    in
+                    with_lock t.cache_mutex (fun () -> Lru.put t.cache key hit))
                   r;
                 r)
           in
-          read_reply t ~family ~name ~k ~cached:false ~coalesced r)
+          match r with
+          | Error e -> error t e
+          | Ok fields -> render ~family ~name ~k ~cached:false ~coalesced fields)
 
 (* On the IO thread: a ready dataset whose file kept its stat signature
    answers a hit now and hands a miss to a worker. Anything else goes to a
@@ -286,9 +294,10 @@ let handle_read t ~family ~name ~k =
               | `Hit reply -> (reply, false)
               | `Miss compute -> (compute (), false)))
 
-(* insert/delete/flush: from the IO thread straight onto the registry
-   worker, which completes the request once the repair is published; a
-   refusal is answered now *)
+(* insert/delete/flush: a refusal, or an update the registry applies in
+   place because it cannot move the skyline, is answered now, on the IO
+   thread; a repair goes to the registry worker, which completes the
+   request once it is published *)
 let handle_update t ~complete ~name ~kind op =
   let reply = function
     | Error refused -> (refusal t refused, false)
@@ -312,8 +321,8 @@ let handle_update t ~complete ~name ~kind op =
   in
   let reply r = try reply r with e -> internal t e in
   match Registry.update t.reg ~name op (fun r -> complete (reply r)) with
-  | Ok () -> Poller.Handed_off
-  | Error refused -> Poller.Answer (reply (Error refused))
+  | `Queued -> Poller.Handed_off
+  | `Now r -> Poller.Answer (reply r)
 
 let handle_evict t ~name =
   match name with

@@ -6,13 +6,17 @@
     Architecture: a single IO thread runs a {!Poller} readiness loop over
     every listener and every connection, and each request goes straight to
     the thread that does its work. The IO thread parses every frame once
-    and answers what needs no computation itself — cache hits, [ping],
-    malformed frames, refused updates — writing the reply in the same loop
-    iteration. Cache misses, [rank_regret] tables and the admin verbs
-    ([load], [list], [stats], [evict], [shutdown]) go to the [workers]
-    pool, so none of them stalls accepts or other connections' IO.
-    [insert]/[delete]/[flush] go to the registry worker, which completes
-    the request once its repair is published ({!Registry.update}). Shutdown
+    and answers what needs no computation itself, writing the reply in
+    the same loop iteration: cache hits (each cache row holds the exact
+    bytes of its hit reply, rendered once by the computation that filled
+    it, so a hit renders nothing), [ping], malformed frames, refused
+    updates, and [insert]/[delete]s that cannot move the skyline, which
+    {!Registry.update} applies in place. Cache misses, [rank_regret]
+    tables and the admin verbs ([load], [list], [stats], [evict],
+    [shutdown]) go to the [workers] pool, so none of them stalls accepts
+    or other connections' IO. Repairs — an update that moves the skyline,
+    a compaction-triggering delete, a [flush] — go to the registry
+    worker, which completes the request once its repair is published. Shutdown
     wakes the loop through a self-pipe, which works identically for both
     listener kinds. Connection state is kept for {e live} connections
     only — a busy server's footprint is bounded by its concurrency, not by

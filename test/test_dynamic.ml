@@ -328,6 +328,99 @@ let test_snapshot_cost_flat () =
        2,000"
       large small
 
+(* qcheck: [apply_cheap] applies exactly the updates that leave the
+   epoch alone and trip no compaction, with the full path's results and
+   answers; anything else it leaves untouched, for the full path *)
+let apply_cheap_is_the_full_path =
+  QCheck.Test.make ~count:60 ~name:"apply_cheap = the full path, when cheap"
+    QCheck.(pair (Testutil.qc_points ~n:40 ~d:3) small_nat)
+    (fun (pts, seed) ->
+      let pts = Array.of_list pts in
+      let full = Dynamic.create pts and split = Dynamic.create pts in
+      let st = Random.State.make [| seed |] in
+      let state d =
+        (Dynamic.epoch d, Dynamic.live d, Dynamic.slots d, answer_bits d)
+      in
+      let pick l = List.nth l (Random.State.int st (List.length l)) in
+      let op () =
+        match Random.State.int st 6 with
+        | 0 -> `Insert (Testutil.random_point st 3)
+        | 1 ->
+            (* dominated by its source row, while that row lives *)
+            `Insert (Array.map (fun x -> x /. 2.) (pick (Array.to_list pts)))
+        | 2 -> `Insert [| 0.5; 1.5; 0.5 |]
+        | 3 -> (
+            match fst (Dynamic.query full ~k:3) with
+            | [] -> `Delete 0
+            | sel -> `Delete (pick sel))
+        | _ -> `Delete (Random.State.int st (Dynamic.slots full + 4))
+      in
+      let run f =
+        match f () with
+        | r -> `Done r
+        | exception Invalid_argument _ -> `Bad
+      in
+      for step = 1 to 40 do
+        let op = op () in
+        let epoch = Dynamic.epoch full and slots = Dynamic.slots full in
+        let want =
+          run (fun () ->
+              match op with
+              | `Insert p -> Dynamic.Inserted (Dynamic.insert full p)
+              | `Delete id -> Dynamic.Deleted (Dynamic.delete full id))
+        in
+        let before = state split in
+        let got =
+          match Dynamic.apply_cheap split op with
+          | Some r -> `Done r
+          | None ->
+              if state split <> before then
+                QCheck.Test.fail_reportf "step %d: a costly update touched it"
+                  step;
+              (* the full path must then move the epoch or compact *)
+              if Dynamic.epoch full = epoch && Dynamic.slots full >= slots then
+                QCheck.Test.fail_reportf "step %d: a cheap update was refused"
+                  step;
+              run (fun () ->
+                  match op with
+                  | `Insert p -> Dynamic.Inserted (Dynamic.insert split p)
+                  | `Delete id -> Dynamic.Deleted (Dynamic.delete split id))
+          | exception Invalid_argument _ -> `Bad
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "step %d: apply_cheap answered otherwise" step;
+        if state split <> state full then
+          QCheck.Test.fail_reportf "step %d: the states diverged" step
+      done;
+      true)
+
+(* a delete whose tombstone trips the auto-compaction is not cheap *)
+let test_cheap_delete_stops_at_compaction () =
+  (* row 0 dominates the other 63: the skyline is {0} *)
+  let points =
+    Array.init 64 (fun i ->
+        if i = 0 then [| 1.; 1.; 1. |]
+        else
+          let x = 0.1 +. (float_of_int i /. 100.) in
+          [| x; 0.8 -. x; 0.5 |])
+  in
+  let dyn = Dynamic.create points in
+  (* the store compacts once more than half of its 64 slots are dead *)
+  for id = 1 to 32 do
+    match Dynamic.apply_cheap dyn (`Delete id) with
+    | Some (Dynamic.Deleted true) -> ()
+    | _ -> Alcotest.failf "delete of #%d: cheap" id
+  done;
+  Alcotest.(check int) "32 tombstones" 32 (Dynamic.tombstones dyn);
+  Alcotest.(check bool) "the 33rd would compact" true
+    (Dynamic.apply_cheap dyn (`Delete 33) = None);
+  Alcotest.(check (pair int int)) "refused untouched" (32, 32)
+    (Dynamic.live dyn, Dynamic.tombstones dyn);
+  Alcotest.(check bool) "a skyline delete is not cheap" true
+    (Dynamic.apply_cheap dyn (`Delete 0) = None);
+  Alcotest.(check bool) "the full delete applies" true (Dynamic.delete dyn 33);
+  Alcotest.(check int) "and compacts" 0 (Dynamic.tombstones dyn)
+
 let suite =
   [
     Alcotest.test_case "insert-then-delete round trip is bit-identical" `Quick
@@ -348,4 +441,7 @@ let suite =
     QCheck_alcotest.to_alcotest publication_never_moves;
     Alcotest.test_case "a publication's cost does not grow with n" `Quick
       test_snapshot_cost_flat;
+    QCheck_alcotest.to_alcotest apply_cheap_is_the_full_path;
+    Alcotest.test_case "a compaction-triggering delete is not cheap" `Quick
+      test_cheap_delete_stops_at_compaction;
   ]

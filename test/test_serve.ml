@@ -1599,6 +1599,117 @@ let test_golden_wire () =
             (List.combine expected actual)));
   Sys.remove path
 
+(* A multi-second build of dataset B holds the registry worker. A
+   dominated insert into A and its delete cannot move A's skyline, so the
+   IO thread applies and answers both while B still builds. A repair of
+   A waits behind the build, and one writer per dataset holds: a cheap
+   insert sent on another connection meanwhile queues behind the repair
+   instead of overtaking it. *)
+let test_build_does_not_stall_cheap_updates () =
+  let small = write_csv ~name:"a" ~n:200 ~d:3 ~seed:61 in
+  let slow = write_anti_correlated ~n:2_000 ~d:9 ~seed:5 in
+  (* B's build runs GeoGreedy to k = 32 at d = 9: about 2 s on a 2-core
+     VM *)
+  with_server ~max_length:32 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"a" ~path:small;
+          ignore (or_fail "load b" (Client.load c ~name:"b" ~path:slow));
+          (* every row of A has coordinates >= 0.01 *)
+          let id =
+            or_fail "insert"
+              (Client.insert c ~name:"a" ~point:[| 0.001; 0.001; 0.001 |])
+          in
+          Alcotest.(check bool) "the delete applies" true
+            (or_fail "delete" (Client.delete c ~name:"a" ~id));
+          let status name =
+            Option.bind
+              (Json.member "datasets" (or_fail "list" (Client.list_datasets c)))
+              Json.to_list
+            |> Option.value ~default:[]
+            |> List.find_map (fun d ->
+                   if Option.bind (Json.member "name" d) Json.to_str = Some name
+                   then Option.bind (Json.member "status" d) Json.to_str
+                   else None)
+          in
+          Alcotest.(check (option string)) "B still builds" (Some "building")
+            (status "b");
+          let fd1, r1 = raw_session socket_path
+          and fd2, r2 = raw_session socket_path in
+          (* dominates every row of A *)
+          send fd1 {|{"op":"insert","name":"a","point":[1,1,1]}|};
+          Thread.delay 0.1;
+          send fd2 {|{"op":"insert","name":"a","point":[0.001,0.001,0.001]}|};
+          let repair = read_reply r1 and cheap = read_reply r2 in
+          let field reply f = Option.bind (field_of reply [ f ]) Json.to_int in
+          Alcotest.(check (list (option int)))
+            "the repair, then the insert behind it: ids, epoch, live"
+            [ Some 201; Some 202; field repair "epoch"; Some 202 ]
+            [
+              field repair "id"; field cheap "id"; field cheap "epoch";
+              field cheap "live";
+            ];
+          List.iter Unix.close [ fd1; fd2 ]));
+  List.iter Sys.remove [ small; slow ]
+
+module Obs = Kregret_obs
+
+(* The IO thread runs no stored-list pass, re-screen, re-entry scan or
+   compaction: an update that moves the skyline, and a flush, are counted
+   on the registry worker; the rest are applied in place. *)
+let test_update_paths () =
+  let path = write_csv ~name:"paths" ~n:120 ~d:3 ~seed:71 in
+  Obs.Registry.reset ();
+  Obs.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Control.set_enabled false;
+      Obs.Registry.reset ())
+  @@ fun () ->
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"p" ~path;
+          let counted () =
+            let c = Obs.Registry.counters () in
+            let v name = Option.value ~default:0 (List.assoc_opt name c) in
+            ( v "serve.registry.updates",
+              v "serve.registry.inline_updates",
+              v "serve.registry.update_failures" )
+          in
+          (* each reply's epoch against the one before it *)
+          let last = ref None in
+          let step what frame ~moves want =
+            let reply = or_fail what (Client.request_raw c frame) in
+            Alcotest.(check (triple int int int))
+              (what ^ ": worker, in place, failures")
+              want (counted ());
+            match Option.bind (field_of reply [ "epoch" ]) Json.to_int with
+            | None -> ()
+            | Some e ->
+                Option.iter
+                  (fun e0 ->
+                    Alcotest.(check bool) (what ^ ": the epoch moves") moves
+                      (e <> e0))
+                  !last;
+                last := Some e
+          in
+          step "unknown-id delete" {|{"op":"delete","name":"p","id":1000000}|}
+            ~moves:false (0, 1, 0);
+          (* every row has coordinates >= 0.01: this is id 120 *)
+          step "dominated insert"
+            {|{"op":"insert","name":"p","point":[0.001,0.001,0.001]}|}
+            ~moves:false (0, 2, 0);
+          step "non-skyline delete" {|{"op":"delete","name":"p","id":120}|}
+            ~moves:false (0, 3, 0);
+          step "bad point" {|{"op":"insert","name":"p","point":[0.5,1.5,0.5]}|}
+            ~moves:false (0, 3, 1);
+          (* dominates every row: id 121 enters the skyline *)
+          step "skyline insert" {|{"op":"insert","name":"p","point":[1,1,1]}|}
+            ~moves:true (1, 3, 1);
+          step "skyline delete" {|{"op":"delete","name":"p","id":121}|}
+            ~moves:true (2, 3, 1);
+          step "flush" {|{"op":"flush","name":"p"}|} ~moves:false (3, 3, 1)));
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "e2e: selections bit-identical for all k (cold, cached, \
@@ -1660,4 +1771,9 @@ let suite =
                         server lives" `Quick test_connection_cap;
     Alcotest.test_case "poller: a client that never reads has bounded \
                         output" `Quick test_unread_output_bounded;
+    Alcotest.test_case "registry: a build does not stall another dataset's \
+                        cheap updates, which queue behind its repairs" `Quick
+      test_build_does_not_stall_cheap_updates;
+    Alcotest.test_case "registry: only skyline-moving updates and flushes \
+                        run on the worker" `Quick test_update_paths;
   ]
