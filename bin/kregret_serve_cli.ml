@@ -6,6 +6,9 @@
    optionally --preload datasets, serve until a [shutdown] request (or
    SIGINT/SIGTERM) arrives. One event-driven IO thread multiplexes every
    listener and connection; --workers threads run the request handlers.
+   The server records its Kregret_obs metrics from the start: the [stats]
+   verb replies with the live snapshot, and --metrics PATH writes it at
+   exit.
 
    Client mode (--client): connect to --connect (or --socket) and run the
    commands given as positional arguments (shorthand verbs or raw JSON
@@ -20,8 +23,10 @@ module Serve = Kregret_serve
 module Pool = Kregret_parallel.Pool
 module Obs = Kregret_obs
 
-let with_obs (metrics, stats) f =
-  if metrics <> None || stats then begin
+(* A server always records: its [stats] verb replies with the live
+   snapshot. A client records only when asked. *)
+let with_obs ~server (metrics, stats) f =
+  if server || metrics <> None || stats then begin
     Obs.Control.set_clock Unix.gettimeofday;
     Obs.Control.set_enabled true
   end;
@@ -313,7 +318,7 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
 
 let run client socket listen connect timeout cache_size max_line retry_after
     max_k workers shards approx preload jobs quiet obs commands =
-  with_obs obs @@ fun () ->
+  with_obs ~server:(not client) obs @@ fun () ->
   Pool.set_jobs jobs;
   let parse_endpoint spec =
     match Serve.Endpoint.parse spec with
@@ -475,16 +480,18 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"PATH"
         ~doc:
-          "Enable observability and write a kregret-obs/v1 JSON metrics \
-           snapshot to $(docv) on exit.")
+          "Write a kregret-obs/v1 JSON metrics snapshot to $(docv) on exit. \
+           A server always records its metrics (the $(i,stats) verb replies \
+           with the live snapshot); in client mode this turns recording \
+           on.")
 
 let stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Enable observability and print a human-readable metrics table to \
-           stderr on exit.")
+          "Print a human-readable metrics table to stderr on exit (in client \
+           mode this turns recording on).")
 
 let obs_term = Term.(const (fun m s -> (m, s)) $ metrics_arg $ stats_arg)
 

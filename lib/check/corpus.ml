@@ -1,134 +1,9 @@
 module Csv_io = Kregret_dataset.Csv_io
 module Dataset = Kregret_dataset.Dataset
+module Json = Kregret_serve.Json
 
 let basename inst =
   Printf.sprintf "repro-s%d-i%d" inst.Instance.seed inst.Instance.id
-
-(* ---- minimal flat JSON ---------------------------------------------------
-
-   The metadata is a flat object of ints, strings and string arrays — we
-   emit and re-read it with ~40 lines instead of a JSON dependency. *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let len = String.length s in
-  while !i < len do
-    (if s.[!i] = '\\' && !i + 1 < len then begin
-       (match s.[!i + 1] with
-       | 'n' -> Buffer.add_char buf '\n'
-       | 't' -> Buffer.add_char buf '\t'
-       | 'u' when !i + 5 < len ->
-           (try
-              Buffer.add_char buf
-                (Char.chr (int_of_string ("0x" ^ String.sub s (!i + 2) 4)))
-            with _ -> ());
-           i := !i + 4
-       | c -> Buffer.add_char buf c);
-       incr i
-     end
-     else Buffer.add_char buf s.[!i]);
-    incr i
-  done;
-  Buffer.contents buf
-
-(* locate "key": in [s] and return the offset just past the colon *)
-let find_key s key =
-  let needle = Printf.sprintf "\"%s\"" key in
-  let nlen = String.length needle in
-  let len = String.length s in
-  let rec scan i =
-    if i + nlen > len then None
-    else if String.sub s i nlen = needle then begin
-      (* skip whitespace then ':' *)
-      let j = ref (i + nlen) in
-      while !j < len && (s.[!j] = ' ' || s.[!j] = '\n' || s.[!j] = '\t') do
-        incr j
-      done;
-      if !j < len && s.[!j] = ':' then Some (!j + 1) else scan (i + 1)
-    end
-    else scan (i + 1)
-  in
-  scan 0
-
-let skip_ws s i =
-  let j = ref i in
-  let len = String.length s in
-  while !j < len && (s.[!j] = ' ' || s.[!j] = '\n' || s.[!j] = '\t') do
-    incr j
-  done;
-  !j
-
-let int_field s key =
-  match find_key s key with
-  | None -> None
-  | Some i ->
-      let i = skip_ws s i in
-      let j = ref i in
-      let len = String.length s in
-      while
-        !j < len && (s.[!j] = '-' || (s.[!j] >= '0' && s.[!j] <= '9'))
-      do
-        incr j
-      done;
-      int_of_string_opt (String.sub s i (!j - i))
-
-let string_at s i =
-  let len = String.length s in
-  let i = skip_ws s i in
-  if i >= len || s.[i] <> '"' then None
-  else begin
-    let j = ref (i + 1) in
-    while !j < len && not (s.[!j] = '"' && s.[!j - 1] <> '\\') do
-      incr j
-    done;
-    if !j >= len then None
-    else Some (unescape (String.sub s (i + 1) (!j - i - 1)), !j + 1)
-  end
-
-let string_field s key =
-  match find_key s key with
-  | None -> None
-  | Some i -> Option.map fst (string_at s i)
-
-let string_array_field s key =
-  match find_key s key with
-  | None -> None
-  | Some i ->
-      let i = skip_ws s i in
-      if i >= String.length s || s.[i] <> '[' then None
-      else begin
-        let items = ref [] in
-        let pos = ref (i + 1) in
-        let continue_ = ref true in
-        while !continue_ do
-          let p = skip_ws s !pos in
-          if p >= String.length s || s.[p] = ']' then continue_ := false
-          else if s.[p] = ',' then pos := p + 1
-          else
-            match string_at s p with
-            | Some (item, next) ->
-                items := item :: !items;
-                pos := next
-            | None -> continue_ := false
-        done;
-        Some (List.rev !items)
-      end
 
 (* ---- save ----------------------------------------------------------------- *)
 
@@ -147,44 +22,54 @@ let save ~dir ~instance ~failures ~shrink_steps =
   let checks =
     List.sort_uniq compare (List.map (fun f -> f.Oracle.check) failures)
   in
-  let oc = open_out (Filename.concat dir (base ^ ".json")) in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let strings l =
-        String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (escape s)) l)
-      in
-      Printf.fprintf oc "{\n";
-      Printf.fprintf oc "  \"version\": 1,\n";
-      Printf.fprintf oc "  \"campaign_seed\": %d,\n" instance.Instance.seed;
-      Printf.fprintf oc "  \"id\": %d,\n" instance.Instance.id;
-      Printf.fprintf oc "  \"dist\": \"%s\",\n" (escape instance.Instance.dist);
-      Printf.fprintf oc "  \"degeneracies\": [%s],\n"
-        (strings instance.Instance.degeneracies);
-      Printf.fprintf oc "  \"n\": %d,\n" (Instance.n instance);
-      Printf.fprintf oc "  \"d\": %d,\n" (Instance.d instance);
-      Printf.fprintf oc "  \"k\": %d,\n" instance.Instance.k;
-      Printf.fprintf oc "  \"shrink_steps\": %d,\n" shrink_steps;
-      Printf.fprintf oc "  \"checks\": [%s],\n" (strings checks);
-      Printf.fprintf oc "  \"failures\": [%s]\n"
-        (strings (List.map (fun f -> f.Oracle.message) failures));
-      Printf.fprintf oc "}\n");
+  let strings l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  let fields =
+    [
+      ("version", Json.int 1);
+      ("campaign_seed", Json.int instance.Instance.seed);
+      ("id", Json.int instance.Instance.id);
+      ("dist", Json.Str instance.Instance.dist);
+      ("degeneracies", strings instance.Instance.degeneracies);
+      ("n", Json.int (Instance.n instance));
+      ("d", Json.int (Instance.d instance));
+      ("k", Json.int instance.Instance.k);
+      ("shrink_steps", Json.int shrink_steps);
+      ("checks", strings checks);
+      ("failures", strings (List.map (fun f -> f.Oracle.message) failures));
+    ]
+  in
+  (* one field per line, so a re-minted repro diffs by field *)
+  let field (key, v) =
+    Json.to_string (Json.Str key) ^ ": " ^ Json.to_string v
+  in
+  Out_channel.with_open_bin (Filename.concat dir (base ^ ".json")) (fun oc ->
+      output_string oc
+        ("{\n  " ^ String.concat ",\n  " (List.map field fields) ^ "\n}\n"));
   base
 
 (* ---- load ----------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* the metadata object, and its fields by type; [None] when absent or of
+   another type *)
+let metadata json =
+  match Json.parse (In_channel.with_open_bin json In_channel.input_all) with
+  | Ok meta -> meta
+  | Error m -> failwith (Printf.sprintf "%s: %s" json m)
+
+let int_field meta key = Option.bind (Json.member key meta) Json.to_int
+let string_field meta key = Option.bind (Json.member key meta) Json.to_str
+
+let strings_field meta key =
+  Option.map
+    (List.filter_map Json.to_str)
+    (Option.bind (Json.member key meta) Json.to_list)
 
 let load ~dir base =
   let csv = Filename.concat dir (base ^ ".csv") in
   let json = Filename.concat dir (base ^ ".json") in
   if not (Sys.file_exists csv) then failwith (csv ^ ": missing corpus CSV");
   if not (Sys.file_exists json) then failwith (json ^ ": missing corpus JSON");
-  let meta = read_file json in
+  let meta = metadata json in
   let need what = function
     | Some v -> v
     | None -> failwith (Printf.sprintf "%s: missing %s" json what)
@@ -198,8 +83,7 @@ let load ~dir base =
     Instance.id = Option.value ~default:0 (int_field meta "id");
     seed = Option.value ~default:0 (int_field meta "campaign_seed");
     dist = Option.value ~default:"unknown" (string_field meta "dist");
-    degeneracies =
-      Option.value ~default:[] (string_array_field meta "degeneracies");
+    degeneracies = Option.value ~default:[] (strings_field meta "degeneracies");
     k;
     points = ds.Dataset.points;
   }
@@ -207,8 +91,7 @@ let load ~dir base =
 let failing_checks ~dir base =
   let json = Filename.concat dir (base ^ ".json") in
   if not (Sys.file_exists json) then []
-  else
-    Option.value ~default:[] (string_array_field (read_file json) "checks")
+  else Option.value ~default:[] (strings_field (metadata json) "checks")
 
 let list ~dir =
   if not (Sys.file_exists dir) then []

@@ -11,7 +11,7 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-(* [Sys.time] keeps the library stdlib-only; binaries install
+(* [Sys.time] keeps the library off [Unix]; binaries install
    [Unix.gettimeofday] for wall-clock span trees. *)
 let clock : (unit -> float) ref = ref Sys.time
 let set_clock f = clock := f

@@ -8,10 +8,10 @@
     decision ([--metrics] / [--stats] on the binaries), not a build variant,
     but the disabled cost is negligible even inside the hot loops.
 
-    The module is stdlib-only (no unix, no fmt) so that every library layer
-    can depend on it. The span clock defaults to [Sys.time] (processor time);
-    binaries that link [unix] should install a wall clock with {!set_clock}
-    at startup. *)
+    The library calls only the stdlib and [Thread], so that every library
+    layer can depend on it. The span clock defaults to [Sys.time] (processor
+    time); binaries should install a wall clock with {!set_clock} at
+    startup. *)
 
 val enabled : unit -> bool
 (** Whether instrumentation is recording. One atomic load. *)

@@ -1,4 +1,4 @@
-(* Hand-rolled JSON writer (the library is stdlib-only; no yojson). *)
+(* Hand-rolled JSON writer (the library links no JSON package). *)
 
 let escape buf s =
   Buffer.add_char buf '"';

@@ -12,67 +12,58 @@ type node = {
   children : (string, node) Hashtbl.t;
 }
 
-type ctx = { root : node; mutable stack : node list }
-
 let fresh_node name : node =
   { name; seconds = 0.; count = 0; children = Hashtbl.create 4 }
 
-(* every domain's root is registered here so [snapshot] can merge them *)
-let roots : node list ref = ref []
-
-let key =
-  Domain.DLS.new_key (fun () ->
-      let root = fresh_node "" in
-      Control.locked (fun () -> roots := root :: !roots);
-      { root; stack = [] })
+(* One tree for the process, and one stack of open spans per thread, keyed
+   by [Thread.id]: the systhreads of a domain would otherwise share a stack,
+   and a span would nest under whatever span another thread holds open. A
+   thread leaves [stacks] when its stack empties. Both under
+   [Control.locked]. *)
+let root = fresh_node ""
+let stacks : (int, node list) Hashtbl.t = Hashtbl.create 16
 
 let with_ name f =
   if not (Control.enabled ()) then f ()
   else begin
-    let ctx = Domain.DLS.get key in
-    let parent = match ctx.stack with n :: _ -> n | [] -> ctx.root in
+    let id = Thread.id (Thread.self ()) in
     let node =
-      match Hashtbl.find_opt parent.children name with
-      | Some n -> n
-      | None ->
-          let n = fresh_node name in
-          Hashtbl.replace parent.children name n;
-          n
+      Control.locked (fun () ->
+          let stack = Option.value ~default:[] (Hashtbl.find_opt stacks id) in
+          let parent = match stack with n :: _ -> n | [] -> root in
+          let node =
+            match Hashtbl.find_opt parent.children name with
+            | Some n -> n
+            | None ->
+                let n = fresh_node name in
+                Hashtbl.replace parent.children name n;
+                n
+          in
+          Hashtbl.replace stacks id (node :: stack);
+          node)
     in
-    ctx.stack <- node :: ctx.stack;
     let t0 = Control.now () in
     Fun.protect
       ~finally:(fun () ->
-        node.seconds <- node.seconds +. (Control.now () -. t0);
-        node.count <- node.count + 1;
-        ctx.stack <- (match ctx.stack with _ :: tl -> tl | [] -> []))
+        let dt = Control.now () -. t0 in
+        Control.locked (fun () ->
+            node.seconds <- node.seconds +. dt;
+            node.count <- node.count + 1;
+            match Hashtbl.find_opt stacks id with
+            | Some (_ :: (_ :: _ as rest)) -> Hashtbl.replace stacks id rest
+            | _ -> Hashtbl.remove stacks id))
       f
   end
 
-(* merge a list of same-level child tables into name-sorted snapshots *)
-let rec merge_children tables =
-  let names = Hashtbl.create 16 in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name node ->
-          let prev = try Hashtbl.find names name with Not_found -> [] in
-          Hashtbl.replace names name (node :: prev))
-        tbl)
-    tables;
-  Hashtbl.fold
-    (fun name (nodes : node list) acc ->
-      let seconds = List.fold_left (fun a n -> a +. n.seconds) 0. nodes in
-      let count = List.fold_left (fun a n -> a + n.count) 0 nodes in
-      let children = merge_children (List.map (fun n -> n.children) nodes) in
-      ({ name; seconds; count; children } : snapshot) :: acc)
-    names []
-  |> List.sort (fun (a : snapshot) (b : snapshot) -> compare a.name b.name)
+let rec freeze (n : node) : snapshot =
+  {
+    name = n.name;
+    seconds = n.seconds;
+    count = n.count;
+    children =
+      Hashtbl.fold (fun _ c acc -> freeze c :: acc) n.children []
+      |> List.sort (fun (a : snapshot) (b : snapshot) -> compare a.name b.name);
+  }
 
-let snapshot () =
-  Control.locked (fun () ->
-      merge_children (List.map (fun r -> r.children) !roots))
-
-let reset () =
-  Control.locked (fun () ->
-      List.iter (fun r -> Hashtbl.reset r.children) !roots)
+let snapshot () = Control.locked (fun () -> (freeze root).children)
+let reset () = Control.locked (fun () -> Hashtbl.reset root.children)

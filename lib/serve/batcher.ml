@@ -14,8 +14,6 @@ type ('k, 'v) t = {
   mutex : Mutex.t;
   cond : Condition.t;
   inflight : ('k, 'v cell) Hashtbl.t;
-  mutable leaders : int;
-  mutable followers : int;
 }
 
 let create () =
@@ -23,15 +21,12 @@ let create () =
     mutex = Mutex.create ();
     cond = Condition.create ();
     inflight = Hashtbl.create 16;
-    leaders = 0;
-    followers = 0;
   }
 
 let run t ~key f =
   Mutex.lock t.mutex;
   match Hashtbl.find_opt t.inflight key with
   | Some cell ->
-      t.followers <- t.followers + 1;
       Obs.Counter.incr c_followers;
       let rec await () =
         match cell.result with
@@ -44,7 +39,6 @@ let run t ~key f =
       Mutex.unlock t.mutex;
       (match r with Ok v -> (v, true) | Error e -> raise e)
   | None ->
-      t.leaders <- t.leaders + 1;
       Obs.Counter.incr c_leaders;
       let cell = { result = None } in
       Hashtbl.replace t.inflight key cell;
@@ -57,11 +51,3 @@ let run t ~key f =
       Mutex.unlock t.mutex;
       (match r with Ok v -> (v, false) | Error e -> raise e)
 
-(* Counter reads take the mutex: the mutable fields are written under it,
-   and an unsynchronized read could tear a (leaders, followers) pair taken
-   for a stats frame — the pair must always count whole events. *)
-let counts t =
-  Mutex.lock t.mutex;
-  let c = (t.leaders, t.followers) in
-  Mutex.unlock t.mutex;
-  c

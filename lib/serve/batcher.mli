@@ -9,8 +9,9 @@
     heavy-traffic fan-in: the cache de-duplicates across time, the batcher
     de-duplicates across concurrency.
 
-    Thread-safe. Counters are exact; every event also bumps the
-    [serve.batch.*] counters in {!Kregret_obs}. *)
+    Thread-safe. Its counters live in {!Kregret_obs} only, per process:
+    [serve.batch.leaders] and [serve.batch.followers], exact while
+    recording is on. *)
 
 type ('k, 'v) t
 
@@ -21,7 +22,3 @@ val create : unit -> ('k, 'v) t
     in-flight leader and returns [(value, true)]. An exception raised by
     [f] is re-raised in the leader {e and} every follower. *)
 val run : ('k, 'v) t -> key:'k -> (unit -> 'v) -> 'v * bool
-
-(** [counts t] is [(leaders, followers)] read atomically under the
-    batcher mutex — a consistent pair for stats frames. *)
-val counts : ('k, 'v) t -> int * int

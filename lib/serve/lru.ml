@@ -21,17 +21,11 @@ type ('k, 'v) node = {
   mutable next : ('k, 'v) node option;
 }
 
-type stats = { hits : int; misses : int; evictions : int; insertions : int }
-
 type ('k, 'v) t = {
   cap : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable front : ('k, 'v) node option;
   mutable back : ('k, 'v) node option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable insertions : int;
 }
 
 let create ~capacity =
@@ -41,10 +35,6 @@ let create ~capacity =
     table = Hashtbl.create (max 8 capacity);
     front = None;
     back = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    insertions = 0;
   }
 
 let capacity t = t.cap
@@ -70,13 +60,11 @@ let push_front t node =
 let get t k =
   match Hashtbl.find_opt t.table k with
   | Some node ->
-      t.hits <- t.hits + 1;
       Obs.Counter.incr c_hits;
       unlink t node;
       push_front t node;
       Some node.value
   | None ->
-      t.misses <- t.misses + 1;
       Obs.Counter.incr c_misses;
       None
 
@@ -86,7 +74,6 @@ let evict_back t =
   | Some node ->
       unlink t node;
       Hashtbl.remove t.table node.key;
-      t.evictions <- t.evictions + 1;
       Obs.Counter.incr c_evictions
 
 let put t k v =
@@ -100,7 +87,6 @@ let put t k v =
         let node = { key = k; value = v; prev = None; next = None } in
         Hashtbl.replace t.table k node;
         push_front t node;
-        t.insertions <- t.insertions + 1;
         Obs.Counter.incr c_insertions;
         if Hashtbl.length t.table > t.cap then evict_back t
 
@@ -126,11 +112,3 @@ let clear t =
   Hashtbl.reset t.table;
   t.front <- None;
   t.back <- None
-
-let stats t =
-  {
-    hits = t.hits;
-    misses = t.misses;
-    evictions = t.evictions;
-    insertions = t.insertions;
-  }

@@ -7,20 +7,14 @@
     misses and [put] is a no-op — which is the "cache off" serving knob.
 
     The structure is {e not} thread-safe; the server serializes access with
-    its own mutex. Per-instance statistics are plain exact integers
-    (asserted against an executable model by [test/test_lru.ml]); every
-    event additionally bumps the process-wide [serve.cache.*] counters in
-    {!Kregret_obs}, so a [--metrics] snapshot shows cache behaviour without
-    asking the server. *)
+    its own mutex. Its counters live in {!Kregret_obs} only, per process:
+    [serve.cache.hits], [serve.cache.misses], [serve.cache.evictions] and
+    [serve.cache.insertions] (new keys; updates of a live key excluded),
+    exact while recording is on (asserted against an executable model by
+    [test/test_lru.ml]). The server's [stats] reply and its [--metrics]
+    file carry them. *)
 
 type ('k, 'v) t
-
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  insertions : int;  (** new keys inserted (updates of a live key excluded) *)
-}
 
 (** [create ~capacity] — empty cache. Raises [Invalid_argument] when
     [capacity < 0]. *)
@@ -45,12 +39,9 @@ val mem : ('k, 'v) t -> 'k -> bool
     absent. *)
 val remove : ('k, 'v) t -> 'k -> bool
 
-(** [keys_mru t] — every key, most recently used first. O(n); for tests,
-    [stats], and targeted invalidation sweeps. *)
+(** [keys_mru t] — every key, most recently used first. O(n); for tests
+    and targeted invalidation sweeps. *)
 val keys_mru : ('k, 'v) t -> 'k list
 
-(** [clear t] drops every entry (counters are kept — they are lifetime
-    totals). *)
+(** [clear t] drops every entry (not counted as evictions). *)
 val clear : ('k, 'v) t -> unit
-
-val stats : ('k, 'v) t -> stats

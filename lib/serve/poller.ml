@@ -11,9 +11,12 @@
 
 module Obs = Kregret_obs
 
-let c_exceptions =
+let handler_exceptions =
   Obs.Registry.counter "serve.handler_exceptions"
     ~help:"exceptions caught around a request handler"
+
+let c_connections =
+  Obs.Registry.counter "serve.connections" ~help:"accepted connections"
 
 let c_refused =
   Obs.Registry.counter "serve.refused_connections"
@@ -70,9 +73,7 @@ type t = {
   too_long : unit -> string;
   max_line : int;
   drain_timeout : float;
-  on_accept : unit -> unit;
   mutable next_id : int;
-  mutable accepted : int;
   mutable unsent_peak : int;
   mutable stopping : bool;
   mutable stop_workers : bool;
@@ -143,7 +144,7 @@ let outcome t c frame =
     | Line line -> t.handle ~complete:(completion t c.c_id) line
   with _ ->
     (* [handle] is total; belt and braces *)
-    Obs.Counter.incr c_exceptions;
+    Obs.Counter.incr handler_exceptions;
     Answer ("", true)
 
 (* Mutex held, IO thread: the one place a connection's next frame is
@@ -178,7 +179,7 @@ let worker_loop t =
       let reply =
         try work ()
         with _ ->
-          Obs.Counter.incr c_exceptions;
+          Obs.Counter.incr handler_exceptions;
           ("", true)
       in
       completion t id reply;
@@ -188,8 +189,7 @@ let worker_loop t =
   loop ()
 
 let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
-    ?(on_accept = fun () -> ()) ~listeners ~hello ~refuse ~handle ~too_long ()
-    =
+    ~listeners ~hello ~refuse ~handle ~too_long () =
   if workers < 1 then invalid_arg "Poller.create: workers < 1";
   if max_line < 1 then invalid_arg "Poller.create: max_line < 1";
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -213,9 +213,7 @@ let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
       too_long;
       max_line;
       drain_timeout;
-      on_accept;
       next_id = 0;
-      accepted = 0;
       unsent_peak = 0;
       stopping = false;
       stop_workers = false;
@@ -232,7 +230,6 @@ let stop t =
   wake t
 
 let live_connections t = locked t (fun () -> Hashtbl.length t.conns)
-let accepted t = locked t (fun () -> t.accepted)
 let unsent_peak t = locked t (fun () -> t.unsent_peak)
 
 (* ---- IO-thread helpers (mutex held unless noted) -------------------------- *)
@@ -262,8 +259,7 @@ let accept_new t lfd =
            with Unix.Unix_error _ | Invalid_argument _ -> ());
           let id = t.next_id in
           t.next_id <- id + 1;
-          t.accepted <- t.accepted + 1;
-          t.on_accept ();
+          Obs.Counter.incr c_connections;
           let c =
             {
               c_id = id;

@@ -70,11 +70,17 @@ val max_connections : int
 val max_unsent : int
 (** The per-connection high-water mark of unsent reply bytes (64 KiB). *)
 
+val handler_exceptions : Kregret_obs.Counter.t
+(** [serve.handler_exceptions]: exceptions caught around a request
+    handler, by the poller's catch-alls and by the server's [internal]
+    error frames. The poller also counts accepted connections
+    ([serve.connections]) and connections turned away at the caps
+    ([serve.refused_connections]). *)
+
 val create :
   ?workers:int ->
   ?max_line:int ->
   ?drain_timeout:float ->
-  ?on_accept:(unit -> unit) ->
   listeners:Unix.file_descr list ->
   hello:string ->
   refuse:string ->
@@ -107,9 +113,6 @@ val stop : t -> unit
 val live_connections : t -> int
 (** Connections currently open — the size of the live table, not a
     historical count. *)
-
-val accepted : t -> int
-(** Total connections served since {!create} (refused ones excluded). *)
 
 val unsent_peak : t -> int
 (** The most unsent reply bytes any one connection has held since

@@ -189,7 +189,9 @@ let error_response ?retry_after { code; message } =
 
    A tiny buffered reader over a raw fd. One reader per connection; reads
    are chunked (4 KiB) and lines extracted from the buffer, so a pipelined
-   client that sends several frames in one packet is handled correctly. *)
+   client that sends several frames in one packet is handled correctly. A
+   frame reported [`Too_long] before its newline arrived is dropped up to
+   that newline, so the next read returns the frame after it. *)
 
 type reader = {
   fd : Unix.file_descr;
@@ -197,10 +199,18 @@ type reader = {
   mutable pos : int;  (** next unread byte in [chunk] *)
   mutable len : int;  (** valid bytes in [chunk] *)
   acc : Buffer.t;  (** partial line carried across reads *)
+  mutable skipping : bool;  (** inside a frame already reported too long *)
 }
 
 let reader fd =
-  { fd; chunk = Bytes.create 4096; pos = 0; len = 0; acc = Buffer.create 256 }
+  {
+    fd;
+    chunk = Bytes.create 4096;
+    pos = 0;
+    len = 0;
+    acc = Buffer.create 256;
+    skipping = false;
+  }
 
 let read_line r ~max =
   let rec loop () =
@@ -212,7 +222,12 @@ let read_line r ~max =
         if Bytes.get r.chunk !i = '\n' then nl := !i;
         incr i
       done;
-      if !nl >= 0 then begin
+      if !nl >= 0 && r.skipping then begin
+        r.pos <- !nl + 1;
+        r.skipping <- false;
+        loop ()
+      end
+      else if !nl >= 0 then begin
         Buffer.add_subbytes r.acc r.chunk r.pos (!nl - r.pos);
         r.pos <- !nl + 1;
         let line = Buffer.contents r.acc in
@@ -225,17 +240,24 @@ let read_line r ~max =
         if String.length line > max then `Too_long else `Line line
       end
       else begin
-        Buffer.add_subbytes r.acc r.chunk r.pos (r.len - r.pos);
+        if not r.skipping then
+          Buffer.add_subbytes r.acc r.chunk r.pos (r.len - r.pos);
         r.pos <- r.len;
-        if Buffer.length r.acc > max then `Too_long else loop ()
+        if Buffer.length r.acc > max then begin
+          Buffer.clear r.acc;
+          r.skipping <- true;
+          `Too_long
+        end
+        else loop ()
       end
     end
     else
       match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
       | 0 ->
-          if Buffer.length r.acc = 0 then `Eof
+          if Buffer.length r.acc = 0 && not r.skipping then `Eof
           else begin
             Buffer.clear r.acc;
+            r.skipping <- false;
             `Error "connection closed mid-frame"
           end
       | n ->

@@ -29,7 +29,8 @@
                                               [rank_lo]/[rank_hi]/[exact]
                                               certificate
       {"op":"list"}                           registry contents + statuses
-      {"op":"stats"}                          cache/batch/server statistics
+      {"op":"stats"}                          live state + the metrics
+                                              snapshot (below)
       {"op":"evict"}                          clear the result cache
       {"op":"evict","name":NAME}              drop a dataset (and its cache rows)
       {"op":"insert","name":NAME,"point":[X,...]}  add a point; answers its id
@@ -62,7 +63,20 @@
     [empty_dataset] answers a [rank_regret] read on a dataset
     whose every point was deleted: a rank needs at least one point to rank
     against ([query] and [mrr] answer such a dataset with the empty
-    selection and mrr [0]). *)
+    selection and mrr [0]).
+
+    A [stats] reply is the server's live state plus its metrics:
+    [{"ok":true,"op":"stats","proto":V,"uptime_seconds":S,"datasets":N,
+    "connections":{"live":L},"cache":{"capacity":C,"entries":E},
+    "metrics":DOC}]. [DOC] is the [kregret-obs/v1] document that
+    [--metrics] writes at exit ({!Kregret_obs.Export.to_json}): counters,
+    gauges, histograms and spans, zero counters left out. The server's
+    counts are its counters there — [serve.requests] (this [stats]
+    included), [serve.errors], [serve.connections],
+    [serve.cache.hits]/[misses]/[evictions]/[insertions],
+    [serve.batch.leaders]/[followers] and the rest of [serve.*] — beside
+    the pipeline's work counters. They are per process, and move only
+    while recording is on, as it always is in [kregret_serve]. *)
 
 val version : string
 (** ["kregret-serve/v1"]. *)
@@ -130,7 +144,9 @@ val reader : Unix.file_descr -> reader
 (** [read_line r ~max] — next ['\n']-terminated line (terminator and a
     preceding ['\r'] stripped). [`Eof] on clean end-of-stream at a frame
     boundary; [`Error] on a mid-frame disconnect or socket error; [`Too_long]
-    once the accumulated frame exceeds [max] bytes. Never raises. *)
+    once the accumulated frame exceeds [max] bytes, once per frame: the
+    rest of that frame is dropped, and the next call returns the frame
+    after it. Never raises. *)
 val read_line :
   reader -> max:int -> [ `Line of string | `Eof | `Too_long | `Error of string ]
 

@@ -1,9 +1,6 @@
 module Obs = Kregret_obs
 module Snapshot = Kregret.Snapshot
 
-let c_connections =
-  Obs.Registry.counter "serve.connections" ~help:"accepted connections"
-
 let c_requests = Obs.Registry.counter "serve.requests" ~help:"request frames handled"
 
 let c_errors =
@@ -12,10 +9,6 @@ let c_errors =
 let c_inline =
   Obs.Registry.counter "serve.inline_answers"
     ~help:"cached reads answered on the IO thread"
-
-let c_exceptions =
-  Obs.Registry.counter "serve.handler_exceptions"
-    ~help:"exceptions caught around a request handler"
 
 type config = {
   listeners : Endpoint.t list;
@@ -84,8 +77,6 @@ type t = {
   mutable io_failure : exn option;  (* what ended the IO loop, if it raised *)
   state_mutex : Mutex.t;
   mutable stopped : bool;
-  mutable requests : int;
-  mutable errors : int;
   now : unit -> float;
       (* monotonic wall clock: uptime must never go negative across an NTP
          step (see [Kregret_obs.Control.monotonic_of]) *)
@@ -104,9 +95,6 @@ let poller_of t = with_lock t.state_mutex (fun () -> t.poller)
 let live_connections t =
   match poller_of t with Some p -> Poller.live_connections p | None -> 0
 
-let accepted_connections t =
-  match poller_of t with Some p -> Poller.accepted p | None -> 0
-
 let unsent_peak t =
   match poller_of t with Some p -> Poller.unsent_peak p | None -> 0
 
@@ -118,12 +106,8 @@ let status_str status =
   | Registry.Ready _ -> "ready"
   | Registry.Failed _ -> "failed"
 
-let count_error t =
-  with_lock t.state_mutex (fun () -> t.errors <- t.errors + 1);
-  Obs.Counter.incr c_errors
-
-let error t ?retry_after e =
-  count_error t;
+let error ?retry_after e =
+  Obs.Counter.incr c_errors;
   Protocol.error_response ?retry_after e
 
 (* a registry refusal as a wire error; [building] carries the retry hint *)
@@ -131,7 +115,7 @@ let refusal t (code, message) =
   let retry_after =
     if code = "building" then Some t.cfg.retry_after else None
   in
-  error t ?retry_after (Protocol.err ~code message)
+  error ?retry_after (Protocol.err ~code message)
 
 let dataset_json info =
   let base =
@@ -169,7 +153,7 @@ let handle_load t ~name ~path ~shards ~approx =
   let shards = match shards with Some s -> s | None -> t.cfg.shards in
   let approx = match approx with Some a -> a | None -> t.cfg.approx in
   match Registry.load ~shards ~approx t.reg ~name ~path with
-  | Error m -> error t (Protocol.err ~code:"load_failed" m)
+  | Error m -> error (Protocol.err ~code:"load_failed" m)
   | Ok info ->
       Protocol.ok_response
         [
@@ -221,12 +205,12 @@ let version_of family (s : Snapshot.t) =
 
 (* requests never take the server down: an exception is an [internal]
    error frame, and counted *)
-let internal t e =
-  Obs.Counter.incr c_exceptions;
-  (error t (Protocol.err ~code:"internal" (Printexc.to_string e)), false)
+let internal e =
+  Obs.Counter.incr Poller.handler_exceptions;
+  (error (Protocol.err ~code:"internal" (Printexc.to_string e)), false)
 
 (* a computation for a handler worker, as total as the rest of [handle] *)
-let work t f = Poller.Work (fun () -> try f () with e -> internal t e)
+let work f = Poller.Work (fun () -> try f () with e -> internal e)
 
 let render ~family ~name ~k ~cached ~coalesced (before, after) =
   let request =
@@ -269,7 +253,7 @@ let read t ~family ~name ~k (info, b) =
                 r)
           in
           match r with
-          | Error e -> error t e
+          | Error e -> error e
           | Ok fields -> render ~family ~name ~k ~cached:false ~coalesced fields)
 
 (* On the IO thread: a ready dataset whose file kept its stat signature
@@ -284,9 +268,9 @@ let handle_read t ~family ~name ~k =
       | `Hit reply ->
           Obs.Counter.incr c_inline;
           Poller.Answer (reply, false)
-      | `Miss compute -> work t (fun () -> (compute (), false)))
+      | `Miss compute -> work (fun () -> (compute (), false)))
   | _ ->
-      work t (fun () ->
+      work (fun () ->
           match Registry.ready t.reg name with
           | Error refused -> (refusal t refused, false)
           | Ok publication -> (
@@ -319,7 +303,7 @@ let handle_update t ~complete ~name ~kind op =
         in
         (Protocol.ok_response (base @ extra), false)
   in
-  let reply r = try reply r with e -> internal t e in
+  let reply r = try reply r with e -> internal e in
   match Registry.update t.reg ~name op (fun r -> complete (reply r)) with
   | `Queued -> Poller.Handed_off
   | `Now r -> Poller.Answer (reply r)
@@ -349,41 +333,30 @@ let handle_evict t ~name =
           ("evicted", Json.Bool (Option.is_some evicted));
         ]
 
+(* the live state, and every count under its Obs name: the [metrics]
+   object is the [kregret-obs/v1] document [--metrics] writes at exit *)
 let handle_stats t =
-  let cs = Lru.stats t.cache in
-  let requests, errors =
-    with_lock t.state_mutex (fun () -> (t.requests, t.errors))
+  let metrics =
+    match Json.parse (Obs.Export.to_json ()) with
+    | Ok doc -> doc
+    | Error m -> failwith ("metrics document: " ^ m)
   in
-  (* one locked read: the (leaders, followers) pair counts whole events *)
-  let leaders, followers = Batcher.counts t.batcher in
   Protocol.ok_response
     [
       ("op", Json.Str "stats");
       ("proto", Json.Str Protocol.version);
       ("uptime_seconds", Json.Num (t.now () -. t.started));
-      ("requests", Json.int requests);
-      ("errors", Json.int errors);
       ("datasets", Json.int (List.length (Registry.list t.reg)));
-      ( "connections",
-        Json.Obj
-          [
-            ("live", Json.int (live_connections t));
-            ("accepted", Json.int (accepted_connections t));
-          ] );
+      ("connections", Json.Obj [ ("live", Json.int (live_connections t)) ]);
       ( "cache",
         Json.Obj
           [
             ("capacity", Json.int (Lru.capacity t.cache));
-            ("entries", Json.int (Lru.length t.cache));
-            ("hits", Json.int cs.Lru.hits);
-            ("misses", Json.int cs.Lru.misses);
-            ("evictions", Json.int cs.Lru.evictions);
-            ("insertions", Json.int cs.Lru.insertions);
+            ( "entries",
+              Json.int (with_lock t.cache_mutex (fun () -> Lru.length t.cache))
+            );
           ] );
-      ( "batch",
-        Json.Obj
-          [ ("leaders", Json.int leaders); ("followers", Json.int followers) ]
-      );
+      ("metrics", metrics);
     ]
 
 let handle_list t =
@@ -402,10 +375,9 @@ let signal_stop t =
 (* Parse once, on the IO thread, and say who answers: the IO thread
    itself, a handler worker, or the registry worker. *)
 let handle_request t ~complete line =
-  with_lock t.state_mutex (fun () -> t.requests <- t.requests + 1);
   Obs.Counter.incr c_requests;
   match Protocol.parse_request ~max_line:t.cfg.max_line line with
-  | Error e -> Poller.Answer (error t e, false)
+  | Error e -> Poller.Answer (error e, false)
   | Ok req -> (
       try
         match req with
@@ -418,16 +390,16 @@ let handle_request t ~complete line =
             handle_update t ~complete ~name ~kind:"delete" (`Delete id)
         | Protocol.Flush { name } ->
             handle_update t ~complete ~name ~kind:"flush" `Flush
-        | Protocol.List -> work t (fun () -> (handle_list t, false))
-        | Protocol.Stats -> work t (fun () -> (handle_stats t, false))
+        | Protocol.List -> work (fun () -> (handle_list t, false))
+        | Protocol.Stats -> work (fun () -> (handle_stats t, false))
         | Protocol.Shutdown ->
-            work t (fun () ->
+            work (fun () ->
                 signal_stop t;
                 (Protocol.ok_response [ ("op", Json.Str "shutdown") ], true))
         | Protocol.Load { name; path; shards; approx } ->
-            work t (fun () -> (handle_load t ~name ~path ~shards ~approx, false))
-        | Protocol.Evict { name } -> work t (fun () -> (handle_evict t ~name, false))
-      with e -> Poller.Answer (internal t e))
+            work (fun () -> (handle_load t ~name ~path ~shards ~approx, false))
+        | Protocol.Evict { name } -> work (fun () -> (handle_evict t ~name, false))
+      with e -> Poller.Answer (internal e))
 
 (* ---- lifecycle ------------------------------------------------------------ *)
 
@@ -480,15 +452,12 @@ let start cfg =
           io_failure = None;
           state_mutex = Mutex.create ();
           stopped = false;
-          requests = 0;
-          errors = 0;
           now;
           started = now ();
         }
       in
       let poller =
         Poller.create ~workers:cfg.workers ~max_line:cfg.max_line
-          ~on_accept:(fun () -> Obs.Counter.incr c_connections)
           ~listeners:(List.map snd bound)
           ~hello:Protocol.hello
           ~refuse:
@@ -497,7 +466,7 @@ let start cfg =
                   "the server is at its connection limit; try again later"))
           ~handle:(handle_request t)
           ~too_long:(fun () ->
-            error t
+            error
               (Protocol.err ~code:"frame_too_large"
                  (Printf.sprintf
                     "frame exceeds the %d-byte limit; closing connection"

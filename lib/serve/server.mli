@@ -37,7 +37,14 @@
       with a [retry_after] hint instead of blocking the IO loop;
     - a query against a dataset whose CSV changed on disk after [load] is
       rejected with [stale_dataset] (never silently served from the stale
-      StoredList). *)
+      StoredList).
+
+    Counts live in {!Kregret_obs} only: requests, errors, connections,
+    cache and batch events, inline answers and handler exceptions are its
+    [serve.*] counters, and the [stats] verb replies with its snapshot.
+    They are per process, not per server: they move only while recording
+    is on ({!Kregret_obs.Control.set_enabled}), as it always is in
+    [kregret_serve], and two servers in one process share them. *)
 
 type config = {
   listeners : Endpoint.t list;  (** every endpoint to listen on *)
@@ -93,9 +100,6 @@ val endpoints : t -> Endpoint.t list
 (** [live_connections t] — currently open connections (the poller's live
     table, not a historical count). *)
 val live_connections : t -> int
-
-(** [accepted_connections t] — connections served since {!start}. *)
-val accepted_connections : t -> int
 
 (** [unsent_peak t] — the most unsent reply bytes one connection has held
     (see {!Poller.unsent_peak}): a client that never reads stops being

@@ -4,13 +4,14 @@
    model (an MRU-ordered association list) with the same random operation
    sequence, comparing observable state after every step — returned values,
    length, MRU key order, and the exact hit/miss/eviction/insertion
-   counters.
+   counters, which live in Kregret_obs as [serve.cache.*].
 
    Plus the serving-specific determinism property: a cache hit is
    bit-identical to a cold compute at any pool width (KREGRET_JOBS in
    {1,2,4}). *)
 
 module Lru = Kregret_serve.Lru
+module Obs = Kregret_obs
 module Pool = Kregret_parallel.Pool
 module Stored_list = Kregret.Stored_list
 module Skyline = Kregret_skyline.Skyline
@@ -64,6 +65,16 @@ module Model = struct
   let keys m = List.map fst m.entries
 end
 
+(* ---- the cache's counters ------------------------------------------------ *)
+
+(* the cells [Lru] interned, by name; each scenario reads them inside
+   [Testutil.recording] *)
+let hits, misses, evictions, insertions =
+  let c name = Obs.Registry.counter ("serve.cache." ^ name) in
+  (c "hits", c "misses", c "evictions", c "insertions")
+
+let count = Obs.Counter.value
+
 (* ---- operation sequences -------------------------------------------------- *)
 
 type op = Put of int * int | Get of int | Remove of int | Clear
@@ -93,6 +104,7 @@ let scenario_arb =
       pair (int_range 0 5) (list_size (int_range 1 60) op_gen))
 
 let agrees_with_model (cap, ops) =
+  Testutil.recording @@ fun () ->
   let real = Lru.create ~capacity:cap in
   let model = Model.create cap in
   List.for_all
@@ -116,7 +128,6 @@ let agrees_with_model (cap, ops) =
       | Clear ->
           Lru.clear real;
           model.Model.entries <- []);
-      let s = Lru.stats real in
       if Lru.length real <> List.length model.Model.entries then
         QCheck.Test.fail_reportf "after %s: length %d, model %d" (pp_op op)
           (Lru.length real)
@@ -127,15 +138,15 @@ let agrees_with_model (cap, ops) =
           (String.concat ";" (List.map string_of_int (Lru.keys_mru real)))
           (String.concat ";" (List.map string_of_int (Model.keys model)));
       if
-        (s.Lru.hits, s.Lru.misses, s.Lru.evictions, s.Lru.insertions)
+        (count hits, count misses, count evictions, count insertions)
         <> ( model.Model.hits, model.Model.misses, model.Model.evictions,
              model.Model.insertions )
       then
         QCheck.Test.fail_reportf
-          "after %s: stats h%d m%d e%d i%d, model h%d m%d e%d i%d" (pp_op op)
-          s.Lru.hits s.Lru.misses s.Lru.evictions s.Lru.insertions
-          model.Model.hits model.Model.misses model.Model.evictions
-          model.Model.insertions;
+          "after %s: serve.cache.* h%d m%d e%d i%d, model h%d m%d e%d i%d"
+          (pp_op op) (count hits) (count misses) (count evictions)
+          (count insertions) model.Model.hits model.Model.misses
+          model.Model.evictions model.Model.insertions;
       true)
     ops
 
@@ -153,6 +164,7 @@ let never_exceeds_capacity (cap, ops) =
 
 (* conservation: every key ever inserted is live, evicted, or removed *)
 let counters_conserve (cap, ops) =
+  Testutil.recording @@ fun () ->
   let real = Lru.create ~capacity:cap in
   let removed = ref 0 and cleared = ref 0 in
   List.iter
@@ -165,25 +177,24 @@ let counters_conserve (cap, ops) =
           cleared := !cleared + Lru.length real;
           Lru.clear real)
     ops;
-  let s = Lru.stats real in
-  s.Lru.insertions
-  = Lru.length real + s.Lru.evictions + !removed + !cleared
+  count insertions = Lru.length real + count evictions + !removed + !cleared
 
 (* ---- unit edges ----------------------------------------------------------- *)
 
 let test_capacity_zero () =
+  Testutil.recording @@ fun () ->
   let c = Lru.create ~capacity:0 in
   Lru.put c 1 10;
   Alcotest.(check (option int)) "disabled cache misses" None (Lru.get c 1);
   Alcotest.(check int) "disabled cache stays empty" 0 (Lru.length c);
-  let s = Lru.stats c in
-  Alcotest.(check int) "no insertions" 0 s.Lru.insertions;
-  Alcotest.(check int) "one miss" 1 s.Lru.misses;
+  Alcotest.(check int) "no insertions" 0 (count insertions);
+  Alcotest.(check int) "one miss" 1 (count misses);
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Lru.create: capacity must be >= 0") (fun () ->
       ignore (Lru.create ~capacity:(-1)))
 
 let test_eviction_order () =
+  Testutil.recording @@ fun () ->
   let c = Lru.create ~capacity:3 in
   Lru.put c 1 1;
   Lru.put c 2 2;
@@ -192,7 +203,7 @@ let test_eviction_order () =
   Lru.put c 4 4;  (* evicts 2 *)
   Alcotest.(check (list int)) "MRU order" [ 4; 1; 3 ] (Lru.keys_mru c);
   Alcotest.(check bool) "2 evicted" false (Lru.mem c 2);
-  Alcotest.(check int) "one eviction" 1 (Lru.stats c).Lru.evictions
+  Alcotest.(check int) "one eviction" 1 (count evictions)
 
 (* ---- cache hits are bit-identical across pool widths ---------------------- *)
 

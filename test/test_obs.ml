@@ -214,6 +214,33 @@ let test_span_closes_on_exception () =
               check_float "duration up to the raise" 3. s.Obs.Span.seconds
           | l -> Alcotest.failf "expected one span, got %d" (List.length l)))
 
+(* the systhreads of one domain share its domain-local state, so a stack
+   of open spans kept there made a span opened on thread B while thread A
+   held one open come out as A's child *)
+let test_span_stack_per_thread () =
+  with_enabled (fun () ->
+      let a_open = Semaphore.Binary.make false
+      and b_done = Semaphore.Binary.make false in
+      let a =
+        Thread.create
+          (fun () ->
+            Obs.Span.with_ "thread_a" (fun () ->
+                Semaphore.Binary.release a_open;
+                Semaphore.Binary.acquire b_done))
+          ()
+      in
+      Semaphore.Binary.acquire a_open;
+      let b = Thread.create (fun () -> Obs.Span.with_ "thread_b" ignore) () in
+      Thread.join b;
+      Semaphore.Binary.release b_done;
+      Thread.join a;
+      Alcotest.(check (list (pair string int)))
+        "each thread's span is a root, with no children"
+        [ ("thread_a", 0); ("thread_b", 0) ]
+        (List.map
+           (fun s -> (s.Obs.Span.name, List.length s.Obs.Span.children))
+           (Obs.Span.snapshot ())))
+
 (* a wall clock that steps backwards (NTP slew, manual reset) must not
    surface as a decreasing reading: the monotonic wrapper holds the
    high-water mark until real time catches back up *)
@@ -273,6 +300,8 @@ let suite =
       test_span_tree_with_fake_clock;
     Alcotest.test_case "span: closes on exception" `Quick
       test_span_closes_on_exception;
+    Alcotest.test_case "span: one stack per thread" `Quick
+      test_span_stack_per_thread;
     Alcotest.test_case "control: monotonic wrapper survives backwards clock"
       `Quick test_monotonic_of_backwards_clock;
   ]

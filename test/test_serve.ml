@@ -20,6 +20,8 @@ module Serve = Kregret_serve
 module Client = Serve.Client
 module Server = Serve.Server
 module Json = Serve.Json
+module Protocol = Serve.Protocol
+module Obs = Kregret_obs
 
 let exact_float =
   Alcotest.testable
@@ -89,6 +91,19 @@ let load_and_wait c ~name ~path =
   ignore (or_fail "load" (Client.load c ~name ~path));
   or_fail "wait_ready" (Client.wait_ready c ~name)
 
+(* a counter of a [stats] reply's metrics document; the document leaves
+   zero counters out *)
+let stats_counter s name =
+  List.fold_left
+    (fun j key -> Option.bind j (Json.member key))
+    (Some s)
+    [ "metrics"; "counters"; name ]
+  |> Fun.flip Option.bind Json.to_int
+  |> Option.value ~default:0
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.Registry.counters ()))
+
 (* ---- the bit-identical e2e sweep ----------------------------------------- *)
 
 let test_bit_identical_all_k () =
@@ -148,6 +163,7 @@ let test_concurrent_clients () =
   let dir = direct_of_csv path in
   let k = min 6 (Array.length dir.dir_happy) in
   let sel_ref, mrr_ref = direct_answer dir ~k in
+  Testutil.recording @@ fun () ->
   with_server ~cache_capacity:32 (fun ~socket_path _server ->
       with_client ~socket_path (fun c -> load_and_wait c ~name:"conc" ~path);
       let n_threads = 8 and per_thread = 5 in
@@ -176,24 +192,13 @@ let test_concurrent_clients () =
       (* the server really did coalesce/cache rather than recompute 40x *)
       with_client ~socket_path (fun c ->
           let j = or_fail "stats" (Client.stats c) in
-          let cache = Json.member "cache" j in
-          let hits =
-            Option.bind (Option.bind cache (Json.member "hits")) Json.to_int
-            |> Option.value ~default:(-1)
-          in
-          if hits < 1 then
+          if stats_counter j "serve.cache.hits" < 1 then
             Alcotest.failf "expected cache hits after 40 identical queries: %s"
               (Json.to_string j);
-          (* the batch counters are read under the batcher mutex as one
-             pair, so they can never tear: every coalesced group has
-             exactly one leader, and leaders + followers never exceeds the
-             total number of queries issued *)
-          let batch = Json.member "batch" j in
-          let bget name =
-            Option.bind (Option.bind batch (Json.member name)) Json.to_int
-            |> Option.value ~default:(-1)
-          in
-          let leaders = bget "leaders" and followers = bget "followers" in
+          (* every coalesced group has exactly one leader, and leaders +
+             followers never exceeds the total number of queries issued *)
+          let leaders = stats_counter j "serve.batch.leaders"
+          and followers = stats_counter j "serve.batch.followers" in
           Alcotest.(check bool) "batch leaders sane" true (leaders >= 0);
           Alcotest.(check bool) "batch followers sane" true (followers >= 0);
           Alcotest.(check bool)
@@ -254,6 +259,29 @@ let test_oversized_frame () =
       with_client ~socket_path (fun c ->
           ignore (or_fail "ping after oversize" (Client.ping c))))
 
+(* A frame reported too long before its newline arrived is dropped up to
+   that newline. The reader used to keep its bytes and report the frame a
+   second time once the newline came, so a client that carried on after an
+   oversized reply read every later reply one frame late. *)
+let test_reader_drops_oversized_frame () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close [ a; b ]) @@ fun () ->
+  let r = Protocol.reader b in
+  let send s = ignore (Unix.write_substring a s 0 (String.length s)) in
+  let read () =
+    match Protocol.read_line r ~max:16 with
+    | `Line l -> "line " ^ l
+    | `Too_long -> "too long"
+    | `Eof -> "eof"
+    | `Error m -> "error " ^ m
+  in
+  send (String.make 40 'x');
+  let first = read () in
+  send "\nok\n";
+  let second = read () in
+  Alcotest.(check (list string)) "one report per frame, then the next frame"
+    [ "too long"; "line ok" ] [ first; second ]
+
 let test_truncated_connection () =
   with_server (fun ~socket_path _server ->
       (* hang up mid-frame, twice, with raw sockets *)
@@ -276,6 +304,7 @@ let test_truncated_connection () =
 
 let test_list_stats_evict () =
   let path = write_csv ~name:"life" ~n:80 ~d:3 ~seed:5 in
+  Testutil.recording @@ fun () ->
   with_server (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"life" ~path;
@@ -304,7 +333,8 @@ let test_list_stats_evict () =
             Option.bind (Json.member name s) Json.to_int
             |> Option.value ~default:(-1)
           in
-          Alcotest.(check bool) "requests counted" true (geti "requests" > 0);
+          Alcotest.(check bool) "requests counted" true
+            (stats_counter s "serve.requests" > 0);
           Alcotest.(check int) "datasets gauge" 1 (geti "datasets");
           (* uptime comes from the monotonic wrapper: never negative *)
           Alcotest.(check bool) "uptime non-negative" true
@@ -327,6 +357,86 @@ let test_list_stats_evict () =
           | Error m when Testutil.contains m "not_found" -> ()
           | Error m -> Alcotest.failf "expected not_found, got %s" m
           | Ok _ -> Alcotest.fail "query after evict should fail"))
+
+(* [stats] replies with the live state and the Obs snapshot: its counters
+   are the registry's, read at the reply, and every count the reply once
+   built by hand is there under its Obs name (all but
+   [serve.batch.followers], which needs two identical misses in flight at
+   once). *)
+let test_stats_is_metrics_document () =
+  let path = write_csv ~name:"doc" ~n:80 ~d:3 ~seed:7 in
+  Testutil.recording @@ fun () ->
+  with_server ~cache_capacity:1 (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"doc" ~path;
+          (* a miss, its hit, a miss that evicts it, an error *)
+          List.iter
+            (fun k -> ignore (or_fail "query" (Client.query c ~name:"doc" ~k)))
+            [ 3; 3; 4 ];
+          ignore (or_fail "bad frame" (Client.request_raw c "not json"));
+          let before = counter "serve.requests" and n = 7 in
+          for _ = 1 to n do
+            ignore (or_fail "ping" (Client.ping c))
+          done;
+          let reply =
+            or_fail "stats" (Client.request_raw c {|{"op":"stats"}|})
+          in
+          let registry = Obs.Registry.counters () in
+          let s =
+            match Json.parse reply with
+            | Ok s -> s
+            | Error m -> Alcotest.failf "stats reply: %s" m
+          in
+          Alcotest.(check int) "N pings and the stats request" (before + n + 1)
+            (stats_counter s "serve.requests");
+          let counters =
+            match
+              Option.bind (Json.member "metrics" s) (Json.member "counters")
+            with
+            | Some (Json.Obj fields) ->
+                List.map
+                  (fun (name, v) ->
+                    (name, Option.value ~default:(-1) (Json.to_int v)))
+                  fields
+            | _ -> Alcotest.failf "no metrics.counters in %s" reply
+          in
+          Alcotest.(check (list (pair string int)))
+            "the reply's counters are the registry's" registry counters;
+          Alcotest.(check (option string)) "schema" (Some "kregret-obs/v1")
+            (Option.bind
+               (Option.bind (Json.member "metrics" s) (Json.member "schema"))
+               Json.to_str);
+          List.iter
+            (fun name ->
+              if stats_counter s name < 1 then
+                Alcotest.failf "%s missing from %s" name reply)
+            [
+              "serve.requests"; "serve.errors"; "serve.connections";
+              "serve.cache.hits"; "serve.cache.misses";
+              "serve.cache.evictions"; "serve.cache.insertions";
+              "serve.batch.leaders";
+            ];
+          let field path =
+            List.fold_left
+              (fun j key -> Option.bind j (Json.member key))
+              (Some s) path
+          in
+          List.iter
+            (fun path ->
+              if field path = None then
+                Alcotest.failf "%s missing from %s" (String.concat "." path)
+                  reply)
+            [
+              [ "proto" ]; [ "uptime_seconds" ]; [ "datasets" ];
+              [ "connections"; "live" ]; [ "cache"; "capacity" ];
+              [ "cache"; "entries" ];
+            ];
+          Alcotest.(check bool)
+            (Printf.sprintf "far under the frame limit (%d bytes)"
+               (String.length reply))
+            true
+            (String.length reply < Protocol.default_max_line / 8)));
+  Sys.remove path
 
 (* A query racing the background build either gets a [building] +
    retry_after (and the typed client retries through it) or a ready answer
@@ -497,6 +607,7 @@ let test_rank_regret_empty_dataset () =
   let path = Filename.temp_file "kregret_serve_empty" ".csv" in
   Out_channel.with_open_text path (fun oc ->
       output_string oc "0.5,0.9\n0.9,0.5\n");
+  Testutil.recording @@ fun () ->
   with_server (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"t" ~path;
@@ -510,16 +621,12 @@ let test_rank_regret_empty_dataset () =
           Alcotest.check exact_float "query: mrr 0" 0. mrr;
           Alcotest.check exact_float "mrr: 0" 0.
             (or_fail "mrr" (Client.mrr c ~name:"t" ~k:2));
-          let stat path =
-            let s = or_fail "stats" (Client.stats c) in
-            List.fold_left
-              (fun j key -> Option.bind j (Json.member key))
-              (Some s) path
-            |> Fun.flip Option.bind Json.to_int
-            |> Option.value ~default:(-1)
+          (* a fresh stats reply per read *)
+          let stat name =
+            stats_counter (or_fail "stats" (Client.stats c)) name
           in
-          let errors = stat [ "errors" ] in
-          let insertions = stat [ "cache"; "insertions" ] in
+          let errors = stat "serve.errors" in
+          let insertions = stat "serve.cache.insertions" in
           for _ = 1 to 2 do
             Alcotest.(check string) "rank_regret: empty_dataset"
               {|{"ok":false,"error":{"code":"empty_dataset","message":"dataset \"t\" has no live points"}}|}
@@ -528,9 +635,9 @@ let test_rank_regret_empty_dataset () =
                     {|{"op":"rank_regret","name":"t","k":2}|}))
           done;
           Alcotest.(check int) "both refusals counted" (errors + 2)
-            (stat [ "errors" ]);
+            (stat "serve.errors");
           Alcotest.(check int) "refusals not cached" insertions
-            (stat [ "cache"; "insertions" ])));
+            (stat "serve.cache.insertions")));
   Sys.remove path
 
 (* Cached answers belong to one registration. Two names loaded from one
@@ -697,8 +804,10 @@ let test_reload_mutated_drops_updates () =
    every accepted connection to [t.conns] and never removed it, so state
    grew with history. The poller keeps a live table only: after 10k
    sequential connect/close cycles the table must be bounded by concurrency
-   (here: ~1), while the accepted counter records the full history. *)
+   (here: ~1), while the [serve.connections] counter records the full
+   history. *)
 let test_connection_churn () =
+  Testutil.recording @@ fun () ->
   with_server (fun ~socket_path server ->
       let churn = 10_000 in
       for i = 1 to churn do
@@ -724,11 +833,10 @@ let test_connection_churn () =
         end
       in
       settle 300;
+      let accepted = counter "serve.connections" in
       Alcotest.(check bool)
-        (Printf.sprintf "accepted the full history (%d)"
-           (Server.accepted_connections server))
-        true
-        (Server.accepted_connections server >= churn);
+        (Printf.sprintf "accepted the full history (%d)" accepted)
+        true (accepted >= churn);
       let live = Server.live_connections server in
       Alcotest.(check bool)
         (Printf.sprintf "live table bounded by concurrency (live=%d)" live)
@@ -1077,7 +1185,6 @@ let test_approx_load_end_to_end () =
 
 (* ---- who answers: the IO thread, a worker, the registry worker ------------ *)
 
-module Protocol = Serve.Protocol
 
 let write_anti_correlated ~n ~d ~seed =
   let ds =
@@ -1651,29 +1758,20 @@ let test_build_does_not_stall_cheap_updates () =
           List.iter Unix.close [ fd1; fd2 ]));
   List.iter Sys.remove [ small; slow ]
 
-module Obs = Kregret_obs
 
 (* The IO thread runs no stored-list pass, re-screen, re-entry scan or
    compaction: an update that moves the skyline, and a flush, are counted
    on the registry worker; the rest are applied in place. *)
 let test_update_paths () =
   let path = write_csv ~name:"paths" ~n:120 ~d:3 ~seed:71 in
-  Obs.Registry.reset ();
-  Obs.Control.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Control.set_enabled false;
-      Obs.Registry.reset ())
-  @@ fun () ->
+  Testutil.recording @@ fun () ->
   with_server (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"p" ~path;
           let counted () =
-            let c = Obs.Registry.counters () in
-            let v name = Option.value ~default:0 (List.assoc_opt name c) in
-            ( v "serve.registry.updates",
-              v "serve.registry.inline_updates",
-              v "serve.registry.update_failures" )
+            ( counter "serve.registry.updates",
+              counter "serve.registry.inline_updates",
+              counter "serve.registry.update_failures" )
           in
           (* each reply's epoch against the one before it *)
           let last = ref None in
@@ -1721,10 +1819,15 @@ let suite =
       test_malformed_frames;
     Alcotest.test_case "protocol: oversized frame closes only that connection"
       `Quick test_oversized_frame;
+    Alcotest.test_case "protocol: the reader drops the rest of an oversized \
+                        frame"
+      `Quick test_reader_drops_oversized_frame;
     Alcotest.test_case "protocol: truncated connections don't kill the server"
       `Quick test_truncated_connection;
     Alcotest.test_case "lifecycle: list/stats/evict over the wire" `Quick
       test_list_stats_evict;
+    Alcotest.test_case "stats is the metrics document" `Quick
+      test_stats_is_metrics_document;
     Alcotest.test_case "lifecycle: query races the background build" `Quick
       test_query_races_build;
     Alcotest.test_case "staleness: rewritten CSV is rejected, reload recovers"

@@ -28,6 +28,17 @@ let random_point st d =
 
 let random_points st ~n ~d = List.init n (fun _ -> random_point st d)
 
+(* Counts live in Kregret_obs, per process: a test that reads them records
+   for its duration, from a reset registry, and leaves it reset and off. *)
+let recording f =
+  Kregret_obs.Registry.reset ();
+  Kregret_obs.Control.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Kregret_obs.Control.set_enabled false;
+      Kregret_obs.Registry.reset ())
+    f
+
 (* QCheck arbitrary for points in (0,1]^d. *)
 let qc_point d =
   QCheck.make
