@@ -145,11 +145,10 @@ let check_arg =
            fuzzed insert/delete/query interleavings against the \
            rebuild-from-scratch pipeline), $(b,approx) (only the \
            ε-kernel checks: kernel structure, certified regret bound, \
-           ε-monotonicity, pool-width and shard-tier bit-identity), or \
+           ε-monotonicity, pool-width bit-identity), or \
            $(b,rrr) (only the rank-regret checks: brute-force d=2 \
            arrangement agreement, witness/net rank re-evaluation, sampled \
-           upper-bound probes, pool-width, shard-tier and wire \
-           bit-identity).")
+           upper-bound probes, pool-width and wire bit-identity).")
 
 let metrics_arg =
   Arg.(

@@ -43,7 +43,7 @@ let with_obs ~server (metrics, stats) f =
 (* How many of the words after a verb are its arguments. *)
 type arity =
   | Fixed of int
-  | Load  (* NAME PATH, then a greedy optional SHARDS and/or EPS *)
+  | Load  (* NAME PATH, then EPS when the next word is a number *)
   | Optional_name  (* the next word, unless it is a verb or a raw frame *)
 
 (* Every shorthand verb with its arity and argument synopsis: the one table
@@ -56,7 +56,7 @@ let verbs =
     ("stats", Fixed 0, "");
     ("shutdown", Fixed 0, "");
     ("evict", Optional_name, " [NAME]");
-    ("load", Load, " NAME PATH [SHARDS] [EPS]");
+    ("load", Load, " NAME PATH [EPS]");
   ]
   @ List.map
       (fun f -> (Serve.Protocol.family_name f, Fixed 2, " NAME K"))
@@ -82,33 +82,14 @@ let frame_of_command cmd =
   | [ (("ping" | "list" | "stats" | "shutdown" | "evict") as op) ] ->
       send op []
   | [ (("evict" | "flush") as op); n ] -> send op [ name n ]
-  | "load" :: n :: path :: options -> (
-      let load extra =
-        send "load" (name n :: ("path", Serve.Json.Str path) :: extra)
-      in
-      let shards s = ("shards", Serve.Json.int s)
-      and approx e = ("approx", Serve.Json.Num e) in
-      match options with
-      | [] -> load []
-      | [ third ] -> (
-          (* an integer third word is a shard count, a non-integer float is
-             an ε-kernel approximation bound *)
-          match (int_of_string_opt third, float_of_string_opt third) with
-          | Some s, _ -> load [ shards s ]
-          | None, Some e -> load [ approx e ]
-          | None, None ->
-              Error
-                (Printf.sprintf
-                   "load: expected an integer SHARDS or a float EPS, got %S"
-                   third))
-      | [ s; e ] -> (
-          match (int_of_string_opt s, float_of_string_opt e) with
-          | Some s, Some e -> load [ shards s; approx e ]
-          | None, _ ->
-              Error (Printf.sprintf "load: SHARDS must be an integer, got %S" s)
-          | _, None ->
-              Error (Printf.sprintf "load: EPS must be a float, got %S" e))
-      | _ -> Error "load: expected NAME PATH [SHARDS] [EPS]")
+  | [ "load"; n; path ] ->
+      send "load" [ name n; ("path", Serve.Json.Str path) ]
+  | [ "load"; n; path; eps ] -> (
+      match float_of_string_opt eps with
+      | Some e ->
+          send "load"
+            [ name n; ("path", Serve.Json.Str path); ("approx", Serve.Json.Num e) ]
+      | None -> Error (Printf.sprintf "load: EPS must be a number, got %S" eps))
   | [ "insert"; n; point ] -> (
       let coords =
         String.split_on_char ',' point
@@ -157,10 +138,6 @@ let rec group_commands = function
             (* paths are never bare numbers in practice *)
             Ok
               (match rest with
-              | _ :: _ :: third :: fourth :: _
-                when int_of_string_opt third <> None
-                     && float_of_string_opt fourth <> None ->
-                  4
               | _ :: _ :: third :: _ when float_of_string_opt third <> None ->
                   3
               | _ -> 2)
@@ -248,7 +225,7 @@ let parse_preload spec =
   | _ -> Error (Printf.sprintf "--preload expects NAME=PATH, got %S" spec)
 
 let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
-    ~shards ~approx ~preload ~quiet () =
+    ~approx ~preload ~quiet () =
   let preloads =
     List.map
       (fun spec ->
@@ -259,9 +236,14 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
             exit 124)
       preload
   in
+  (* a rejected setting is bad usage, like a bad --preload *)
   let config =
-    Serve.Server.config ~cache_capacity:cache_size ~max_line ~retry_after
-      ?max_length:max_k ~workers ~shards ~approx ~listeners ()
+    try
+      Serve.Server.config ~cache_capacity:cache_size ~max_line ~retry_after
+        ?max_length:max_k ~workers ~approx ~listeners ()
+    with Invalid_argument m ->
+      Fmt.epr "kregret_serve: %s@." m;
+      exit 124
   in
   (* SIGINT/SIGTERM are blocked in every thread (threads and domains
      inherit the mask, so this precedes the first one) and taken by one
@@ -286,7 +268,7 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
       let preload_failed = ref false in
       List.iter
         (fun (name, path) ->
-          match Serve.Registry.load ~shards ~approx registry ~name ~path with
+          match Serve.Registry.load ~approx registry ~name ~path with
           | Ok _ -> if not quiet then Fmt.epr "preloading %s (%s)@." name path
           | Error m ->
               preload_failed := true;
@@ -317,7 +299,7 @@ let run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
 (* ---- cmdliner ------------------------------------------------------------ *)
 
 let run client socket listen connect timeout cache_size max_line retry_after
-    max_k workers shards approx preload jobs quiet obs commands =
+    max_k workers approx preload jobs quiet obs commands =
   with_obs ~server:(not client) obs @@ fun () ->
   Pool.set_jobs jobs;
   let parse_endpoint spec =
@@ -345,7 +327,7 @@ let run client socket listen connect timeout cache_size max_line retry_after
       | specs -> List.map parse_endpoint specs
     in
     run_server ~listeners ~cache_size ~max_line ~retry_after ~max_k ~workers
-      ~shards ~approx ~preload ~quiet ()
+      ~approx ~preload ~quiet ()
 
 let socket_arg =
   Arg.(
@@ -379,17 +361,9 @@ let workers_arg =
   Arg.(
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Request-handler threads behind the event-driven IO loop.")
-
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Default shard count for dataset loads: with $(docv) > 1 each load \
-           scatter-gathers the build across $(docv) contiguous partitions \
-           (answers stay bit-identical; sharded datasets are static). A \
-           per-load $(i,shards) field on the wire overrides this.")
+          "Request-handler threads behind the event-driven IO loop (at least \
+           1).")
 
 let approx_arg =
   Arg.(
@@ -442,8 +416,9 @@ let max_k_arg =
     & opt (some int) None
     & info [ "max-k" ] ~docv:"K"
         ~doc:
-          "Cap StoredList materialization at $(docv) points per dataset; \
-           queries beyond the cap return the whole materialized list.")
+          "Cap StoredList materialization at $(docv) points per dataset (at \
+           least 1); queries beyond the cap return the whole materialized \
+           list.")
 
 let preload_arg =
   Arg.(
@@ -501,13 +476,11 @@ let commands_arg =
     & info [] ~docv:"COMMAND"
         ~doc:
           "Client-mode commands: $(b,ping), $(b,list), $(b,stats), \
-           $(b,shutdown), $(b,evict) [NAME], $(b,load) NAME PATH [SHARDS] \
-           [EPS], $(b,query) \
-           NAME K, $(b,mrr) NAME K, $(b,rank_regret) NAME K, $(b,insert) \
-           NAME P1,P2,.., $(b,delete) \
-           NAME ID, $(b,flush) NAME, $(b,wait) NAME, or a raw JSON frame \
-           (anything starting with '{'). A bare numeric third word after \
-           $(b,load) is SHARDS when an integer, EPS when a float.")
+           $(b,shutdown), $(b,evict) [NAME], $(b,load) NAME PATH [EPS], \
+           $(b,query) NAME K, $(b,mrr) NAME K, $(b,rank_regret) NAME K, \
+           $(b,insert) NAME P1,P2,.., $(b,delete) NAME ID, $(b,flush) NAME, \
+           $(b,wait) NAME, or a raw JSON frame (anything starting with \
+           '{'). A bare number after $(b,load) NAME PATH is EPS.")
 
 let cmd =
   let doc = "serve k-regret queries from precomputed StoredLists" in
@@ -526,15 +499,15 @@ let cmd =
          its own key kind so rank certificates and regret selections never \
          collide. \
          Loaded datasets are dynamic: $(i,insert)/$(i,delete)/$(i,flush) \
-         requests apply incremental maintenance (lib/core/dynamic.mli) on \
-         the server's build worker, and queries key on the dataset epoch so \
-         stale cached answers age out on their own. The wire protocol is one \
+         requests apply incremental maintenance (lib/core/dynamic.mli) — \
+         in place on the IO thread when the update cannot move the \
+         skyline, otherwise as a repair on the server's build worker — \
+         and queries key on the dataset's versions so stale cached \
+         answers age out on their own. The wire protocol is one \
          JSON object per line over a stream socket (kregret-serve/v1): any \
          mix of Unix-domain and TCP listeners via repeated $(b,--listen), \
          multiplexed by one event-driven IO thread with a $(b,--workers) \
-         handler pool. Loads with $(i,shards) > 1 build through the \
-         scatter-gather shard tier (lib/serve/shard.mli) — identical \
-         answers, static datasets. Loads with $(i,approx) = ε > 0 reduce the \
+         handler pool. Loads with $(i,approx) = ε > 0 reduce the \
          data to an ε-kernel first (lib/approx/kernel.mli): much faster \
          builds, answers carry a certified additive regret bound, and exact \
          and approximate answers for the same file never share a cache \
@@ -555,7 +528,7 @@ let cmd =
     Term.(
       const run $ client_arg $ socket_arg $ listen_arg $ connect_arg
       $ timeout_arg $ cache_arg $ max_line_arg $ retry_after_arg $ max_k_arg
-      $ workers_arg $ shards_arg $ approx_arg $ preload_arg $ jobs_arg
+      $ workers_arg $ approx_arg $ preload_arg $ jobs_arg
       $ quiet_arg $ obs_term $ commands_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -118,14 +118,10 @@ type result = {
   scan_seconds : float;
 }
 
-let reduce ?max_directions ?ids ~eps points =
+let reduce ?max_directions ~eps points =
   let n = Array.length points in
   if n = 0 then invalid_arg "Kernel.reduce: empty input";
   let d = Array.length points.(0) in
-  (match ids with
-  | Some a when Array.length a <> n ->
-      invalid_arg "Kernel.reduce: ids must have one entry per row"
-  | _ -> ());
   let nt = net ?max_directions ~d ~eps () in
   let nd = Flat.rows nt.dirs in
   let flat = Flat.of_rows ~dim:d points in
@@ -150,11 +146,7 @@ let reduce ?max_directions ?ids ~eps points =
              tiles)
            ~reduce:( + ) 0));
   let scan_seconds = Unix.gettimeofday () -. t0 in
-  let winners =
-    match ids with
-    | None -> Array.copy out_row
-    | Some a -> Array.map (fun r -> a.(r)) out_row
-  in
+  let winners = Array.copy out_row in
   let sorted = Array.copy winners in
   Array.sort Int.compare sorted;
   let kept = ref 0 in

@@ -90,20 +90,14 @@ type result = {
 }
 
 (** [reduce ~eps points] scans every net direction over [points] and
-    returns the kernel. [?ids] maps row indices to original ids (for
-    rescans over a shard union); it must have one entry per row, and
-    both [ids] and [winners] of the result are expressed in that id
-    space. Rows must be non-empty and share one dimension. The reduction
-    is idempotent: reducing the kernel's own rows (with [~ids] set to
-    the kernel) returns the same kernel. *)
+    returns the kernel, as row indices of [points]. Rows must be
+    non-empty and share one dimension. *)
 val reduce :
   ?max_directions:int ->
-  ?ids:int array ->
   eps:float ->
   Kregret_geom.Vector.t array ->
   result
 
-(** [select r points] — the kernel rows of the original array. Only
-    valid when [reduce] was called without [~ids] over [points]
-    itself. *)
+(** [select r points] — the kernel rows of [points], the array [r] was
+    reduced from. *)
 val select : result -> Kregret_geom.Vector.t array -> Kregret_geom.Vector.t array

@@ -1,4 +1,10 @@
-type t = { reduction : Kernel.result; order : int array; mrr : float array }
+type t = {
+  reduction : Kernel.result;
+  sky : int array;
+  n_happy : int;
+  order : int array;
+  mrr : float array;
+}
 
 let run ?max_directions ?max_length ~eps points =
   let reduction = Kernel.reduce ?max_directions ~eps points in
@@ -6,11 +12,18 @@ let run ?max_directions ?max_length ~eps points =
   let f =
     Kregret.Stored_list.funnel ?max_length (Kernel.select reduction points)
   in
+  let to_ids idx = Array.map (fun i -> ids.(i)) idx in
   let order, mrr =
     Kregret.Snapshot.prefix f.Kregret.Stored_list.stored
-      ~ids:(Array.map (fun i -> ids.(i)) f.Kregret.Stored_list.happy)
+      ~ids:(to_ids f.Kregret.Stored_list.happy)
   in
-  { reduction; order; mrr }
+  {
+    reduction;
+    sky = to_ids f.Kregret.Stored_list.sky;
+    n_happy = Array.length f.Kregret.Stored_list.happy;
+    order;
+    mrr;
+  }
 
 let stored_length t = Array.length t.order
 

@@ -1,12 +1,14 @@
 (** The offline approximate pipeline: ε-kernel reduction ({!Kernel}),
     then {!Kregret.Stored_list.funnel} (skyline → happy → StoredList)
-    over the kernel rows only. This is the reference composition that the
-    CLI, the bench driver and the serve tier (via
-    {!Kregret_serve.Shard.create} with [approx]) all reproduce bit for
-    bit — [Kregret_check.Approx_oracle] pins the equivalences. *)
+    over the kernel rows only. The CLI, the bench driver and the serve
+    tier's ε loads all run it; [Kregret_check.Approx_oracle] pins its
+    properties. *)
 
 type t = {
   reduction : Kernel.result;
+  sky : int array;
+      (** the skyline of the kernel rows, as ascending original row ids *)
+  n_happy : int;  (** happy points the screen kept among [sky] *)
   order : int array;
       (** the materialized GeoGreedy order as original row ids; empty when
           the happy screen returned nothing (degenerate inputs) *)

@@ -8,7 +8,6 @@ module Happy = Kregret_happy.Happy
 module Geo_greedy = Kregret.Geo_greedy
 module Mrr = Kregret.Mrr
 module Invariants = Kregret.Invariants
-module Shard = Kregret_serve.Shard
 
 let tol = Tolerance.tie
 
@@ -39,8 +38,6 @@ let eps_for ~d =
 
 let pp_ids ids =
   String.concat "," (List.map string_of_int (Array.to_list ids))
-
-let pp_order order = String.concat "," (List.map string_of_int order)
 
 let check ?(jobs_hi = 2) inst =
   let points = inst.Instance.points in
@@ -271,50 +268,4 @@ let check ?(jobs_hi = 2) inst =
       widths
   end;
 
-  (* approx-shards: the shard tier with per-chunk kernels and a
-     coordinator rescan gathers exactly the offline kernel, and its
-     snapshot answers bit-identically to the offline approx pipeline at
-     every shard count *)
-  with_jobs 1 (fun () ->
-      List.iter
-        (fun shards ->
-          let merged = Shard.gather ~approx:eps ~shards points in
-          if merged <> kernel_ids then
-            record "approx-shards"
-              [
-                Printf.sprintf "shards=%d: merged kernel [%s], offline [%s]"
-                  shards (pp_ids merged) (pp_ids kernel_ids);
-              ];
-          let sh = Shard.create ~approx:eps ~shards points in
-          let len = Array.length sh.Kregret.Snapshot.order in
-          if len <> Pipeline.stored_length p1 then
-            record "approx-shards"
-              [
-                Printf.sprintf
-                  "shards=%d: served list materializes %d entries, offline %d"
-                  shards len (Pipeline.stored_length p1);
-              ]
-          else
-            for k' = 1 to len do
-              let sel, mrr = Kregret.Snapshot.query sh ~k:k' in
-              let sel_ref, mrr_ref = Pipeline.query p1 ~k:k' in
-              if sel <> sel_ref then
-                record "approx-shards"
-                  [
-                    Printf.sprintf "shards=%d k=%d: served [%s], offline [%s]"
-                      shards k' (pp_order sel) (pp_order sel_ref);
-                  ];
-              if
-                not
-                  (Int64.equal (Int64.bits_of_float mrr)
-                     (Int64.bits_of_float mrr_ref))
-              then
-                record "approx-shards"
-                  [
-                    Printf.sprintf
-                      "shards=%d k=%d: served mrr %.17g, offline %.17g" shards
-                      k' mrr mrr_ref;
-                  ]
-            done)
-        [ 1; 2; 4 ]);
   !failures

@@ -35,7 +35,6 @@ let check_names =
     "mrr-in-unit";
     "optimal2d";
     "jobs-invariance";
-    "shard-merge";
     "serve";
     "serve-protocol";
     "dynamic";
@@ -43,7 +42,6 @@ let check_names =
     "approx-bound";
     "approx-monotone";
     "approx-jobs";
-    "approx-shards";
     "rrr-structure";
     "rrr-monotone";
     "rrr-whole";
@@ -52,7 +50,6 @@ let check_names =
     "rrr-net";
     "rrr-sample";
     "rrr-jobs";
-    "rrr-shards";
     "rrr-serve";
     "exception";
   ]
@@ -260,70 +257,6 @@ let check_inner cfg inst =
         if not (Float.equal r2.sampled r1.sampled) then
           record "jobs-invariance" [ jmsg "sampled mrr" ])
       (List.sort_uniq compare [ cfg.jobs_hi; capped ])
-  end;
-
-  (* shard-merge: the scatter-gather tier is exact — the coordinator's
-     merged StoredList answers row-for-row what the monolithic
-     naive→happy→preprocess pipeline answers, at every shard count and at
-     both pool widths (the merge is plain code over per-shard skylines, so
-     exactness must survive the pool's chunking too) *)
-  begin
-    let stored_ref, orig_ref =
-      with_jobs 1 (fun () ->
-          let n_sky = Skyline.naive points in
-          let n_pts = Array.map (fun i -> points.(i)) n_sky in
-          let h_idx = Happy.happy_points n_pts in
-          let h = Array.map (fun i -> n_pts.(i)) h_idx in
-          ( Stored_list.preprocess h,
-            Array.map (fun i -> n_sky.(i)) h_idx ))
-    in
-    let n = Array.length points in
-    let shard_counts = List.sort_uniq compare [ 2; max 3 (min 5 (n / 4)) ] in
-    let widths = if cfg.jobs_hi > 1 then [ 1; cfg.jobs_hi ] else [ 1 ] in
-    List.iter
-      (fun jobs ->
-        with_jobs jobs (fun () ->
-            List.iter
-              (fun shards ->
-                let sh = Kregret_serve.Shard.create ~shards points in
-                let len = Array.length sh.Kregret.Snapshot.order in
-                if len <> Stored_list.length stored_ref then
-                  record "shard-merge"
-                    [
-                      Printf.sprintf
-                        "jobs=%d shards=%d: merged list materializes %d entries, monolithic %d"
-                        jobs shards len (Stored_list.length stored_ref);
-                    ]
-                else
-                  for k' = 1 to len do
-                    let sel_ref =
-                      List.map
-                        (fun i -> orig_ref.(i))
-                        (Stored_list.query stored_ref ~k:k')
-                    in
-                    let mrr_ref = Stored_list.mrr_at stored_ref ~k:k' in
-                    let sel, mrr = Kregret.Snapshot.query sh ~k:k' in
-                    if sel <> sel_ref then
-                      record "shard-merge"
-                        [
-                          Printf.sprintf
-                            "jobs=%d shards=%d k=%d: merged selection [%s], monolithic [%s]"
-                            jobs shards k' (pp_order sel) (pp_order sel_ref);
-                        ];
-                    if
-                      not
-                        (Int64.equal (Int64.bits_of_float mrr)
-                           (Int64.bits_of_float mrr_ref))
-                    then
-                      record "shard-merge"
-                        [
-                          Printf.sprintf
-                            "jobs=%d shards=%d k=%d: merged mrr %.17g, monolithic %.17g"
-                            jobs shards k' mrr mrr_ref;
-                        ]
-                  done)
-              shard_counts))
-      widths
   end;
 
   (* the serving subsystem answers with the offline bits, over the wire

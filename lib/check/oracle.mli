@@ -28,10 +28,6 @@
       and an oversubscribed width past
       [Domain.recommended_domain_count ()] (driving the pool's
       oversubscription cap end to end);
-    - [shard-merge] — the scatter-gather shard tier's snapshot
-      ({!Kregret_serve.Shard.create}) answers row-for-row and bit-for-bit what
-      the monolithic naive→happy→StoredList pipeline answers, at every
-      tested shard count and at pool widths 1 and [jobs_hi];
     - [serve] / [serve-protocol] — an in-process query server loaded with
       the instance answers every wire request bit-identically to the
       offline StoredList, and survives malformed frames with structured
@@ -41,18 +37,17 @@
       pipeline from scratch after every mutation, at pool widths
       [{1, 2, 4, jobs_hi}] (see {!Dynamic_oracle});
     - [approx-kernel] / [approx-bound] / [approx-monotone] /
-      [approx-jobs] / [approx-shards] — the ε-kernel approximation tier:
-      kernel structure and per-direction maxima, the certified regret
-      bound, ε-monotonicity, pool-width bit-identity and shard-tier
-      equivalence (see {!Approx_oracle});
+      [approx-jobs] — the ε-kernel approximation tier: kernel structure
+      and per-direction maxima, the certified regret bound,
+      ε-monotonicity and pool-width bit-identity (see {!Approx_oracle});
     - [rrr-structure] / [rrr-monotone] / [rrr-whole] / [rrr-2d] /
       [rrr-witness] / [rrr-net] / [rrr-sample] / [rrr-jobs] /
-      [rrr-shards] / [rrr-serve] — the rank-regret query family:
-      candidate funnel and certified-interval structure, lo
-      monotonicity, an independent cell-by-cell d = 2 arrangement
-      evaluator, witness/net re-evaluation, sampled upper-bound probes,
-      pool-width and shard-tier bit-identity, and wire parity of the
-      [rank_regret] verb (see {!Rrr_oracle});
+      [rrr-serve] — the rank-regret query family: candidate funnel and
+      certified-interval structure, lo monotonicity, an independent
+      cell-by-cell d = 2 arrangement evaluator, witness/net
+      re-evaluation, sampled upper-bound probes, pool-width
+      bit-identity, and wire parity of the [rank_regret] verb (see
+      {!Rrr_oracle});
     - [exception] — no component raised.
 
     All tie comparisons go through {!Tolerance.tie}. *)

@@ -5,7 +5,6 @@ module Pool = Kregret_parallel.Pool
 module Skyline = Kregret_skyline.Skyline
 module Mrr = Kregret.Mrr
 module Rrr = Kregret_rrr.Rrr
-module Shard = Kregret_serve.Shard
 module Csv_io = Kregret_dataset.Csv_io
 module Serve = Kregret_serve
 
@@ -490,41 +489,7 @@ let check ?(jobs_hi = 2) inst =
       [ (jobs_hi, "jobs_hi"); (Domain.recommended_domain_count () + 2, "capped") ]
   end;
 
-  (* rrr-shards: the scatter-gather tier's snapshot hands the engine the
-     merged skyline candidates — answers, read through the serving
-     registry's one rank-regret call, must be the monolithic bits at every
-     shard count *)
   let ks = List.sort_uniq compare [ 1; k ] in
-  with_jobs 1 (fun () ->
-      List.iter
-        (fun shards ->
-          let sh =
-            Serve.Registry.built_of ~build_seconds:0.
-              (Shard.create ~shards points)
-          in
-          List.iter
-            (fun k' ->
-              let sel, r = Serve.Registry.rank_regret sh ~k:k' in
-              let sel_ref, r_ref = Rrr.query eng ~k:k' in
-              if sel <> sel_ref then
-                record "rrr-shards"
-                  [
-                    Printf.sprintf "shards=%d k=%d: served [%s], offline [%s]"
-                      shards k' (pp_order sel) (pp_order sel_ref);
-                  ];
-              if
-                r.Rrr.lo <> r_ref.Rrr.lo || r.Rrr.hi <> r_ref.Rrr.hi
-                || r.Rrr.exact <> r_ref.Rrr.exact
-              then
-                record "rrr-shards"
-                  [
-                    Printf.sprintf
-                      "shards=%d k=%d: served bound [%d, %d], offline [%d, %d]"
-                      shards k' r.Rrr.lo r.Rrr.hi r_ref.Rrr.lo r_ref.Rrr.hi;
-                  ])
-            ks)
-        [ 1; 2; 4 ]);
-
   (* rrr-serve: the wire verb answers with the offline engine's bits *)
   with_jobs 1 (fun () ->
       let csv = Filename.temp_file "kregret_rrr_oracle" ".csv" in

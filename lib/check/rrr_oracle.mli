@@ -43,14 +43,10 @@
     - [rrr-jobs] — order, every certified interval and every witness are
       bit-identical at jobs 1, [jobs_hi], and an oversubscribed width
       past [Domain.recommended_domain_count ()].
-    - [rrr-shards] — {!Kregret_serve.Registry.rank_regret}, the server's
-      one read path, over the snapshot {!Kregret_serve.Shard.create}
-      publishes at shards {1, 2, 4} answers bit-identically to the
-      monolithic engine (the shard-merged skyline candidates are the
-      monolithic ones); the second [k] reads the publication's kept rank
-      table.
     - [rrr-serve] — a live server's [rank_regret] verb answers over the
-      wire with the offline engine's exact bits.
+      wire with the offline engine's exact bits, at [k = 1] and the
+      instance's [k] (the second read reuses the publication's rank
+      table).
 
     All dot-evaluated tie comparisons go through {!Tolerance.tie}; rank
     and witness comparisons are exact. *)

@@ -3,10 +3,10 @@
 
     Two producers fill it. {!Dynamic.snapshot} publishes the incremental
     state after the initial build and after every update that moved its
-    versions; the serving tier's [Shard.create] publishes the static
-    scatter-gather and ε-kernel builds (epoch [0] forever). Both turn
-    their StoredList into [order] and [mrr] with {!prefix}, so a k-regret
-    answer is the same prefix read on every tier. Sibling query families
+    versions; the serving tier publishes an ε-kernel build's
+    [Kregret_approx.Pipeline.run] result statically (epoch [0] forever).
+    Both turn their StoredList into [order] and [mrr] with {!prefix}, so
+    a k-regret answer is the same prefix read on every tier. Sibling query families
     read the {!basis}: rank-regret runs over its rows with its candidates
     as the candidate set.
 
@@ -31,9 +31,9 @@ type basis = {
   rows : Kregret_geom.Vector.t array;  (** the live rows, same order *)
   candidates : int array;
       (** the rank-regret candidates, as ascending indices into [rows].
-          Solo and sharded builds: the skyline of [rows], the
-          rank-complete candidate set (the happy funnel is not). ε builds:
-          the skyline of the merged ε-kernel, which can be much smaller
+          Exact builds: the skyline of [rows], the rank-complete
+          candidate set (the happy funnel is not). ε builds: the
+          skyline of the ε-kernel, which can be much smaller
           (10 rows against a 34-row basis skyline on a 2,000-row d = 3
           independent file at ε = 0.2), so an ε load's rank-regret answer
           is not rank-complete, though its certificates still rank

@@ -31,8 +31,7 @@ type funnel = { sky : int array; happy : int array; stored : t option }
 (** [funnel points] runs [Skyline.sfs], then [Happy.happy_points] on the
     skyline rows, then {!preprocess} on the happy rows. It is the one
     production composition of the three stages: the initial
-    {!Dynamic} build, the serving tier's shard coordinator and the
-    ε-kernel pipeline all call it. [max_length] is passed to
+    {!Dynamic} build and the ε-kernel pipeline both call it. [max_length] is passed to
     {!preprocess}. *)
 val funnel : ?max_length:int -> Kregret_geom.Vector.t array -> funnel
 

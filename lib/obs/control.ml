@@ -7,9 +7,7 @@ let set_enabled b = Atomic.set flag b
    snapshots run outside parallel regions, so contention is negligible. *)
 let mutex = Mutex.create ()
 
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+let locked f = Mutex.protect mutex f
 
 (* [Sys.time] keeps the library off [Unix]; binaries install
    [Unix.gettimeofday] for wall-clock span trees. *)

@@ -85,10 +85,9 @@ let request_obj t fields =
 
 let ping t = request_obj t [ ("op", Json.Str "ping") ]
 
-let load ?shards ?approx t ~name ~path =
+let load ?approx t ~name ~path =
   request_obj t
     ([ ("op", Json.Str "load"); ("name", Json.Str name); ("path", Json.Str path) ]
-    @ (match shards with Some s -> [ ("shards", Json.int s) ] | None -> [])
     @ match approx with Some e -> [ ("approx", Json.Num e) ] | None -> [])
 
 let list_datasets t = request_obj t [ ("op", Json.Str "list") ]

@@ -35,14 +35,12 @@ val request : t -> string -> (Json.t, string) result
 
 val ping : t -> (Json.t, string) result
 
-(** [load t ~name ~path] registers a dataset; [?shards] > 1 asks for the
-    scatter-gather tier (bit-identical answers, but the dataset becomes
-    static — updates answer [static_dataset]); [?approx] = ε in (0, 1]
+(** [load t ~name ~path] registers a dataset; [?approx] = ε in (0, 1]
     asks for the ε-kernel reduction (approximate answers with a certified
-    additive bound; also static). Exact and approximate loads of the same
-    file are distinct datasets and never share cached answers. *)
+    additive bound; the dataset becomes static — updates answer
+    [static_dataset]). Exact and approximate loads of the same file are
+    distinct datasets and never share cached answers. *)
 val load :
-  ?shards:int ->
   ?approx:float ->
   t ->
   name:string ->

@@ -81,10 +81,6 @@ type t = {
   scratch : Bytes.t;  (* IO-thread-only read buffer *)
 }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 let wake t =
   (* one byte is enough; a full pipe already guarantees a wakeup *)
   if not t.wake_closed then
@@ -226,11 +222,11 @@ let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
   t
 
 let stop t =
-  locked t (fun () -> t.stopping <- true);
+  Mutex.protect t.m (fun () -> t.stopping <- true);
   wake t
 
-let live_connections t = locked t (fun () -> Hashtbl.length t.conns)
-let unsent_peak t = locked t (fun () -> t.unsent_peak)
+let live_connections t = Mutex.protect t.m (fun () -> Hashtbl.length t.conns)
+let unsent_peak t = Mutex.protect t.m (fun () -> t.unsent_peak)
 
 (* ---- IO-thread helpers (mutex held unless noted) -------------------------- *)
 
@@ -357,11 +353,12 @@ let write_chunk t c =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
-    | exception Unix.Unix_error _ -> locked t (fun () -> destroy t c)
-    | exception _ -> locked t (fun () -> destroy t c)
+    | exception Unix.Unix_error _ -> Mutex.protect t.m (fun () -> destroy t c)
+    | exception _ -> Mutex.protect t.m (fun () -> destroy t c)
 
 let write_conn t c =
-  if c.c_wpos >= String.length c.c_wchunk then locked t (fun () -> take_output c);
+  if c.c_wpos >= String.length c.c_wchunk then
+    Mutex.protect t.m (fun () -> take_output c);
   write_chunk t c
 
 (* IO thread, mutex NOT held around the read syscall: the fd and
@@ -372,17 +369,17 @@ let read_conn t c =
   match Unix.read c.c_fd t.scratch 0 (Bytes.length t.scratch) with
   | 0 ->
       (* close once drained, in the sweep *)
-      locked t (fun () -> c.c_read_closed <- true)
+      Mutex.protect t.m (fun () -> c.c_read_closed <- true)
   | n ->
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           ingest t c t.scratch n;
           take_output c);
       write_chunk t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
-  | exception Unix.Unix_error _ -> locked t (fun () -> destroy t c)
-  | exception _ -> locked t (fun () -> destroy t c)
+  | exception Unix.Unix_error _ -> Mutex.protect t.m (fun () -> destroy t c)
+  | exception _ -> Mutex.protect t.m (fun () -> destroy t c)
 
 (* a connection with nothing left to do goes away; the table only ever
    holds live connections *)
@@ -416,7 +413,7 @@ let loop t =
   let finished = ref false in
   while not !finished do
     let reads, writes, timeout =
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           if t.stopping && not !stop_seen then begin
             stop_seen := true;
             deadline := Unix.gettimeofday () +. t.drain_timeout;
@@ -464,7 +461,7 @@ let loop t =
         if !stop_seen && Unix.gettimeofday () > !deadline then
           (* drain took too long (a wedged peer, a stuck handler):
              force-close the stragglers — shutdown must never hang *)
-          locked t (fun () ->
+          Mutex.protect t.m (fun () ->
               Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
               |> List.iter (fun c -> destroy t c))
         else
@@ -473,7 +470,7 @@ let loop t =
           | exception Unix.Unix_error (Unix.EBADF, _, _) ->
               (* cannot happen by construction (only this thread closes
                  fds), but never spin on it *)
-              locked t (fun () -> sweep t)
+              Mutex.protect t.m (fun () -> sweep t)
           | ready_r, ready_w, _ ->
               (* [by_fd] and the dead flags are IO-thread-owned: the only
                  lock taken here is inside the per-connection helpers, so
@@ -482,7 +479,7 @@ let loop t =
                 (fun fd ->
                   if fd = t.wake_r then drain_wake t
                   else if List.memq fd t.listeners then
-                    locked t (fun () -> accept_new t fd)
+                    Mutex.protect t.m (fun () -> accept_new t fd)
                   else
                     match Hashtbl.find_opt t.by_fd fd with
                     | Some c when not c.c_dead -> read_conn t c
@@ -498,11 +495,11 @@ let loop t =
 
 let run t =
   let retire () =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         t.stop_workers <- true;
         Condition.broadcast t.jobs_cond);
     List.iter Thread.join t.worker_threads;
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         t.wake_closed <- true;
         close_fd t.wake_r;
         close_fd t.wake_w)
@@ -514,7 +511,7 @@ let run t =
   | exception e ->
       (* the loop itself failed: hang up on every client rather than
          leave it waiting on a dead loop *)
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           t.stopping <- true;
           List.iter close_fd t.listeners;
           t.listeners <- [];

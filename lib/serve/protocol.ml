@@ -18,12 +18,7 @@ type request =
   | List
   | Stats
   | Shutdown
-  | Load of {
-      name : string;
-      path : string;
-      shards : int option;
-      approx : float option;
-    }
+  | Load of { name : string; path : string; approx : float option }
   | Read of { family : family; name : string; k : int }
   | Evict of { name : string option }
   | Insert of { name : string; point : float array }
@@ -84,19 +79,6 @@ let field_point obj =
             Error (err ~code:"bad_field" "\"point\" must be an array of numbers")
           else Ok (Array.of_list coords)))
 
-let field_shards obj =
-  match Json.member "shards" obj with
-  | None -> Ok None
-  | Some v -> (
-      match Json.to_int v with
-      | Some s when s >= 1 -> Ok (Some s)
-      | Some s ->
-          Error
-            (err ~code:"bad_field"
-               (Printf.sprintf "\"shards\" must be a positive integer (got %d)" s))
-      | None ->
-          Error (err ~code:"bad_field" "\"shards\" must be a positive integer"))
-
 let field_approx obj =
   match Json.member "approx" obj with
   | None -> Ok None
@@ -131,9 +113,8 @@ let parse_request ?(max_line = default_max_line) line =
             | Some "load" ->
                 let* name = field_str obj "name" in
                 let* path = field_str obj "path" in
-                let* shards = field_shards obj in
                 let* approx = field_approx obj in
-                Ok (Load { name; path; shards; approx })
+                Ok (Load { name; path; approx })
             | Some "insert" ->
                 let* name = field_str obj "name" in
                 let* point = field_point obj in

@@ -7,20 +7,16 @@
     [{"ok":true,"hello":"kregret-serve/v1"}]; after that, strictly
     request→response, in order, per connection.
 
-    Requests ([op] selects the verb):
+    Requests ([op] selects the verb; a field the verb does not read is
+    ignored):
 
     {v
       {"op":"load","name":NAME,"path":PATH}   register + build a CSV dataset
-      {"op":"load","name":NAME,"path":PATH,"shards":S}
-                                              same, scatter-gathered over S
-                                              shards (answers stay identical;
-                                              the dataset becomes static)
       {"op":"load","name":NAME,"path":PATH,"approx":EPS}
                                               same, through the ε-kernel
                                               reduction (answers carry a
                                               certified regret bound; the
-                                              dataset becomes static);
-                                              composes with "shards"
+                                              dataset becomes static)
       {"op":"query","name":NAME,"k":K}        k-regret selection + its mrr
       {"op":"mrr","name":NAME,"k":K}          mrr only
       {"op":"rank_regret","name":NAME,"k":K}  rank-regret representatives:
@@ -40,16 +36,24 @@
       {"op":"shutdown"}                       stop the server
     v}
 
-    [insert]/[delete]/[flush] run on the registry's single worker thread,
-    serialized with background builds; the reply comes once the update
+    [insert]/[delete]/[flush] take one of two paths (see
+    {!Registry.update}). An update that cannot move the skyline — a
+    dominated or duplicate insert, a rejected insert, a delete of an
+    unknown id or of a live non-skyline point that trips no compaction —
+    is applied in place and answered at once by the IO thread. A repair
+    — an insert or delete that moves the skyline, a delete that triggers
+    compaction, a [flush] — runs on the registry's single worker thread,
+    serialized with background builds; its reply comes once the update
     (and its incremental repair — see {!Kregret.Dynamic}) is published,
-    and the connection's later requests wait behind it. Queries never block on an in-flight update: they answer from
-    the last published snapshot. Inserted points must be pre-normalized
-    (finite coordinates in [(0, 1]], dimension matching the dataset) —
-    anything else is a [bad_point] error. Updates against a dataset loaded
-    with ["shards"] > 1 or ["approx"] are rejected with [static_dataset] —
-    neither the shard merge nor the kernel reduction has an incremental
-    repair.
+    and the connection's later requests wait behind it. A dataset's
+    updates apply in arrival order: while a repair of it is pending, even
+    a cheap update queues behind it on the worker. Queries never block
+    on an in-flight update: they answer from the last published
+    snapshot. Inserted points must be pre-normalized (finite coordinates
+    in [(0, 1]], dimension matching the dataset) — anything else is a
+    [bad_point] error. Updates against a dataset loaded with ["approx"]
+    are rejected with [static_dataset]: the kernel reduction has no
+    incremental repair.
 
     Every response carries ["ok"]; failures are structured —
     [{"ok":false,"error":{"code":CODE,"message":MSG}}], optionally with a
@@ -104,12 +108,7 @@ type request =
   | List
   | Stats
   | Shutdown
-  | Load of {
-      name : string;
-      path : string;
-      shards : int option;
-      approx : float option;
-    }
+  | Load of { name : string; path : string; approx : float option }
   | Read of { family : family; name : string; k : int }
   | Evict of { name : string option }
   | Insert of { name : string; point : float array }
@@ -135,7 +134,8 @@ val error_response : ?retry_after:float -> error -> string
 
 (** {1 Framed line I/O over file descriptors}
 
-    Shared by the server's connection loop and the client. *)
+    The client's side of the framing. The server's poller frames the
+    lines it reads itself, chunk by chunk, without a reader. *)
 
 type reader
 

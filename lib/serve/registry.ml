@@ -3,6 +3,7 @@ module Dataset = Kregret_dataset.Dataset
 module Csv_io = Kregret_dataset.Csv_io
 module Dynamic = Kregret.Dynamic
 module Snapshot = Kregret.Snapshot
+module Pipeline = Kregret_approx.Pipeline
 module Rrr = Kregret_rrr.Rrr
 module Obs = Kregret_obs
 
@@ -74,9 +75,9 @@ let rank_table b =
           cell.slot <- Some (s, basis, table);
           (basis, table))
 
-(* Rank-regret over the published basis, with its candidates: solo
-   answers track every update, and shard and ε builds hand the engine the
-   monolithic inputs. The greedy prefix is max_size-stable, so selections
+(* Rank-regret over the published basis, with its candidates: exact
+   answers track every update, and an ε build hands the engine every input
+   row. The greedy prefix is max_size-stable, so selections
    of every k share the table. *)
 let rank_regret b ~k =
   if b.backend.live = 0 then
@@ -107,7 +108,6 @@ type info = {
   stat : Fingerprint.stat_sig;
   n : int;
   d : int;
-  shards : int;
   approx : float;
   mutated : bool;
   status : status;
@@ -131,10 +131,9 @@ type entry = {
   e_path : string;
   e_fingerprint : string;
   mutable e_stat : Fingerprint.stat_sig;  (* of the bytes behind e_fingerprint *)
-  e_shards : int;  (* 1 = solo; >1 = scatter-gather, static *)
   e_approx : float;  (* 0. = exact; >0. = ε-kernel tier, static *)
   points : Vector.t array;  (* normalized rows, the initial id space *)
-  mutable e_dyn : Dynamic.t option;  (* Ready solo entries only *)
+  mutable e_dyn : Dynamic.t option;  (* Ready exact entries only *)
   mutable e_mutated : bool;  (* diverged from the CSV via updates *)
   mutable e_status : status;
   mutable e_pending : int;  (* updates queued on, or running on, the worker *)
@@ -159,10 +158,6 @@ type t = {
   mutable worker : Thread.t option;
 }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let snapshot e =
   {
     name = e.e_name;
@@ -172,26 +167,17 @@ let snapshot e =
     stat = e.e_stat;
     n = Array.length e.points;
     d = (if Array.length e.points = 0 then 0 else Vector.dim e.points.(0));
-    shards = e.e_shards;
     approx = e.e_approx;
     mutated = e.e_mutated;
     status = e.e_status;
   }
 
 (* The entry an update may run against and its state, or the wire error
-   refusing it: one check for the enqueue and for the worker. Shard tiers
-   and ε-kernel tiers are static materializations with no incremental
-   repair. *)
+   refusing it: one check for the enqueue and for the worker. An ε-kernel
+   build is a static materialization with no incremental repair. *)
 let update_target t name =
   match Hashtbl.find_opt t.entries name with
   | None -> Error (unavailable name None)
-  | Some e when e.e_shards > 1 ->
-      Error
-        ( "static_dataset",
-          Printf.sprintf
-            "dataset %S is sharded (scatter-gather) and static; re-load it \
-             without \"shards\" to update it"
-            name )
   | Some e when e.e_approx > 0. ->
       Error
         ( "static_dataset",
@@ -205,20 +191,37 @@ let update_target t name =
         ("internal", Printf.sprintf "dataset %S is ready with no state" name)
   | Some e -> Error (unavailable name (Some e.e_status))
 
-(* The full offline pipeline of the paper. Solo: materialized as a
-   [Dynamic.t] so later updates repair incrementally. Sharded or ε: the
-   static scatter-gather tier, no [Dynamic] behind it. Runs on the build
-   thread; the hot loops inside use the global domain pool. *)
-let build ~max_length ~shards ~approx points =
+(* An ε build's publication, static: epoch 0, every input row as the
+   rank basis (ids = row indices, uncopied), and the kernel's skyline as
+   the rank candidates *)
+let static_of points (p : Pipeline.t) =
+  let n = Array.length points in
+  let basis =
+    { Snapshot.ids = Array.init n Fun.id; rows = points; candidates = p.sky }
+  in
+  {
+    Snapshot.epoch = 0;
+    live = n;
+    n_sky = Array.length p.sky;
+    n_happy = p.n_happy;
+    order = p.order;
+    mrr = p.mrr;
+    basis_version = 0;
+    basis = (fun () -> basis);
+  }
+
+(* The full offline pipeline of the paper. Exact: materialized as a
+   [Dynamic.t] so later updates repair incrementally. ε: the static
+   [Pipeline.run] over the ε-kernel, no [Dynamic] behind it. Runs on the
+   build thread; the hot loops inside use the global domain pool. *)
+let build ~max_length ~approx points =
   let t0 = Unix.gettimeofday () in
   try
     Obs.Span.with_ "serve.build" (fun () ->
         let dyn, backend =
-          if shards > 1 || approx > 0. then
+          if approx > 0. then
             ( None,
-              Shard.create ?max_length
-                ?approx:(if approx > 0. then Some approx else None)
-                ~shards points )
+              static_of points (Pipeline.run ?max_length ~eps:approx points) )
           else
             let dyn = Dynamic.create ?max_length points in
             (Some dyn, Dynamic.snapshot dyn)
@@ -297,21 +300,16 @@ let worker_loop t =
           | Some e
             when String.equal e.e_fingerprint fp
                  && (match e.e_status with Building -> true | _ -> false) ->
-              let points = e.points
-              and shards = e.e_shards
-              and approx = e.e_approx in
+              let points = e.points and approx = e.e_approx in
               Mutex.unlock t.mutex;
-              let dyn, status =
-                build ~max_length:t.max_length ~shards ~approx points
-              in
+              let dyn, status = build ~max_length:t.max_length ~approx points in
               Mutex.lock t.mutex;
               (* the entry may have been evicted or replaced while we built —
-                 including a same-bytes re-load at a different shard count or
-                 ε, whose own Build job is still queued *)
+                 including a same-bytes re-load at a different ε, whose own
+                 Build job is still queued *)
               (match Hashtbl.find_opt t.entries name with
               | Some e'
                 when String.equal e'.e_fingerprint fp
-                     && e'.e_shards = shards
                      && Float.equal e'.e_approx approx ->
                   e'.e_dyn <- dyn;
                   e'.e_status <- status
@@ -360,7 +358,7 @@ let create ?max_length () =
 
 let stop t =
   let queued =
-    locked t (fun () ->
+    Mutex.protect t.mutex (fun () ->
         t.stop <- true;
         Condition.broadcast t.cond;
         let queued =
@@ -384,15 +382,14 @@ let stop t =
 let shutdown t =
   stop t;
   let worker =
-    locked t (fun () ->
+    Mutex.protect t.mutex (fun () ->
         let w = t.worker in
         t.worker <- None;
         w)
   in
   match worker with Some w -> Thread.join w | None -> ()
 
-let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
-  let shards = max 1 shards in
+let load ?(approx = 0.) t ~name ~path =
   let approx = if approx > 0. then approx else 0. in
   (* one read serves both the fingerprint and the parser, so the hash always
      matches the points actually loaded (hashing and re-reading the file
@@ -426,14 +423,13 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
       with
       | Error m -> Error m
       | Ok ds ->
-          locked t (fun () ->
+          Mutex.protect t.mutex (fun () ->
               if t.stop then Error "registry is shut down"
               else begin
                 Obs.Counter.incr c_loads;
                 match Hashtbl.find_opt t.entries name with
                 | Some ({ e_status = Failed _; _ } as e)
                   when String.equal e.e_fingerprint fp
-                       && e.e_shards = shards
                        && Float.equal e.e_approx approx ->
                     (* same bytes, but the build failed (possibly
                        transiently): an explicit re-load retries instead of
@@ -447,18 +443,17 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                     Ok (snapshot e)
                 | Some e
                   when String.equal e.e_fingerprint fp
-                       && e.e_shards = shards
                        && Float.equal e.e_approx approx
                        && not e.e_mutated ->
-                    (* unchanged bytes at the same shard count and ε: keep
-                       the build (or its result) — concurrent loads of the
-                       same file are idempotent and enqueue no duplicate
-                       job. A different shard count or ε is a different
-                       materialization, and a mutated entry no longer holds
-                       the file's rows: both fall through to a fresh
-                       registration and rebuild. The signature still
-                       refreshes: the bytes were re-verified just now, so a
-                       mere touch stops forcing re-hashes on every query. *)
+                    (* unchanged bytes at the same ε: keep the build (or
+                       its result) — concurrent loads of the same file are
+                       idempotent and enqueue no duplicate job. A different
+                       ε is a different materialization, and a mutated
+                       entry no longer holds the file's rows: both fall
+                       through to a fresh registration and rebuild. The
+                       signature still refreshes: the bytes were
+                       re-verified just now, so a mere touch stops forcing
+                       re-hashes on every query. *)
                     e.e_stat <- stat_sig;
                     Ok (snapshot e)
                 | _ ->
@@ -470,7 +465,6 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
                         e_path = path;
                         e_fingerprint = fp;
                         e_stat = stat_sig;
-                        e_shards = shards;
                         e_approx = approx;
                         points = ds.Dataset.points;
                         e_dyn = None;
@@ -491,7 +485,7 @@ let load ?(shards = 1) ?(approx = 0.) t ~name ~path =
    queues behind them, so each dataset's updates apply in arrival order. *)
 let update t ~name op u_done =
   let now =
-    locked t (fun () ->
+    Mutex.protect t.mutex (fun () ->
         if t.stop then Some (Error shut_down)
         else
           match update_target t name with
@@ -514,11 +508,11 @@ let update t ~name op u_done =
       `Now r
 
 let find t name =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Option.map snapshot (Hashtbl.find_opt t.entries name))
 
 let list t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.fold (fun _ e acc -> snapshot e :: acc) t.entries []
       |> List.sort (fun a b -> String.compare a.name b.name))
 
@@ -527,7 +521,7 @@ let list t =
    [find] first raced a concurrent re-load, leaving the new entry's rows
    purged and the dead entry's rows behind. *)
 let evict t name =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.entries name with
       | None -> None
       | Some e ->

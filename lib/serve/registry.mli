@@ -5,8 +5,9 @@
     the precomputation instead of rebuilding it.
 
     Every ready dataset publishes the same snapshot type, whatever built
-    it: a solo load keeps a {!Kregret.Dynamic} state, and a sharded or ε
-    load publishes {!Shard.create}'s static snapshot. One rule decides
+    it: an exact load keeps a {!Kregret.Dynamic} state, and an ε load
+    publishes a static snapshot of {!Kregret_approx.Pipeline.run}. One
+    rule decides
     when an update republishes: iff it moved the epoch or the
     [basis_version] since the published snapshot, the thread that applied
     it publishes a new {!Kregret.Dynamic.snapshot} (O(1) in the rows: it
@@ -69,8 +70,8 @@
     unchanged — the re-load takes a fresh {!info.generation}. *)
 
 (** The answer state behind a [Ready] dataset; it never changes once
-    published. Its epoch is always 0 for sharded and ε builds — they
-    never change, so nothing a cache keyed on it could miss. *)
+    published. Its epoch is always 0 for ε builds — they never change, so
+    nothing a cache keyed on it could miss. *)
 type backend = Kregret.Snapshot.t
 
 (** The basis and rank table cell of one publication (see
@@ -104,11 +105,11 @@ val backend_query : backend -> k:int -> int list * float
     waits for it, so [basis] runs once per publication and never on two
     threads at once). An update that republishes, a re-load or an evict
     replaces or drops the publication, and its basis and table with it.
-    Solo answers track every update; a fresh dataset, solo or sharded,
-    reproduces the offline engine over the normalized rows bit for bit.
-    For ε loads [candidates] is the skyline of the merged ε-kernel, not
-    of the basis, so the answer is not rank-complete, though its
-    certificates still rank against every row. Raises [Invalid_argument]
+    Exact answers track every update; a fresh exact dataset reproduces
+    the offline engine over the normalized rows bit for bit. For ε loads
+    [candidates] is the skyline of the ε-kernel, not of the basis, so the
+    answer is not rank-complete, though its certificates still rank
+    against every row. Raises [Invalid_argument]
     when no live points remain. *)
 val rank_regret : built -> k:int -> int list * Kregret_rrr.Rrr.rank
 
@@ -127,10 +128,9 @@ type info = {
           read from — the cheap per-query freshness witness *)
   n : int;  (** rows loaded from the CSV (not updated by inserts/deletes) *)
   d : int;
-  shards : int;  (** 1 = solo; >1 = scatter-gather (static) *)
   approx : float;
       (** ε of the ε-kernel tier; [0.] = exact. Approximate datasets are
-          static, like sharded ones. *)
+          static. *)
   mutated : bool;  (** diverged from the CSV via {!update} *)
   status : status;
 }
@@ -172,18 +172,17 @@ val stop : t -> unit
 val shutdown : t -> unit
 
 (** [load t ~name ~path] registers (or re-registers, when the
-    fingerprint, shard count or ε changed) a dataset and enqueues its
-    build; returns a snapshot. [shards > 1] builds the static
-    scatter-gather tier ({!Shard}) instead of a [Dynamic] — same answers,
-    no updates. [approx > 0.] builds the static ε-kernel tier (the shard
-    tier with per-chunk kernels — see {!Shard}); exact and approximate
-    materializations of the same bytes are {e distinct} entries. Both
-    the shard count and ε are part of the entry's identity: re-loading an
-    unchanged file at the same [(shards, approx)] joins the existing
-    entry (except when its build [Failed], which retries); a different
-    count or ε rebuilds. [Error] on unreadable or malformed CSV. *)
+    fingerprint or ε changed) a dataset and enqueues its build; returns a
+    snapshot. An exact load builds a {!Kregret.Dynamic}. [approx > 0.]
+    builds the static ε-kernel tier instead: {!Kregret_approx.Pipeline.run}
+    at that ε, published with epoch [0], every input row as the rank
+    basis and the kernel's skyline as the rank candidates; it takes no
+    updates. Exact and approximate materializations of the same bytes
+    are {e distinct} entries: ε is part of the entry's identity, so
+    re-loading an unchanged file at the same ε joins the existing entry
+    (except when its build [Failed], which retries), and a different ε
+    rebuilds. [Error] on unreadable or malformed CSV. *)
 val load :
-  ?shards:int ->
   ?approx:float ->
   t ->
   name:string ->
@@ -191,10 +190,10 @@ val load :
   (info, string) result
 
 (** [update t ~name op complete] — insert/delete/flush against a [Ready]
-    solo dataset, without waiting for a repair. [`Now r] answered it on
+    exact dataset, without waiting for a repair. [`Now r] answered it on
     the calling thread: a refusal ([not_found], [building],
-    [build_failed], [static_dataset] — sharded and approximate datasets
-    are static — or [internal] after {!stop}), or an update applied in
+    [build_failed], [static_dataset] — approximate datasets are static —
+    or [internal] after {!stop}), or an update applied in
     place (see Updates above), published before [update] returns;
     [complete] is then never called. [`Queued] handed it to the worker,
     which calls [complete] exactly once, on its own thread (or the one

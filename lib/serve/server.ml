@@ -17,17 +17,18 @@ type config = {
   retry_after : float;
   max_length : int option;
   workers : int;
-  shards : int;
   approx : float;  (* server-wide default ε for [load]; 0. = exact *)
 }
 
 let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
-    ?(retry_after = 0.05) ?max_length ?(workers = 4) ?(shards = 1)
-    ?(approx = 0.) ?(listeners = []) ?socket_path () =
+    ?(retry_after = 0.05) ?max_length ?(workers = 4) ?(approx = 0.)
+    ?(listeners = []) ?socket_path () =
   if cache_capacity < 0 then invalid_arg "Server.config: cache_capacity < 0";
   if max_line < 1 then invalid_arg "Server.config: max_line < 1";
+  (match max_length with
+  | Some m when m < 1 -> invalid_arg "Server.config: max_length < 1"
+  | _ -> ());
   if workers < 1 then invalid_arg "Server.config: workers < 1";
-  if shards < 1 then invalid_arg "Server.config: shards < 1";
   if (not (Float.is_finite approx)) || approx < 0. || approx > 1. then
     invalid_arg "Server.config: approx must be in [0, 1]";
   let listeners =
@@ -43,19 +44,18 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
     retry_after;
     max_length;
     workers;
-    shards;
     approx;
   }
 
 (* cache/batch key: (generation, version, k, family). The generation names
    one registration: a load that creates or replaces an entry takes a new
-   one, so registrations never share rows — not solo vs sharded vs ε
-   loads of one CSV, and not two names of one file whose updates reach
-   equal epochs with different points. The version is that of the
-   snapshot part the family reads ([version_of]), so an insert/delete
-   invalidates by key churn — stale rows age out of the LRU with no
-   explicit flush. The family keeps a rank certificate and a regret
-   selection at the same k apart. *)
+   one, so registrations never share rows — not exact vs ε loads of one
+   CSV, and not two names of one file whose updates reach equal epochs
+   with different points. The version is that of the snapshot part the
+   family reads ([version_of]), so an insert/delete invalidates by key
+   churn — stale rows age out of the LRU with no explicit flush. The
+   family keeps a rank certificate and a regret selection at the same k
+   apart. *)
 type key = int * int * int * Protocol.family
 
 (* A read answer as its JSON fields: those rendered before the
@@ -86,11 +86,7 @@ type t = {
 let registry t = t.reg
 let endpoints t = t.resolved
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let poller_of t = with_lock t.state_mutex (fun () -> t.poller)
+let poller_of t = Mutex.protect t.state_mutex (fun () -> t.poller)
 
 let live_connections t =
   match poller_of t with Some p -> Poller.live_connections p | None -> 0
@@ -125,7 +121,6 @@ let dataset_json info =
       ("fingerprint", Json.Str info.Registry.fingerprint);
       ("n", Json.int info.Registry.n);
       ("d", Json.int info.Registry.d);
-      ("shards", Json.int info.Registry.shards);
       ("approx", Json.Num info.Registry.approx);
       ("status", Json.Str (status_str info.Registry.status));
     ]
@@ -147,12 +142,10 @@ let dataset_json info =
   in
   Json.Obj (base @ extra)
 
-let handle_load t ~name ~path ~shards ~approx =
-  (* the wire fields win; otherwise the server-wide [--shards]/[--approx]
-     defaults *)
-  let shards = match shards with Some s -> s | None -> t.cfg.shards in
-  let approx = match approx with Some a -> a | None -> t.cfg.approx in
-  match Registry.load ~shards ~approx t.reg ~name ~path with
+let handle_load t ~name ~path ~approx =
+  (* the wire field wins; otherwise the server-wide [--approx] default *)
+  let approx = Option.value approx ~default:t.cfg.approx in
+  match Registry.load ~approx t.reg ~name ~path with
   | Error m -> error (Protocol.err ~code:"load_failed" m)
   | Ok info ->
       Protocol.ok_response
@@ -163,7 +156,6 @@ let handle_load t ~name ~path ~shards ~approx =
           ("fingerprint", Json.Str info.Registry.fingerprint);
           ("n", Json.int info.Registry.n);
           ("d", Json.int info.Registry.d);
-          ("shards", Json.int info.Registry.shards);
           ("approx", Json.Num info.Registry.approx);
         ]
 
@@ -235,7 +227,7 @@ let read t ~family ~name ~k (info, b) =
   let key =
     (info.Registry.generation, version_of family b.Registry.backend, k, family)
   in
-  match with_lock t.cache_mutex (fun () -> Lru.get t.cache key) with
+  match Mutex.protect t.cache_mutex (fun () -> Lru.get t.cache key) with
   | Some reply -> `Hit reply
   | None ->
       `Miss
@@ -248,7 +240,8 @@ let read t ~family ~name ~k (info, b) =
                     let hit =
                       render ~family ~name ~k ~cached:true ~coalesced:false fields
                     in
-                    with_lock t.cache_mutex (fun () -> Lru.put t.cache key hit))
+                    Mutex.protect t.cache_mutex (fun () ->
+                        Lru.put t.cache key hit))
                   r;
                 r)
           in
@@ -311,7 +304,7 @@ let handle_update t ~complete ~name ~kind op =
 let handle_evict t ~name =
   match name with
   | None ->
-      with_lock t.cache_mutex (fun () -> Lru.clear t.cache);
+      Mutex.protect t.cache_mutex (fun () -> Lru.clear t.cache);
       Protocol.ok_response [ ("op", Json.Str "evict"); ("cleared", Json.Str "cache") ]
   | Some name ->
       (* eviction and cache purge key off one atomic registry removal: the
@@ -320,7 +313,7 @@ let handle_evict t ~name =
       let evicted = Registry.evict t.reg name in
       (match evicted with
       | Some generation ->
-          with_lock t.cache_mutex (fun () ->
+          Mutex.protect t.cache_mutex (fun () ->
               List.iter
                 (fun ((g, _, _, _) as key) ->
                   if g = generation then ignore (Lru.remove t.cache key))
@@ -353,8 +346,8 @@ let handle_stats t =
           [
             ("capacity", Json.int (Lru.capacity t.cache));
             ( "entries",
-              Json.int (with_lock t.cache_mutex (fun () -> Lru.length t.cache))
-            );
+              Json.int
+                (Mutex.protect t.cache_mutex (fun () -> Lru.length t.cache)) );
           ] );
       ("metrics", metrics);
     ]
@@ -396,8 +389,8 @@ let handle_request t ~complete line =
             work (fun () ->
                 signal_stop t;
                 (Protocol.ok_response [ ("op", Json.Str "shutdown") ], true))
-        | Protocol.Load { name; path; shards; approx } ->
-            work (fun () -> (handle_load t ~name ~path ~shards ~approx, false))
+        | Protocol.Load { name; path; approx } ->
+            work (fun () -> (handle_load t ~name ~path ~approx, false))
         | Protocol.Evict { name } -> work (fun () -> (handle_evict t ~name, false))
       with e -> Poller.Answer (internal e))
 
@@ -479,7 +472,8 @@ let start cfg =
           (Thread.create
              (fun () ->
                try Poller.run poller
-               with e -> with_lock t.state_mutex (fun () -> t.io_failure <- Some e))
+               with e ->
+                 Mutex.protect t.state_mutex (fun () -> t.io_failure <- Some e))
              ());
       Ok t
 
@@ -487,11 +481,11 @@ let start_exn cfg =
   match start cfg with Ok t -> t | Error m -> failwith ("Server.start: " ^ m)
 
 let wait t =
-  (match with_lock t.state_mutex (fun () -> t.io_thread) with
+  (match Mutex.protect t.state_mutex (fun () -> t.io_thread) with
   | Some th -> Thread.join th
   | None -> ());
   let cleanup =
-    with_lock t.state_mutex (fun () ->
+    Mutex.protect t.state_mutex (fun () ->
         if t.stopped then false
         else begin
           t.stopped <- true;
@@ -502,7 +496,7 @@ let wait t =
     Registry.shutdown t.reg;
     List.iter Endpoint.unlink_if_unix t.resolved
   end;
-  Option.iter raise (with_lock t.state_mutex (fun () -> t.io_failure))
+  Option.iter raise (Mutex.protect t.state_mutex (fun () -> t.io_failure))
 
 let stop t =
   signal_stop t;

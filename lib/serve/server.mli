@@ -1,6 +1,6 @@
 (** The serving loop: an event-driven server speaking {!Protocol.version}
     over any mix of Unix-domain and TCP listeners ({!Endpoint}), backed by
-    the dataset {!Registry} (background builds, solo or sharded), the
+    the dataset {!Registry} (background builds, exact or ε-kernel), the
     {!Lru} result cache and the single-flight {!Batcher}.
 
     Architecture: a single IO thread runs a {!Poller} readiness loop over
@@ -28,8 +28,8 @@
 
     - a served selection/mrr is {e bit-identical} to a direct
       {!Kregret.Stored_list} prefix read on the same build — including when
-      it comes from the cache, from a coalesced batch, over TCP instead of
-      a Unix socket, or through the scatter-gather {!Shard} tier;
+      it comes from the cache, from a coalesced batch, or over TCP instead
+      of a Unix socket;
     - malformed input of any shape is answered with a structured error and
       never terminates the server (an oversized frame additionally closes
       that one connection, because its framing is no longer trustworthy);
@@ -53,23 +53,24 @@ type config = {
   retry_after : float;  (** seconds hint attached to [building] errors *)
   max_length : int option;  (** StoredList materialization cap ([--max-k]) *)
   workers : int;  (** request-handler threads behind the IO loop *)
-  shards : int;  (** default shard count for [load]s that don't say *)
   approx : float;
       (** default ε-kernel resolution for [load]s that don't say;
           [0.] = exact *)
 }
 
 (** [config ~listeners ()] with defaults: cache 128, 64 KiB frames,
-    [retry_after] 0.05 s, full materialization, 4 workers, solo exact
-    loads. [?socket_path] appends a Unix-domain listener (the pre-TCP
-    calling convention); at least one listener is required. *)
+    [retry_after] 0.05 s, full materialization, 4 workers, exact loads.
+    [?socket_path] appends a Unix-domain listener (the pre-TCP calling
+    convention); at least one listener is required. Raises
+    [Invalid_argument] on a negative [cache_capacity], a [max_line],
+    [max_length] or [workers] below 1, an [approx] outside [[0, 1]], or
+    no listener. *)
 val config :
   ?cache_capacity:int ->
   ?max_line:int ->
   ?retry_after:float ->
   ?max_length:int ->
   ?workers:int ->
-  ?shards:int ->
   ?approx:float ->
   ?listeners:Endpoint.t list ->
   ?socket_path:string ->

@@ -11,7 +11,7 @@
    - answers are bit-identical across pool widths and across max_size
      (greedy prefix stability);
    - the served rank_regret verb is bit-identical to the offline engine
-     over a live socket (solo and sharded), and the result cache never
+     over a live socket, and the result cache never
      hands one read family's row to another family at equal
      (generation, epoch, k). *)
 
@@ -379,8 +379,8 @@ let or_fail what = function
   | Ok v -> v
   | Error m -> Alcotest.failf "%s: %s" what m
 
-let load_and_wait ?shards c ~name ~path =
-  ignore (or_fail "load" (Client.load ?shards c ~name ~path));
+let load_and_wait c ~name ~path =
+  ignore (or_fail "load" (Client.load c ~name ~path));
   or_fail "wait_ready" (Client.wait_ready c ~name)
 
 (* the registry's solo backend on a fresh dataset: normalized rows in
@@ -403,7 +403,6 @@ let test_serve_bit_identical () =
   with_server ~cache_capacity:64 (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"solo" ~path;
-          load_and_wait ~shards:3 c ~name:"sharded" ~path;
           for k = 1 to k_hi do
             (* solo: cold, then the cached row is the same bits *)
             let a = or_fail "rank_regret" (Client.rank_regret c ~name:"solo" ~k) in
@@ -413,13 +412,7 @@ let test_serve_bit_identical () =
             in
             Alcotest.(check bool)
               (Printf.sprintf "solo k=%d warm identical" k)
-              true (a = a');
-            (* sharded: the scatter-gather tier answers with the same bits *)
-            let b =
-              or_fail "rank_regret sharded"
-                (Client.rank_regret c ~name:"sharded" ~k)
-            in
-            check_wire ~what:(Printf.sprintf "sharded k=%d" k) eng ~k b
+              true (a = a')
           done))
 
 (* rank_regret after updates: the served answer is the offline engine over
@@ -764,8 +757,8 @@ let suite =
     Alcotest.test_case "greedy prefix stability" `Quick test_prefix_stability;
     Alcotest.test_case "kernel: sort stress across widths, select = build"
       `Quick test_kernel_sort_stress;
-    Alcotest.test_case "serve: wire bit-identity (solo + sharded)" `Quick
-      test_serve_bit_identical;
+    Alcotest.test_case "serve: wire bit-identity (solo load, cold and warm)"
+      `Quick test_serve_bit_identical;
     Alcotest.test_case "serve: cache kind isolation" `Quick
       test_cache_kind_isolation;
     Alcotest.test_case "serve: rank_regret tracks inserts and deletes" `Quick

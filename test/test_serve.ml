@@ -325,8 +325,8 @@ let test_list_stats_evict () =
               if Json.member field d0 = None then
                 Alcotest.failf "list entry missing %s: %s" field
                   (Json.to_string d0))
-            [ "name"; "path"; "fingerprint"; "n"; "d"; "shards"; "sky";
-              "happy"; "materialized"; "build_seconds" ];
+            [ "name"; "path"; "fingerprint"; "n"; "d"; "sky"; "happy";
+              "materialized"; "build_seconds" ];
           (* stats: counters move *)
           let s = or_fail "stats" (Client.stats c) in
           let geti name =
@@ -518,6 +518,17 @@ let test_load_failures () =
             (Option.bind (Json.member "datasets" j) Json.to_list
             |> Option.value ~default:[] |> List.length)))
 
+(* a StoredList cap below 1 is refused up front, not left to fail every
+   build *)
+let test_config_rejects_max_length () =
+  List.iter
+    (fun m ->
+      match Server.config ~max_length:m ~socket_path:"unused.sock" () with
+      | _ -> Alcotest.failf "max_length %d accepted" m
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ];
+  ignore (Server.config ~max_length:1 ~socket_path:"unused.sock" ())
+
 (* ---- dynamic updates over the wire ---------------------------------------- *)
 
 (* rebuild expectation over an explicit (id, point) live set *)
@@ -540,6 +551,31 @@ let test_update_verbs_end_to_end () =
   with_server (fun ~socket_path _server ->
       with_client ~socket_path (fun c ->
           load_and_wait c ~name:"dyn" ~path;
+          (* an old client's "shards" field is ignored: its load registers
+             an exact dataset, listed without a shards field, that takes
+             updates *)
+          ignore
+            (or_fail "load with shards"
+               (Client.request c
+                  (Printf.sprintf
+                     {|{"op":"load","name":"old","path":%s,"shards":4}|}
+                     (Json.to_string (Json.Str path)))));
+          or_fail "wait old" (Client.wait_ready c ~name:"old");
+          let old =
+            Option.bind
+              (Json.member "datasets" (or_fail "list" (Client.list_datasets c)))
+              Json.to_list
+            |> Option.value ~default:[]
+            |> List.find (fun d ->
+                   Option.bind (Json.member "name" d) Json.to_str = Some "old")
+          in
+          Alcotest.(check (option (float 0.))) "old: exact" (Some 0.)
+            (Option.bind (Json.member "approx" old) Json.to_float);
+          Alcotest.(check bool) "old: no shards field" true
+            (Json.member "shards" old = None);
+          Alcotest.(check int) "old: insert applied" n
+            (or_fail "insert old"
+               (Client.insert c ~name:"old" ~point:[| 0.99; 0.98; 0.97 |]));
           let k = 4 in
           let sel0, mrr0 = or_fail "query" (Client.query c ~name:"dyn" ~k) in
           (* insert a skyline-entering point: ids continue past the CSV rows *)
@@ -643,8 +679,8 @@ let test_rank_regret_empty_dataset () =
 (* Cached answers belong to one registration. Two names loaded from one
    CSV and updated with different points up to the same epoch each answer
    their own dataset, and so does a name re-loaded with the bytes it had
-   before it was mutated: equal fingerprint, shards, ε, epoch, k and
-   family must not mean a shared cache row. *)
+   before it was mutated: equal fingerprint, ε, epoch, k and family must
+   not mean a shared cache row. *)
 let test_cache_rows_per_registration () =
   let path = write_csv ~name:"twins" ~n:60 ~d:3 ~seed:43 in
   let other = write_csv ~name:"other" ~n:50 ~d:3 ~seed:44 in
@@ -915,118 +951,6 @@ let test_transports_byte_identical () =
         "repeat query cached" (Some true)
         (cached_of (List.nth over_uds 2)))
 
-(* ---- scatter-gather shard tier -------------------------------------------- *)
-
-(* over the wire: a sharded load answers bit-identically to the solo load
-   of the same CSV at every k, and reports itself static *)
-let test_shard_vs_monolithic_wire () =
-  let path = write_csv ~name:"sh" ~n:150 ~d:3 ~seed:29 in
-  let dir = direct_of_csv path in
-  let n_happy = Array.length dir.dir_happy in
-  with_server (fun ~socket_path _server ->
-      with_client ~socket_path (fun c ->
-          ignore (or_fail "load solo" (Client.load c ~name:"solo" ~path));
-          ignore
-            (or_fail "load sharded" (Client.load ~shards:4 c ~name:"quads" ~path));
-          or_fail "wait solo" (Client.wait_ready c ~name:"solo");
-          or_fail "wait sharded" (Client.wait_ready c ~name:"quads");
-          for k = 1 to n_happy do
-            let sel_s, mrr_s =
-              or_fail "solo query" (Client.query c ~name:"solo" ~k)
-            in
-            let sel_q, mrr_q =
-              or_fail "sharded query" (Client.query c ~name:"quads" ~k)
-            in
-            Alcotest.(check (list int))
-              (Printf.sprintf "k=%d sharded selection == solo" k)
-              sel_s sel_q;
-            Alcotest.check exact_float
-              (Printf.sprintf "k=%d sharded mrr bit-identical" k)
-              mrr_s mrr_q;
-            (* and both match the offline pipeline *)
-            let sel_ref, mrr_ref = direct_answer dir ~k in
-            Alcotest.(check (list int))
-              (Printf.sprintf "k=%d sharded == offline StoredList" k)
-              sel_ref sel_q;
-            Alcotest.check exact_float
-              (Printf.sprintf "k=%d sharded mrr == offline" k)
-              mrr_ref mrr_q
-          done;
-          (* a sharded dataset is static: every update verb is rejected with
-             a structured code, and the dataset keeps serving afterwards *)
-          (match Client.insert c ~name:"quads" ~point:[| 0.9; 0.8; 0.7 |] with
-          | Ok _ -> Alcotest.fail "insert into a sharded dataset must fail"
-          | Error m ->
-              Alcotest.(check bool)
-                (Printf.sprintf "static_dataset on insert (got %s)" m)
-                true
-                (Testutil.contains m "static_dataset"));
-          (match Client.delete c ~name:"quads" ~id:0 with
-          | Ok _ -> Alcotest.fail "delete on a sharded dataset must fail"
-          | Error m ->
-              Alcotest.(check bool) "static_dataset on delete" true
-                (Testutil.contains m "static_dataset"));
-          (match Client.flush c ~name:"quads" with
-          | Ok _ -> Alcotest.fail "flush on a sharded dataset must fail"
-          | Error m ->
-              Alcotest.(check bool) "static_dataset on flush" true
-                (Testutil.contains m "static_dataset"));
-          ignore (or_fail "query after rejects" (Client.query c ~name:"quads" ~k:3));
-          (* list reports the shard count on both entries *)
-          let j = or_fail "list" (Client.list_datasets c) in
-          let ds =
-            Option.bind (Json.member "datasets" j) Json.to_list
-            |> Option.value ~default:[]
-          in
-          let shards_of name =
-            List.find_opt
-              (fun d -> Option.bind (Json.member "name" d) Json.to_str = Some name)
-              ds
-            |> Fun.flip Option.bind (Json.member "shards")
-            |> Fun.flip Option.bind Json.to_int
-          in
-          Alcotest.(check (option int)) "solo shards" (Some 1) (shards_of "solo");
-          Alcotest.(check (option int)) "sharded shards" (Some 4)
-            (shards_of "quads")))
-
-(* the coordinator merge itself: for every shard count and every pool
-   width, Shard.create answers row-for-row what the monolithic pipeline
-   answers. This is the oracle form of the DESIGN §6 exactness argument. *)
-let test_shard_merge_across_jobs () =
-  let path = write_csv ~name:"merge" ~n:220 ~d:4 ~seed:71 in
-  let points = (Dataset.normalize (Csv_io.load path)).Dataset.points in
-  let dir = direct_of_csv path in
-  let n_happy = Array.length dir.dir_happy in
-  let jobs0 = Kregret_parallel.Pool.get_jobs () in
-  Fun.protect
-    ~finally:(fun () -> Kregret_parallel.Pool.set_jobs jobs0)
-    (fun () ->
-      List.iter
-        (fun jobs ->
-          Kregret_parallel.Pool.set_jobs jobs;
-          List.iter
-            (fun shards ->
-              let sh = Serve.Shard.create ~shards points in
-              Alcotest.(check int)
-                (Printf.sprintf "jobs=%d shards=%d union skyline size" jobs
-                   shards)
-                (Array.length (Skyline.naive points))
-                sh.Kregret.Snapshot.n_sky;
-              for k = 1 to n_happy do
-                let sel_ref, mrr_ref = direct_answer dir ~k in
-                let sel, mrr = Kregret.Snapshot.query sh ~k in
-                Alcotest.(check (list int))
-                  (Printf.sprintf "jobs=%d shards=%d k=%d merged selection"
-                     jobs shards k)
-                  sel_ref sel;
-                Alcotest.check exact_float
-                  (Printf.sprintf "jobs=%d shards=%d k=%d merged mrr" jobs
-                     shards k)
-                  mrr_ref mrr
-              done)
-            [ 1; 2; 3; 4; 7 ])
-        [ 1; 2; 4 ])
-
 (* ---- shutdown under load cannot hang -------------------------------------- *)
 
 let test_shutdown_under_load () =
@@ -1153,13 +1077,24 @@ let test_approx_load_end_to_end () =
               (Printf.sprintf "k=%d cached exact mrr uncollided" k)
               ref_e_mrr mrr_e
           done;
-          (* an approximate dataset is static *)
+          (* an approximate dataset is static: every update verb is
+             rejected with a structured code *)
           (match Client.insert c ~name:"apx" ~point:[| 0.9; 0.8; 0.7 |] with
           | Ok _ -> Alcotest.fail "insert into an approx dataset must fail"
           | Error m ->
               Alcotest.(check bool)
                 (Printf.sprintf "static_dataset on insert (got %s)" m)
                 true
+                (Testutil.contains m "static_dataset"));
+          (match Client.delete c ~name:"apx" ~id:0 with
+          | Ok _ -> Alcotest.fail "delete on an approx dataset must fail"
+          | Error m ->
+              Alcotest.(check bool) "static_dataset on delete" true
+                (Testutil.contains m "static_dataset"));
+          (match Client.flush c ~name:"apx" with
+          | Ok _ -> Alcotest.fail "flush on an approx dataset must fail"
+          | Error m ->
+              Alcotest.(check bool) "static_dataset on flush" true
                 (Testutil.contains m "static_dataset"));
           (* while the exact twin stays dynamic *)
           ignore
@@ -1462,10 +1397,10 @@ let test_unread_output_bounded () =
 (* ---- golden wire transcript ----------------------------------------------- *)
 
 (* The exact bytes of every read reply and every read-path error, pinned.
-   One seeded CSV is loaded solo, as 3 shards and as an ε = 0.2 kernel;
-   query, mrr and rank_regret run at k ∈ {1, 3, 20}, cold then cached;
-   then not_found, k = 0, missing k, inserts into the two static tiers,
-   and stale_dataset once the CSV is rewritten. The CSV's temp path
+   One seeded CSV is loaded solo and as an ε = 0.2 kernel; query, mrr
+   and rank_regret run at k ∈ {1, 3, 20}, cold then cached; then
+   not_found, k = 0, missing k, an insert into the static ε tier, and
+   stale_dataset once the CSV is rewritten. The CSV's temp path
    prints as PATH. [list] is left out: it carries build_seconds. *)
 let golden_requests ~path =
   let load name extra =
@@ -1475,11 +1410,9 @@ let golden_requests ~path =
   in
   let read op name k = Printf.sprintf {|{"op":"%s","name":"%s","k":%d}|} op name k in
   let verbs = [ "query"; "mrr"; "rank_regret" ] in
-  let names = [ "solo"; "sh3"; "apx" ] in
+  let names = [ "solo"; "apx" ] in
   let each f = List.concat_map f verbs in
-  let loads =
-    [ load "solo" ""; load "sh3" {|,"shards":3|}; load "apx" {|,"approx":0.2|} ]
-  in
+  let loads = [ load "solo" ""; load "apx" {|,"approx":0.2|} ] in
   let reads =
     List.concat_map
       (fun name ->
@@ -1493,9 +1426,7 @@ let golden_requests ~path =
     each (fun op -> [ read op "nope" 3 ])
     @ each (fun op -> [ read op "solo" 0 ])
     @ each (fun op -> [ Printf.sprintf {|{"op":"%s","name":"solo"}|} op ])
-    @ List.map
-        (Printf.sprintf {|{"op":"insert","name":"%s","point":[0.5,0.5,0.5]}|})
-        [ "sh3"; "apx" ]
+    @ [ {|{"op":"insert","name":"apx","point":[0.5,0.5,0.5]}|} ]
   in
   let stale =
     List.concat_map (fun name -> each (fun op -> [ read op name 3 ])) names
@@ -1505,11 +1436,9 @@ let golden_requests ~path =
 let golden_transcript =
   {golden|
 > {"op":"load","name":"solo","path":"PATH"}
-< {"ok":true,"op":"load","name":"solo","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"shards":1,"approx":0}
-> {"op":"load","name":"sh3","path":"PATH","shards":3}
-< {"ok":true,"op":"load","name":"sh3","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"shards":3,"approx":0}
+< {"ok":true,"op":"load","name":"solo","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"approx":0}
 > {"op":"load","name":"apx","path":"PATH","approx":0.2}
-< {"ok":true,"op":"load","name":"apx","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"shards":1,"approx":0.20000000000000001}
+< {"ok":true,"op":"load","name":"apx","status":"building","fingerprint":"3db406e14bdb2587","n":80,"d":3,"approx":0.20000000000000001}
 > {"op":"query","name":"solo","k":1}
 < {"ok":true,"op":"query","name":"solo","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false,"selection":[26]}
 > {"op":"query","name":"solo","k":1}
@@ -1546,42 +1475,6 @@ let golden_transcript =
 < {"ok":true,"op":"rank_regret","name":"solo","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":false,"coalesced":false}
 > {"op":"rank_regret","name":"solo","k":20}
 < {"ok":true,"op":"rank_regret","name":"solo","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":true,"coalesced":false}
-> {"op":"query","name":"sh3","k":1}
-< {"ok":true,"op":"query","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false,"selection":[26]}
-> {"op":"query","name":"sh3","k":1}
-< {"ok":true,"op":"query","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false,"selection":[26]}
-> {"op":"query","name":"sh3","k":3}
-< {"ok":true,"op":"query","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false,"selection":[26,23,36]}
-> {"op":"query","name":"sh3","k":3}
-< {"ok":true,"op":"query","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false,"selection":[26,23,36]}
-> {"op":"query","name":"sh3","k":20}
-< {"ok":true,"op":"query","name":"sh3","k":20,"mrr":0,"cached":false,"coalesced":false,"selection":[26,23,36,11,18,73,53,57]}
-> {"op":"query","name":"sh3","k":20}
-< {"ok":true,"op":"query","name":"sh3","k":20,"mrr":0,"cached":true,"coalesced":false,"selection":[26,23,36,11,18,73,53,57]}
-> {"op":"mrr","name":"sh3","k":1}
-< {"ok":true,"op":"mrr","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false}
-> {"op":"mrr","name":"sh3","k":1}
-< {"ok":true,"op":"mrr","name":"sh3","k":1,"mrr":0.39127869596913889,"cached":true,"coalesced":false}
-> {"op":"mrr","name":"sh3","k":3}
-< {"ok":true,"op":"mrr","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":false,"coalesced":false}
-> {"op":"mrr","name":"sh3","k":3}
-< {"ok":true,"op":"mrr","name":"sh3","k":3,"mrr":0.28890366769562181,"cached":true,"coalesced":false}
-> {"op":"mrr","name":"sh3","k":20}
-< {"ok":true,"op":"mrr","name":"sh3","k":20,"mrr":0,"cached":false,"coalesced":false}
-> {"op":"mrr","name":"sh3","k":20}
-< {"ok":true,"op":"mrr","name":"sh3","k":20,"mrr":0,"cached":true,"coalesced":false}
-> {"op":"rank_regret","name":"sh3","k":1}
-< {"ok":true,"op":"rank_regret","name":"sh3","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":false,"coalesced":false}
-> {"op":"rank_regret","name":"sh3","k":1}
-< {"ok":true,"op":"rank_regret","name":"sh3","k":1,"selection":[73],"rank_lo":16,"rank_hi":21,"exact":false,"cached":true,"coalesced":false}
-> {"op":"rank_regret","name":"sh3","k":3}
-< {"ok":true,"op":"rank_regret","name":"sh3","k":3,"selection":[73,12,11],"rank_lo":7,"rank_hi":15,"exact":false,"cached":false,"coalesced":false}
-> {"op":"rank_regret","name":"sh3","k":3}
-< {"ok":true,"op":"rank_regret","name":"sh3","k":3,"selection":[73,12,11],"rank_lo":7,"rank_hi":15,"exact":false,"cached":true,"coalesced":false}
-> {"op":"rank_regret","name":"sh3","k":20}
-< {"ok":true,"op":"rank_regret","name":"sh3","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":false,"coalesced":false}
-> {"op":"rank_regret","name":"sh3","k":20}
-< {"ok":true,"op":"rank_regret","name":"sh3","k":20,"selection":[73,12,11,18,23,26,13,36,37,53,57,61],"rank_lo":1,"rank_hi":2,"exact":false,"cached":true,"coalesced":false}
 > {"op":"query","name":"apx","k":1}
 < {"ok":true,"op":"query","name":"apx","k":1,"mrr":0.39127869596913889,"cached":false,"coalesced":false,"selection":[26]}
 > {"op":"query","name":"apx","k":1}
@@ -1636,8 +1529,6 @@ let golden_transcript =
 < {"ok":false,"error":{"code":"missing_field","message":"\"k\" is required"}}
 > {"op":"rank_regret","name":"solo"}
 < {"ok":false,"error":{"code":"missing_field","message":"\"k\" is required"}}
-> {"op":"insert","name":"sh3","point":[0.5,0.5,0.5]}
-< {"ok":false,"error":{"code":"static_dataset","message":"dataset \"sh3\" is sharded (scatter-gather) and static; re-load it without \"shards\" to update it"}}
 > {"op":"insert","name":"apx","point":[0.5,0.5,0.5]}
 < {"ok":false,"error":{"code":"static_dataset","message":"dataset \"apx\" is an ε-kernel approximation and static; re-load it without \"approx\" to update it"}}
 > {"op":"query","name":"solo","k":3}
@@ -1646,12 +1537,6 @@ let golden_transcript =
 < {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"solo\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
 > {"op":"rank_regret","name":"solo","k":3}
 < {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"solo\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
-> {"op":"query","name":"sh3","k":3}
-< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"sh3\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
-> {"op":"mrr","name":"sh3","k":3}
-< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"sh3\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
-> {"op":"rank_regret","name":"sh3","k":3}
-< {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"sh3\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
 > {"op":"query","name":"apx","k":3}
 < {"ok":false,"error":{"code":"stale_dataset","message":"dataset \"apx\": PATH changed on disk since load (loaded 3db406e14bdb2587, file now hashes to 868e8b64e11f3f8e); re-load it"}}
 > {"op":"mrr","name":"apx","k":3}
@@ -1688,7 +1573,7 @@ let test_golden_wire () =
           let loaded = List.concat_map send loads in
           List.iter
             (fun name -> or_fail name (Client.wait_ready c ~name))
-            [ "solo"; "sh3"; "apx" ];
+            [ "solo"; "apx" ];
           let answered = List.concat_map send reads in
           let st = Testutil.test_rng 24 in
           Csv_io.save path
@@ -1834,6 +1719,8 @@ let suite =
       `Quick test_stale_dataset_rejected;
     Alcotest.test_case "lifecycle: load failures are structured" `Quick
       test_load_failures;
+    Alcotest.test_case "lifecycle: config refuses a StoredList cap below 1"
+      `Quick test_config_rejects_max_length;
     Alcotest.test_case "dynamic: insert/delete/flush verbs end to end" `Slow
       test_update_verbs_end_to_end;
     Alcotest.test_case "dynamic: rank_regret on an emptied dataset is a \
@@ -1852,10 +1739,6 @@ let suite =
       `Slow test_connection_churn;
     Alcotest.test_case "transports: UDS and TCP sessions are byte-identical"
       `Quick test_transports_byte_identical;
-    Alcotest.test_case "shards: wire answers match solo load bit-for-bit, \
-                        updates rejected" `Slow test_shard_vs_monolithic_wire;
-    Alcotest.test_case "shards: merge exact across shard counts and pool \
-                        widths" `Slow test_shard_merge_across_jobs;
     Alcotest.test_case "poller: shutdown under load cannot hang" `Quick
       test_shutdown_under_load;
     Alcotest.test_case "approx: served kernels bit-identical to offline, no \
