@@ -188,7 +188,10 @@ let view_equal a b =
   && rows_bits_equal a.v_rows b.v_rows
   && a.v_candidates = b.v_candidates
 
-let run_trace inst ops =
+(* [screen_each_op:false] reads [happy_size] only after the last op: until
+   then no read completes the lazy build's happy screen, so the updates
+   run on a not-yet-screened [Dynamic] *)
+let run_trace ~screen_each_op inst ops =
   let failures = ref [] in
   let fail i fmt =
     Printf.ksprintf
@@ -202,7 +205,7 @@ let run_trace inst ops =
   (* every op's publication with what it answered when made; each must
      answer the same bits at the end of the trace, whatever came after *)
   let published = ref [] in
-  let compare_full i v =
+  let compare_full ~with_happy i v =
     let live = Array.of_list !mirror in
     let e = expected_of_live live in
     let got_ids, got_mrr = full_answer dyn in
@@ -226,7 +229,7 @@ let run_trace inst ops =
     if Dynamic.sky_size dyn <> Array.length e.x_sky then
       fail i "skyline size %d, rebuild says %d" (Dynamic.sky_size dyn)
         (Array.length e.x_sky);
-    if Dynamic.happy_size dyn <> e.x_happy then
+    if with_happy && Dynamic.happy_size dyn <> e.x_happy then
       fail i "happy size %d, rebuild says %d" (Dynamic.happy_size dyn) e.x_happy;
     if Dynamic.live dyn <> Array.length live then
       fail i "live count %d, mirror says %d" (Dynamic.live dyn) (Array.length live);
@@ -301,7 +304,7 @@ let run_trace inst ops =
       let v = view s in
       published := (i, s, v) :: !published;
       if (mutating && (List.length !mirror <= 120 || last)) || ((not mutating) && last)
-      then compare_full i v;
+      then compare_full ~with_happy:(screen_each_op || last) i v;
       let g_ids, g_mrr = full_answer dyn in
       digests :=
         { g_ids; g_mrr; g_live = Dynamic.live dyn; g_epoch = Dynamic.epoch dyn }
@@ -324,39 +327,54 @@ let with_jobs jobs f =
 let widths jobs_hi =
   if jobs_hi <= 1 then [ 1 ] else List.sort_uniq compare [ 1; 2; 4; jobs_hi ]
 
+let digests_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun a b ->
+         a.g_ids = b.g_ids
+         && float_bits_equal a.g_mrr b.g_mrr
+         && a.g_live = b.g_live
+         && a.g_epoch = b.g_epoch)
+       a b
+
 let run_all ~jobs_hi inst ops =
   let runs =
-    List.map (fun w -> (w, with_jobs w (fun () -> run_trace inst ops)))
+    List.map
+      (fun w ->
+        (w, with_jobs w (fun () -> run_trace ~screen_each_op:true inst ops)))
       (widths jobs_hi)
+  in
+  (* once more at width 1, with the happy screen left to the updates *)
+  let lazy_fails, lazy_digests =
+    with_jobs 1 (fun () -> run_trace ~screen_each_op:false inst ops)
   in
   let failures =
     List.concat_map
       (fun (w, (fs, _)) ->
         List.map (fun m -> Printf.sprintf "jobs=%d: %s" w m) fs)
       runs
+    @ List.map (fun m -> "unscreened: " ^ m) lazy_fails
   in
   let cross =
     match runs with
-    | [] | [ _ ] -> []
+    | [] -> []
     | (_, (_, base)) :: rest ->
         List.concat_map
           (fun (w, (_, digests)) ->
-            if
-              List.length digests = List.length base
-              && List.for_all2
-                   (fun a b ->
-                     a.g_ids = b.g_ids
-                     && float_bits_equal a.g_mrr b.g_mrr
-                     && a.g_live = b.g_live
-                     && a.g_epoch = b.g_epoch)
-                   digests base
-            then []
+            if digests_equal digests base then []
             else
               [
                 Printf.sprintf
                   "answer stream differs between jobs=1 and jobs=%d" w;
               ])
           rest
+        @
+        if digests_equal lazy_digests base then []
+        else
+          [
+            "answer stream differs between the screened and the unscreened \
+             run";
+          ]
   in
   failures @ cross
 

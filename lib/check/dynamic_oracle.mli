@@ -18,6 +18,12 @@
     [{1, 2, 4, jobs_hi}] ([1] only when [jobs_hi <= 1]) and the per-op
     answer streams must be identical across widths.
 
+    Reading [happy_size] completes the lazy build's happy screen, so the
+    runs above screen right after the first compared op. One more run, at
+    width 1, reads it only after the last op: its updates run on a
+    {!Kregret.Dynamic} whose screen is not yet complete, and it must pass
+    every other comparison and answer the same stream.
+
     On failure the trace is ddmin-minimized ({!Shrink.trace}) and the
     report leads with the minimal failing op list. *)
 

@@ -29,6 +29,7 @@ let check_names =
     "selection-valid";
     "geo-vs-greedy-mrr";
     "stored-prefix";
+    "lazy-funnel";
     "mrr-monotone-k";
     "evaluators-agree";
     "sampled-bound";
@@ -50,6 +51,7 @@ let check_names =
     "rrr-net";
     "rrr-sample";
     "rrr-jobs";
+    "rrr-greedy";
     "rrr-serve";
     "exception";
   ]
@@ -188,6 +190,47 @@ let check_inner cfg inst =
          ~what:(Printf.sprintf "StoredList mrr at k=%d vs fresh GeoGreedy mrr" k2)
          (Stored_list.mrr_at sl ~k:k2) geo2.Geo_greedy.mrr)
   end;
+
+  (* lazy-funnel: the production funnel certifies only the happy points
+     GeoGreedy reaches. Its full list, as input rows, must be the eager
+     composition's (the whole happy screen, then StoredList over the happy
+     rows) entry for entry and mrr bit for bit, at every pool width; an
+     empty happy set gives no list on both sides *)
+  let as_rows stored rows =
+    match stored with
+    | None -> ([], [])
+    | Some s ->
+        ( List.map (fun e -> rows.(e)) (Stored_list.order s),
+          List.init (Stored_list.length s) (fun i ->
+              Int64.bits_of_float (Stored_list.mrr_at s ~k:(i + 1))) )
+  in
+  let eager_order, eager_bits =
+    as_rows
+      (with_jobs 1 (fun () ->
+           if nh = 0 then None else Some (Stored_list.preprocess happy)))
+      (Array.map (fun h -> r1.sky_idx.(h)) r1.happy_idx)
+  in
+  List.iter
+    (fun jobs ->
+      let f = with_jobs jobs (fun () -> Stored_list.funnel points) in
+      let order, bits =
+        as_rows f.Stored_list.stored f.Stored_list.sky
+      in
+      if f.Stored_list.sky <> r1.sky_idx || order <> eager_order then
+        record "lazy-funnel"
+          [
+            Printf.sprintf
+              "jobs=%d: funnel order [%s], eager composition [%s]" jobs
+              (pp_order order) (pp_order eager_order);
+          ]
+      else if bits <> eager_bits then
+        record "lazy-funnel"
+          [
+            Printf.sprintf
+              "jobs=%d: funnel and eager composition differ in an mrr bit"
+              jobs;
+          ])
+    (if cfg.jobs_hi > 1 then [ 1; cfg.jobs_hi ] else [ 1 ]);
 
   (* mrr monotone non-increasing in k along the materialized list *)
   let prefix_mrrs =

@@ -16,6 +16,11 @@
       Lemma 1 says they are the same algorithm);
     - [stored-prefix] — StoredList's answer at [k] (and at [k/2], against a
       fresh GeoGreedy run) is exactly the greedy prefix, with matching mrr;
+    - [lazy-funnel] — {!Kregret.Stored_list.funnel}, which certifies
+      only the happy points GeoGreedy reaches, materializes the list of
+      the eager composition (the whole happy screen, then StoredList over
+      the happy rows): same input rows, every mrr bit, at pool widths 1
+      and [jobs_hi];
     - [mrr-monotone-k] — materialized mrr is non-increasing in [k];
     - [evaluators-agree] — [Mrr.geometric] = [Mrr.lp] on the final
       selection over the full data;
@@ -42,12 +47,13 @@
       ε-monotonicity and pool-width bit-identity (see {!Approx_oracle});
     - [rrr-structure] / [rrr-monotone] / [rrr-whole] / [rrr-2d] /
       [rrr-witness] / [rrr-net] / [rrr-sample] / [rrr-jobs] /
-      [rrr-serve] — the rank-regret query family: candidate funnel and
-      certified-interval structure, lo monotonicity, an independent
-      cell-by-cell d = 2 arrangement evaluator, witness/net
-      re-evaluation, sampled upper-bound probes, pool-width
-      bit-identity, and wire parity of the [rank_regret] verb (see
-      {!Rrr_oracle});
+      [rrr-greedy] / [rrr-serve] — the rank-regret query family:
+      candidate funnel and certified-interval structure, lo
+      monotonicity, an independent cell-by-cell d = 2 arrangement
+      evaluator, witness/net re-evaluation, sampled upper-bound probes,
+      pool-width bit-identity, a replay of every greedy pick from
+      directly recounted ranks, and wire parity of the [rank_regret]
+      verb (see {!Rrr_oracle});
     - [exception] — no component raised.
 
     All tie comparisons go through {!Tolerance.tie}. *)

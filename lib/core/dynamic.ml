@@ -33,6 +33,12 @@ let c_rescreens =
   Obs.Registry.counter "dynamic.happy_rescreens"
     ~help:"full happy re-screens of a single skyline point"
 
+let c_screen_completions =
+  Obs.Registry.counter "dynamic.screen_completions"
+    ~help:
+      "batch happy screens that gave every skyline member of a lazily built \
+       dataset its verdict and witness"
+
 let c_stored_reuse =
   Obs.Registry.counter "dynamic.stored_reuse"
     ~help:"skyline changes that left the happy set, and hence the stored list, intact"
@@ -70,9 +76,7 @@ let g_tombstone_ratio =
     ~help:"tombstoned fraction of the slot store (last updated dataset)"
 
 (* verdict of a skyline member under the happy screen; the witness is the
-   slot position of one subjugator (-1 = not yet determined: the initial
-   batch screen reports flags only, witnesses are filled in lazily by the
-   first repair that needs them) *)
+   slot position of one subjugator *)
 type verdict = V_happy | V_unhappy of int
 
 (* tombstone fraction that triggers an automatic compaction, and the
@@ -106,11 +110,15 @@ type t = {
   mutable next_id : int;
   id_index : (int, int) Hashtbl.t; (* external id -> slot position *)
   (* derived pipeline state; [sky] and [happy] hold slot positions in
-     ascending order (= dataset order), [verdicts] is keyed by the members
-     of [sky], [happy_vecs] is the stored list's candidate array *)
+     ascending order (= dataset order). The lazy build leaves the happy
+     screen unknown: [happy] is [None], [verdicts] is empty and [stored]
+     indexes [sky]. {!complete_screen} (the first skyline-moving update,
+     or [happy_size]) fills them in; from then on [verdicts] is keyed by
+     the members of [sky], [stored] indexes [happy], and [happy_vecs] is
+     its candidate array. *)
   mutable sky : int array;
   verdicts : (int, verdict) Hashtbl.t;
-  mutable happy : int array;
+  mutable happy : int array option;
   mutable happy_vecs : Vector.t array;
   mutable stored : Stored_list.t option;
   (* most-recently-used memo of (happy candidate array, stored list) pairs:
@@ -159,7 +167,18 @@ let tombstones t = t.used - t.live
 let epoch t = t.epoch
 let is_live t p = t.died.(p) = max_int
 let sky_size t = Array.length t.sky
-let happy_size t = Array.length t.happy
+
+(* binary search of the ascending [sky] *)
+let in_sky t p =
+  let lo = ref 0 and hi = ref (Array.length t.sky) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.sky.(mid) < p then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length t.sky && t.sky.(!lo) = p
+
+(* slot positions of the stored list's candidate array *)
+let listed t = match t.happy with Some h -> h | None -> t.sky
 
 let stored_length t =
   match t.stored with None -> 0 | Some s -> Stored_list.length s
@@ -169,8 +188,8 @@ let order_ids t =
   match t.stored with
   | None -> [||]
   | Some s ->
-      Array.of_list
-        (List.map (fun e -> t.ids.(t.happy.(e))) (Stored_list.order s))
+      let rows = listed t in
+      Array.of_list (List.map (fun e -> t.ids.(rows.(e))) (Stored_list.order s))
 
 (* ---- queries ------------------------------------------------------------- *)
 
@@ -179,9 +198,8 @@ let query t ~k =
   match t.stored with
   | None -> ([], 0.)
   | Some s ->
-      let sel =
-        List.map (fun e -> t.ids.(t.happy.(e))) (Stored_list.query s ~k)
-      in
+      let rows = listed t in
+      let sel = List.map (fun e -> t.ids.(rows.(e))) (Stored_list.query s ~k) in
       (sel, Stored_list.mrr_at s ~k)
 
 let mrr_at t ~k =
@@ -220,7 +238,8 @@ let snapshot t =
     | e, order, mrr when e = t.epoch -> (order, mrr)
     | _ ->
         let order, mrr =
-          Snapshot.prefix t.stored ~ids:(Array.map (fun p -> t.ids.(p)) t.happy)
+          Snapshot.prefix t.stored
+            ~ids:(Array.map (fun p -> t.ids.(p)) (listed t))
         in
         t.prefix <- (t.epoch, order, mrr);
         (order, mrr)
@@ -229,7 +248,7 @@ let snapshot t =
     Snapshot.epoch = t.epoch;
     live = t.live;
     n_sky = Array.length t.sky;
-    n_happy = Array.length t.happy;
+    n_happy = Option.map Array.length t.happy;
     order;
     mrr;
     basis_version = t.basis_version;
@@ -282,7 +301,7 @@ let refresh_after_sky_change t =
          (fun p -> Hashtbl.find t.verdicts p = V_happy)
          (Array.to_list t.sky))
   in
-  t.happy <- hap;
+  t.happy <- Some hap;
   let vecs = Array.map (fun p -> t.data.(p)) hap in
   if vecs_bits_equal old_vecs vecs then begin
     (* the happy candidate array is unchanged bit-for-bit: the stored list
@@ -321,6 +340,38 @@ let refresh_after_sky_change t =
   t.epoch <- t.epoch + 1
 
 (* ---- happy re-screens ---------------------------------------------------- *)
+
+(* The lazy build certified only the points GeoGreedy took. Before the
+   first repair reads a verdict, screen the whole skyline in one batch
+   pass that keeps witnesses, and remap the stored list (whose entries are
+   all happy) onto happy indices. Answers, [epoch] and [basis_version]
+   stay put. *)
+let complete_screen t =
+  if Option.is_none t.happy then begin
+    Obs.Counter.incr c_screen_completions;
+    let sky = t.sky in
+    let verdicts = Happy.verdicts (Array.map (fun p -> t.data.(p)) sky) in
+    let rank = Array.make (Array.length sky) (-1) and hap = ref [] in
+    let n_happy = ref 0 in
+    Array.iteri
+      (fun i p ->
+        match verdicts.(i) with
+        | None ->
+            rank.(i) <- !n_happy;
+            incr n_happy;
+            hap := p :: !hap;
+            Hashtbl.replace t.verdicts p V_happy
+        | Some w -> Hashtbl.replace t.verdicts p (V_unhappy sky.(w)))
+      sky;
+    let hap = Array.of_list (List.rev !hap) in
+    t.stored <- Option.map (fun s -> Stored_list.reindex s (fun e -> rank.(e))) t.stored;
+    t.happy <- Some hap;
+    t.happy_vecs <- Array.map (fun p -> t.data.(p)) hap
+  end
+
+let happy_size t =
+  complete_screen t;
+  Array.length (listed t)
 
 (* full screen of one skyline member against the current skyline; verdicts
    are order-independent (a point is unhappy iff someone subjugates it), so
@@ -366,14 +417,6 @@ let create ?max_length points =
      keeps the id-level answers of the create path and the update path
      identical. *)
   let f = Stored_list.funnel ?max_length points in
-  let happy_mark = Array.make n false in
-  Array.iter (fun i -> happy_mark.(i) <- true) f.Stored_list.happy;
-  let verdicts = Hashtbl.create 64 in
-  Array.iter
-    (fun i ->
-      Hashtbl.replace verdicts i
-        (if happy_mark.(i) then V_happy else V_unhappy (-1)))
-    f.Stored_list.sky;
   {
     max_length;
     dim = d;
@@ -385,9 +428,9 @@ let create ?max_length points =
     next_id = n;
     id_index;
     sky = f.Stored_list.sky;
-    verdicts;
-    happy = f.Stored_list.happy;
-    happy_vecs = Array.map (fun i -> points.(i)) f.Stored_list.happy;
+    verdicts = Hashtbl.create 64;
+    happy = None;
+    happy_vecs = [||];
     stored = f.Stored_list.stored;
     memo = [];
     epoch = 0;
@@ -420,7 +463,7 @@ let compact t =
       Hashtbl.replace t.id_index t.ids.(p) p
     done;
     t.sky <- Array.map (fun p -> remap.(p)) t.sky;
-    t.happy <- Array.map (fun p -> remap.(p)) t.happy;
+    t.happy <- Option.map (Array.map (fun p -> remap.(p))) t.happy;
     let old_verdicts = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.verdicts [] in
     Hashtbl.reset t.verdicts;
     List.iter
@@ -428,7 +471,7 @@ let compact t =
         let v =
           match v with
           | V_happy -> V_happy
-          | V_unhappy w -> V_unhappy (if w >= 0 then remap.(w) else w)
+          | V_unhappy w -> V_unhappy remap.(w)
         in
         Hashtbl.replace t.verdicts remap.(p) v)
       old_verdicts;
@@ -521,6 +564,7 @@ let insert_as t vec entry =
       id
   | Some evicted ->
       Obs.Counter.incr c_inserts;
+      complete_screen t;
       let evicted_tbl = Hashtbl.create 8 in
       List.iter
         (fun s ->
@@ -538,15 +582,15 @@ let insert_as t vec entry =
       t.sky <- Array.append survivors [| pos |];
       (* bounded re-screen: a surviving happy member can only have gained the
          new point as a subjugator; a surviving unhappy member stays unhappy
-         unless its cached witness was evicted (or never determined) *)
+         unless its witness was evicted *)
+      let by_new = Happy.subjugator vec in
       Array.iter
         (fun s ->
           match Hashtbl.find t.verdicts s with
           | V_happy ->
-              if Happy.subjugates vec t.data.(s) then
+              if by_new t.data.(s) then
                 Hashtbl.replace t.verdicts s (V_unhappy pos)
-          | V_unhappy w ->
-              if w < 0 || Hashtbl.mem evicted_tbl w then rescreen t s)
+          | V_unhappy w -> if Hashtbl.mem evicted_tbl w then rescreen t s)
         survivors;
       rescreen t pos;
       refresh_after_sky_change t;
@@ -565,12 +609,13 @@ let delete t id =
       Obs.Counter.incr c_delete_noops;
       false
   | Some pos ->
+      let in_sky = in_sky t pos in
+      if in_sky then complete_screen t;
       t.basis_version <- t.basis_version + 1;
       t.died.(pos) <- t.basis_version;
       t.live <- t.live - 1;
       Hashtbl.remove t.id_index id;
       Obs.Counter.incr c_deletes;
-      let in_sky = Hashtbl.mem t.verdicts pos in
       if in_sky then begin
         let x = t.data.(pos) in
         Hashtbl.remove t.verdicts pos;
@@ -641,20 +686,22 @@ let delete t id =
         t.sky <- merged;
         (* bounded re-screen mirroring the insert path: a surviving happy
            member can only have gained an entrant as a subjugator; unhappy
-           members re-screen only when their witness was the deleted point
-           (or never determined); entrants get a full screen *)
+           members re-screen only when their witness was the deleted point;
+           entrants get a full screen *)
+        let by_entrant =
+          Array.map (fun e -> (e, Happy.subjugator t.data.(e))) entrants
+        in
         Array.iter
           (fun s ->
             match Hashtbl.find t.verdicts s with
             | V_happy ->
                 let w = ref (-1) in
                 Array.iter
-                  (fun e ->
-                    if !w < 0 && Happy.subjugates t.data.(e) t.data.(s)
-                    then w := e)
-                  entrants;
+                  (fun (e, subjugates) ->
+                    if !w < 0 && subjugates t.data.(s) then w := e)
+                  by_entrant;
                 if !w >= 0 then Hashtbl.replace t.verdicts s (V_unhappy !w)
-            | V_unhappy w -> if w < 0 || w = pos then rescreen t s)
+            | V_unhappy w -> if w = pos then rescreen t s)
           survivors;
         Array.iter (fun e -> rescreen t e) entrants;
         refresh_after_sky_change t
@@ -680,8 +727,7 @@ let apply_cheap t op =
       match Hashtbl.find_opt t.id_index id with
       | Some pos
         when is_live t pos
-             && (Hashtbl.mem t.verdicts pos
-                || compaction_due t ~tombs:(t.used - t.live + 1)) ->
+             && (in_sky t pos || compaction_due t ~tombs:(t.used - t.live + 1)) ->
           None
       | _ -> Some (Deleted (delete t id)))
   | `Flush -> None

@@ -30,6 +30,10 @@ let c_tiles =
   Obs.Registry.counter "geo_greedy.kernel_tiles"
     ~help:"vertex tiles streamed by the blocked champion kernel"
 
+let c_refused =
+  Obs.Registry.counter "geo_greedy.refused"
+    ~help:"candidates the admit test refused (they leave the run)"
+
 type result = {
   order : int list;
   mrr : float;
@@ -39,23 +43,67 @@ type result = {
   lp_fallback_at : int option;
 }
 
-(* one index per dimension, maximizing that dimension; duplicates collapsed *)
-let boundary_seeds points d =
+(* the first index [j] with [usable j] maximizing dimension [i]; -1 when
+   none is usable *)
+let first_max points usable i =
+  let best = ref (-1) in
+  Array.iteri
+    (fun j p ->
+      if usable j && (!best < 0 || p.(i) > points.(!best).(i)) then best := j)
+    points;
+  !best
+
+(* one index per dimension, maximizing that dimension; duplicates
+   collapsed. [pick i] is the chosen index for dimension [i], or -1 *)
+let collect_seeds d pick =
   let seeds = ref [] in
   for i = d - 1 downto 0 do
-    let best = ref 0 in
-    Array.iteri (fun j p -> if p.(i) > points.(!best).(i) then best := j) points;
-    if not (List.mem !best !seeds) then seeds := !best :: !seeds
+    let j = pick i in
+    if j >= 0 && not (List.mem j !seeds) then seeds := j :: !seeds
   done;
   !seeds
 
-let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
-    ~points ~k () =
+let boundary_seeds points d =
+  collect_seeds d (first_max points (fun _ -> true))
+
+let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?admit
+    ?on_step ~points ~k () =
   let n = Array.length points in
   if n = 0 then invalid_arg "Geo_greedy.run: empty candidate set";
   if k < 1 then invalid_arg "Geo_greedy.run: k must be positive";
+  if admit <> None && max_dual_vertices <> None then
+    invalid_arg "Geo_greedy.run: admit with max_dual_vertices";
   let d = Vector.dim points.(0) in
-  let seeds = boundary_seeds points d in
+  (* [out.(j)]: [j] is no longer a candidate — selected, or refused by
+     [admit]. [admitted.(j)]: [admit] accepted [j] (every [j] without an
+     admit test), so it is asked at most once per candidate *)
+  let out = Array.make n false in
+  let admitted = Array.make n (admit = None) in
+  let refused = ref 0 in
+  let certify j =
+    admitted.(j)
+    ||
+    match admit with
+    | Some f when f j ->
+        admitted.(j) <- true;
+        true
+    | _ ->
+        out.(j) <- true;
+        incr refused;
+        false
+  in
+  (* [pick ()] returns the candidate it would take; a refused one leaves
+     the run and the pick is retaken, so the first admitted winner is the
+     one a run over the admitted candidates alone picks (they keep their
+     relative order, and first-wins ties with them) *)
+  let rec certified pick =
+    let j = pick () in
+    if j < 0 || certify j then j else certified pick
+  in
+  let seeds =
+    collect_seeds d (fun i ->
+        certified (fun () -> first_max points (fun j -> not out.(j)) i))
+  in
   (* Q(S) is confined to w_i <= 1 / max_{p in seeds(S)} p_i once the seeds
      are inserted; size the artificial bounding box from the seeds actually
      taken (k < d may leave a dimension unseeded and hence unbounded by
@@ -72,7 +120,6 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
     Float.min 1e6 (1.05 /. !worst)
   in
   let dp = Dual_polytope.create ~bound ~dim:d () in
-  let in_s = Array.make n false in
   let order = ref [] in
   let size = ref 0 in
   let rescans = ref 0 in
@@ -97,7 +144,7 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
   let gather_targets pred =
     let nt = ref 0 in
     for j = 0 to n - 1 do
-      if (not in_s.(j)) && pred j then begin
+      if (not out.(j)) && pred j then begin
         targets.(!nt) <- j;
         incr nt
       end
@@ -165,7 +212,7 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
     else full_rescan_all ()
   in
   let insert j =
-    in_s.(j) <- true;
+    out.(j) <- true;
     order := j :: !order;
     incr size;
     let ev = Dual_polytope.insert dp points.(j) in
@@ -176,7 +223,7 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
     | [] -> ()
     | j :: rest ->
         if !size < k then begin
-          in_s.(j) <- true;
+          out.(j) <- true;
           order := j :: !order;
           incr size;
           ignore (Dual_polytope.insert dp points.(j));
@@ -193,12 +240,15 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
      smallest critical ratio (cr = 1 / max w.q) *)
   let iterations = ref 0 in
   let best_remaining () =
-    let best = ref (-1) in
-    for j = 0 to n - 1 do
-      if (not in_s.(j)) && (!best < 0 || snd champion.(j) > snd champion.(!best))
-      then best := j
-    done;
-    !best
+    certified (fun () ->
+        let best = ref (-1) in
+        for j = 0 to n - 1 do
+          if
+            (not out.(j))
+            && (!best < 0 || snd champion.(j) > snd champion.(!best))
+          then best := j
+        done;
+        !best)
   in
   let current_mrr () =
     let j = best_remaining () in
@@ -240,7 +290,7 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
           ~map:(fun a b ->
             let best = ref None in
             for j = a to b - 1 do
-              if not in_s.(j) then begin
+              if not out.(j) then begin
                 let cr, _ =
                   Kregret_lp.Regret_lp.critical_ratio ~selected:sel points.(j)
                 in
@@ -266,7 +316,7 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
           lp_stop := true
       | Some (j, _) ->
           incr iterations;
-          in_s.(j) <- true;
+          out.(j) <- true;
           order := j :: !order;
           incr size;
           (match on_step with
@@ -309,6 +359,7 @@ let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?on_step
   let mrr = match !lp_mrr with Some m -> m | None -> current_mrr () in
   Obs.Counter.add c_rounds !iterations;
   Obs.Counter.add c_rescans !rescans;
+  Obs.Counter.add c_refused !refused;
   if !lp_fallback_at <> None then Obs.Counter.incr c_lp_fallbacks;
   {
     order = List.rev !order;

@@ -57,11 +57,29 @@ type result = {
     compute critical ratios with the baseline's per-candidate LP instead.
     The greedy choices, and hence the output, are unchanged.
 
-    Raises [Invalid_argument] on an empty candidate array or [k < 1]. *)
+    [admit] runs the greedy over the candidates it accepts, without
+    knowing them up front: it is asked about a candidate, at most once,
+    only when that candidate would be taken as a boundary seed or as the
+    argmax, or would supply the reported maximum (the stop test and the
+    mrr after each step). A refused candidate leaves the run for good and
+    the pick is retaken. Since the accepted candidates keep their relative
+    order and a candidate's champion value depends only on itself and the
+    selection, every seed, argmax, stop test and reported mrr is the one
+    a run over the accepted candidates alone computes, and [order] holds
+    the same points, as indices into [points]. The lazy
+    {!Stored_list.funnel} passes the happy screen's verdict, so it
+    certifies only the points the greedy reaches. [order] is empty when
+    [admit] refuses every candidate. Refusals are counted in
+    [geo_greedy.refused].
+
+    Raises [Invalid_argument] on an empty candidate array, [k < 1], or
+    [admit] together with [max_dual_vertices] (the LP phase scans every
+    candidate). *)
 val run :
   ?eps:float ->
   ?use_champion_cache:bool ->
   ?max_dual_vertices:int ->
+  ?admit:(int -> bool) ->
   ?on_step:(size:int -> mrr:float -> unit) ->
   points:Kregret_geom.Vector.t array ->
   k:int ->

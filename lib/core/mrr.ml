@@ -12,7 +12,8 @@ let c_sampled =
 let check ~selected =
   if selected = [] then invalid_arg "Mrr: empty selection"
 
-let geometric ~data ~selected =
+(* Q(S) of a selection *)
+let polytope ~selected =
   check ~selected;
   let d = Vector.dim (List.hd selected) in
   (* exact bound for Q(S): w_i <= 1 / max_{p in S} p_i *)
@@ -28,7 +29,13 @@ let geometric ~data ~selected =
   let bound = 1.05 /. worst in
   let dp = Dual_polytope.create ~bound ~dim:d () in
   List.iter (fun p -> ignore (Dual_polytope.insert dp p)) selected;
-  Dual_polytope.max_regret_ratio dp ~data
+  dp
+
+let geometric ~data ~selected =
+  Dual_polytope.max_regret_ratio (polytope ~selected) ~data
+
+let critical_ratios ~selected points =
+  Array.map (Dual_polytope.critical_ratio (polytope ~selected)) points
 
 let lp ~data ~selected =
   check ~selected;

@@ -14,6 +14,14 @@ val geometric :
   data:Kregret_geom.Vector.t list -> selected:Kregret_geom.Vector.t list ->
   float
 
+(** [critical_ratios ~selected points] — [cr(q, S)] of every point, from
+    the dual polytope {!geometric} builds: [geometric ~data ~selected] is
+    [max 0 (1 - m)] for [m] the minimum of these over [data], bit for
+    bit. *)
+val critical_ratios :
+  selected:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t array ->
+  float array
+
 (** [lp ~data ~selected] — the same quantity via one critical-ratio LP per
     point of [data] (what the baseline [Greedy] evaluates internally). *)
 val lp :

@@ -8,7 +8,7 @@ type t = {
   epoch : int;
   live : int;
   n_sky : int;
-  n_happy : int;
+  n_happy : int option;
   order : int array;
   mrr : float array;
   basis_version : int;

@@ -46,7 +46,11 @@ type t = {
           for static builds *)
   live : int;  (** live rows *)
   n_sky : int;  (** skyline size *)
-  n_happy : int;  (** happy-point count *)
+  n_happy : int option;
+      (** happy-point count; [None] while the happy screen of a lazily
+          built exact dataset is incomplete ({!Dynamic} certifies only the
+          points GeoGreedy takes, and completes the screen on its first
+          skyline-moving update) *)
   order : int array;  (** the StoredList order, as external ids *)
   mrr : float array;
       (** [mrr.(i)] is the maximum regret ratio of the [(i + 1)]-prefix of

@@ -6,47 +6,69 @@ type t = {
   mrr_after : float array;
 }
 
-let preprocess ?max_length points =
+(* [f], asked at most once per argument *)
+let once f =
+  let seen = Hashtbl.create 64 in
+  fun i ->
+    match Hashtbl.find_opt seen i with
+    | Some v -> v
+    | None ->
+        let v = f i in
+        Hashtbl.add seen i v;
+        v
+
+let preprocess ?max_length ?admit points =
   let n = Array.length points in
   let budget = match max_length with None -> n | Some m -> min m n in
+  let admit = Option.map once admit in
   let table = Hashtbl.create 16 in
   let result =
-    Geo_greedy.run
+    Geo_greedy.run ?admit
       ~on_step:(fun ~size ~mrr -> Hashtbl.replace table size mrr)
       ~points ~k:budget ()
   in
   let order_array = Array.of_list result.Geo_greedy.order in
-  let data = Array.to_list points in
+  (* prefixes shorter than the boundary seeding are not visited by the
+     greedy loop; evaluate them directly. Over admitted points only, the
+     minimum critical ratio is the first admitted one in ascending order,
+     so certifying in that order stops there *)
+  let short_prefix_mrr size =
+    let selected = List.init size (fun j -> points.(order_array.(j))) in
+    match admit with
+    | None -> Mrr.geometric ~data:(Array.to_list points) ~selected
+    | Some admit ->
+        let cr = Mrr.critical_ratios ~selected points in
+        let by_cr = Array.init n Fun.id in
+        Array.stable_sort (fun a b -> Float.compare cr.(a) cr.(b)) by_cr;
+        let rec first i = if admit by_cr.(i) then i else first (i + 1) in
+        Float.max 0. (1. -. cr.(by_cr.(first 0)))
+  in
   let mrr_after =
     Array.mapi
       (fun i _ ->
-        let size = i + 1 in
-        match Hashtbl.find_opt table size with
+        match Hashtbl.find_opt table (i + 1) with
         | Some mrr -> mrr
-        | None ->
-            (* prefixes shorter than the boundary seeding are not visited by
-               the greedy loop; evaluate them directly *)
-            let selected =
-              List.init size (fun j -> points.(order_array.(j)))
-            in
-            Mrr.geometric ~data ~selected)
+        | None -> short_prefix_mrr (i + 1))
       order_array
   in
   { order_array; mrr_after }
 
-type funnel = { sky : int array; happy : int array; stored : t option }
+type funnel = { sky : int array; stored : t option }
 
 let funnel ?max_length points =
-  let rows idx = Array.map (fun i -> points.(i)) idx in
   let sky = Kregret_skyline.Skyline.sfs points in
-  let happy =
-    Array.map (fun i -> sky.(i)) (Kregret_happy.Happy.happy_points (rows sky))
-  in
+  let rows = Array.map (fun i -> points.(i)) sky in
   let stored =
-    if Array.length happy = 0 then None
-    else Some (preprocess ?max_length (rows happy))
+    if Array.length rows = 0 then None
+    else
+      let screen = Kregret_happy.Happy.prepare rows in
+      let admit i = Kregret_happy.Happy.verdict screen i = None in
+      let s = preprocess ?max_length ~admit rows in
+      if s.order_array = [||] then None else Some s
   in
-  { sky; happy; stored }
+  { sky; stored }
+
+let reindex t f = { t with order_array = Array.map f t.order_array }
 
 let length t = Array.length t.order_array
 let order t = Array.to_list t.order_array

@@ -206,9 +206,11 @@ let on_all_hyperplanes ~eps q p =
   if Vector.sum q <= 1. +. eps then abs_float (Vector.sum p -. 1.) <= eps
   else Vector.equal ~eps p q
 
-let subjugates ?(eps = default_eps) q p =
+let subjugator ?(eps = default_eps) q =
   let vertices = cut_box_vertices ~eps q in
-  inside_pq ~eps vertices p && not (on_all_hyperplanes ~eps q p)
+  fun p -> inside_pq ~eps vertices p && not (on_all_hyperplanes ~eps q p)
+
+let subjugates ?eps q p = subjugator ?eps q p
 
 let is_happy ?(eps = default_eps) ~candidates p =
   not
@@ -216,9 +218,17 @@ let is_happy ?(eps = default_eps) ~candidates p =
        (fun q -> (not (Vector.equal ~eps:0. q p)) && subjugates ~eps q p)
        candidates)
 
-let happy_points ?(eps = default_eps) points =
+type screen = {
+  eps : float;
+  points : Vector.t array;
+  vertex_sets : Flat.t array;
+  alpha : float array;
+  probe_order : int array;
+  sorted_alpha : float array;  (* [alpha] in probe order *)
+}
+
+let prepare ?(eps = default_eps) points =
   let n = Array.length points in
-  Obs.Counter.add c_candidates n;
   let d = if n = 0 then 1 else Vector.dim points.(0) in
   let dummy = Flat.create ~dim:d () in
   let vertex_sets = Array.make n dummy in
@@ -248,58 +258,73 @@ let happy_points ?(eps = default_eps) points =
       | c -> c)
     probe_order;
   let sorted_alpha = Array.map (fun j -> alpha.(j)) probe_order in
-  (* per-victim verdicts are independent of each other (they only read
-     [points] / [vertex_sets]), so the quadratic subjugation loop fans out
-     too; verdicts land in disjoint slots and the survivor list is rebuilt
-     in index order, identical for every pool width. The membership test
-     [p in P_q] streams each flat vertex set with an early-exit dot sweep —
-     the same conjunction the boxed List.for_all computed. Victim [p]
-     probes only the prefix of q with α_q <= its threshold: past it, a
-     certificate row refutes [p in P_q] (see .mli), so the verdict there is
-     false without a probe. *)
-  let keep = Array.make n false in
+  { eps; points; vertex_sets; alpha; probe_order; sorted_alpha }
+
+(* The membership test [p in P_q] streams each flat vertex set with an
+   early-exit dot sweep — the same conjunction the boxed List.for_all
+   computes. Victim [p] probes only the prefix of q with α_q <= its
+   threshold: past it, a certificate row refutes [p in P_q] (see .mli), so
+   the verdict there is false without a probe. It reads the screen only,
+   so verdicts of different victims may run on different domains. *)
+let verdict s i =
+  let eps = s.eps and n = Array.length s.points in
+  let p = s.points.(i) in
+  let threshold = skip_threshold ~eps p in
+  (* first position whose α exceeds the threshold *)
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if s.sorted_alpha.(mid) > threshold then hi := mid else lo := mid + 1
+  done;
+  let cutoff = !lo in
   let bound = 1. +. eps in
+  let witness = ref (-1) and probes = ref 0 and pos = ref 0 in
+  while !witness < 0 && !pos < cutoff do
+    let j = s.probe_order.(!pos) in
+    if j <> i then begin
+      incr probes;
+      let q = s.points.(j) in
+      if
+        (not (Vector.equal ~eps:0. q p))
+        && Flat.for_all_dot_le s.vertex_sets.(j) p bound
+        && not (on_all_hyperplanes ~eps q p)
+      then witness := j
+    end;
+    incr pos
+  done;
+  Obs.Counter.incr c_candidates;
+  Obs.Counter.add c_probes !probes;
+  if !witness < 0 then begin
+    Obs.Counter.incr c_kept;
+    Obs.Counter.add c_skips
+      (n - cutoff - if s.alpha.(i) > threshold then 1 else 0);
+    None
+  end
+  else begin
+    Obs.Counter.incr c_pruned;
+    Some !witness
+  end
+
+let verdicts ?eps points =
+  let s = prepare ?eps points in
+  let n = Array.length points in
+  let out = Array.make n None in
+  (* per-victim verdicts are independent of each other, so the quadratic
+     subjugation loop fans out too; they land in disjoint slots, identical
+     for every pool width *)
   Pool.parallel_for
     ~cost:(30. *. float_of_int n)
     ~lo:0 ~hi:n
-    (fun i ->
-      let p = points.(i) in
-      let threshold = skip_threshold ~eps p in
-      (* first position whose α exceeds the threshold *)
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if sorted_alpha.(mid) > threshold then hi := mid else lo := mid + 1
-      done;
-      let cutoff = !lo in
-      let subjugated = ref false and probes = ref 0 and pos = ref 0 in
-      while (not !subjugated) && !pos < cutoff do
-        let j = probe_order.(!pos) in
-        if j <> i then begin
-          incr probes;
-          let q = points.(j) in
-          if
-            (not (Vector.equal ~eps:0. q p))
-            && Flat.for_all_dot_le vertex_sets.(j) p bound
-            && not (on_all_hyperplanes ~eps q p)
-          then subjugated := true
-        end;
-        incr pos
-      done;
-      Obs.Counter.add c_probes !probes;
-      if not !subjugated then
-        Obs.Counter.add c_skips
-          (n - cutoff - if alpha.(i) > threshold then 1 else 0);
-      keep.(i) <- not !subjugated);
+    (fun i -> out.(i) <- verdict s i);
+  out
+
+let happy_points ?eps points =
+  let v = verdicts ?eps points in
   let out = ref [] in
-  for i = n - 1 downto 0 do
-    if keep.(i) then out := i :: !out
+  for i = Array.length v - 1 downto 0 do
+    if Option.is_none v.(i) then out := i :: !out
   done;
-  let result = Array.of_list !out in
-  let kept = Array.length result in
-  Obs.Counter.add c_kept kept;
-  Obs.Counter.add c_pruned (n - kept);
-  result
+  Array.of_list !out
 
 let of_dataset ?eps ds =
   let sky = Kregret_skyline.Skyline.of_dataset ds in

@@ -72,15 +72,45 @@ val skip_threshold : ?eps:float -> Kregret_geom.Vector.t -> float
     (or an exact duplicate). *)
 val subjugates : ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Vector.t -> bool
 
+(** [subjugator ~eps q] is [subjugates ~eps q], with [q]'s vertex set
+    enumerated once for every [p] it is applied to: the same boxed sweep,
+    hence the same verdicts. *)
+val subjugator :
+  ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Vector.t -> bool
+
 (** [is_happy ~candidates p] — true when no point of [candidates] subjugates
     [p] ([p] itself, by identity or by value, never counts against). *)
 val is_happy :
   ?eps:float -> candidates:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
   bool
 
-(** [happy_points points] filters an array to its happy members, returning
-    ascending indices (mirroring {!Kregret_skyline.Skyline}). The input
-    should normally be a skyline. *)
+(** A prepared screen over a point array: every point's flat vertex set
+    and certificate, and the probe order (ascending [α], then coordinate
+    sum descending, then index). {!prepare} builds it in parallel; it
+    holds [O(n 2^d d)] floats. *)
+type screen
+
+val prepare : ?eps:float -> Kregret_geom.Vector.t array -> screen
+
+(** [verdict s i] screens point [i] against every point of [s]: [None]
+    when it is happy, [Some j] when point [j] subjugates it (the first
+    subjugator in probe order, so the witness does not depend on the pool
+    width). It only reads [s], so verdicts of different points may run on
+    different domains, and it adds its own work to the [happy.candidates],
+    [happy.kept] or [happy.pruned], [happy.subjugation_probes] and
+    [happy.certified_skips] counters. A caller that needs the verdicts of
+    a few points only (the lazy [Stored_list.funnel]) pays for
+    those few. *)
+val verdict : screen -> int -> int option
+
+(** [verdicts points] is [verdict] of every point over one prepared
+    screen, run on the pool. *)
+val verdicts : ?eps:float -> Kregret_geom.Vector.t array -> int option array
+
+(** [happy_points points] filters an array to its happy members (the
+    points whose {!verdicts} are [None]), returning ascending indices
+    (mirroring {!Kregret_skyline.Skyline}). The input should normally be a
+    skyline. *)
 val happy_points : ?eps:float -> Kregret_geom.Vector.t array -> int array
 
 (** [of_dataset ds] computes skyline then happy points, returning the happy

@@ -24,7 +24,12 @@
                                               certified max rank, with its
                                               [rank_lo]/[rank_hi]/[exact]
                                               certificate
-      {"op":"list"}                           registry contents + statuses
+      {"op":"list"}                           registry contents + statuses;
+                                              a ready entry's "happy" is
+                                              null until an exact build's
+                                              happy screen is complete
+                                              (its first skyline-moving
+                                              update completes it)
       {"op":"stats"}                          live state + the metrics
                                               snapshot (below)
       {"op":"evict"}                          clear the result cache

@@ -203,7 +203,7 @@ let static_of points (p : Pipeline.t) =
     Snapshot.epoch = 0;
     live = n;
     n_sky = Array.length p.sky;
-    n_happy = p.n_happy;
+    n_happy = Some p.n_happy;
     order = p.order;
     mrr = p.mrr;
     basis_version = 0;

@@ -130,7 +130,8 @@ let dataset_json info =
     | Registry.Ready { backend = s; build_seconds; _ } ->
         [
           ("sky", Json.int s.Snapshot.n_sky);
-          ("happy", Json.int s.Snapshot.n_happy);
+          ( "happy",
+            Option.fold ~none:Json.Null ~some:Json.int s.Snapshot.n_happy );
           ("materialized", Json.int (Array.length s.Snapshot.order));
           ("live", Json.int s.Snapshot.live);
           ("epoch", Json.int s.Snapshot.epoch);

@@ -421,6 +421,113 @@ let test_cheap_delete_stops_at_compaction () =
   Alcotest.(check bool) "the full delete applies" true (Dynamic.delete dyn 33);
   Alcotest.(check int) "and compacts" 0 (Dynamic.tombstones dyn)
 
+(* ---- the lazy build ------------------------------------------------------ *)
+
+module Obs = Kregret_obs
+module Dominance = Kregret_skyline.Dominance
+
+let count name = Obs.Counter.value (Obs.Registry.counter name)
+
+(* anti-correlated n = 2,000, d = 6: a skyline of about 1,000 points, half
+   of them unhappy *)
+let lazy_points () = points_of ~n:2000 ~d:6 ~seed:26
+
+(* The build certifies only the points GeoGreedy reaches: a tenth of the
+   subjugation probes of a full screen of the same skyline, or less. *)
+let test_create_screens_lazily () =
+  let points = lazy_points () in
+  let sky = Array.map (fun i -> points.(i)) (Skyline.sfs points) in
+  let full =
+    Testutil.recording (fun () ->
+        ignore (Happy.happy_points sky);
+        count "happy.subjugation_probes")
+  in
+  let built =
+    Testutil.recording (fun () ->
+        ignore (Dynamic.create ~max_length:32 points);
+        count "happy.subjugation_probes")
+  in
+  if built * 10 > full then
+    Alcotest.failf "create probed %d pairs, a full screen %d" built full
+
+(* a point that enters the skyline of [points] and evicts nobody: a
+   member's one coordinate raised, another lowered, kept only if no point
+   dominates or equals it and it dominates none *)
+let entering_point points =
+  let sky = Array.map (fun i -> points.(i)) (Skyline.sfs points) in
+  let d = Array.length points.(0) in
+  let fits q =
+    Array.for_all
+      (fun p ->
+        match Dominance.compare p q with
+        | Dominance.Incomparable -> true
+        | _ -> false)
+      points
+  in
+  let rec search i =
+    if i >= Array.length sky * d then Alcotest.fail "no entering point found"
+    else
+      let p = sky.(i / d) and up = i mod d in
+      let q =
+        Array.mapi
+          (fun j x ->
+            if j = up then Float.min 1. (x +. 0.01)
+            else if j = (up + 1) mod d then x -. 0.001
+            else x)
+          p
+      in
+      if Array.for_all (fun x -> x > 0.) q && fits q then q else search (i + 1)
+  in
+  search 0
+
+(* The completion pass keeps every unhappy member's witness, so the first
+   skyline-entering insert re-screens only the entrant and the members
+   whose witness left; before it, every unhappy member was re-screened
+   (518 of them here). *)
+let test_first_repair_is_bounded () =
+  let points = lazy_points () in
+  let q = entering_point points in
+  let dyn, rescreens, completions =
+    Testutil.recording (fun () ->
+        let dyn = Dynamic.create ~max_length:32 points in
+        let before = count "dynamic.happy_rescreens" in
+        ignore (Dynamic.insert dyn q);
+        ( dyn,
+          count "dynamic.happy_rescreens" - before,
+          count "dynamic.screen_completions" ))
+  in
+  if rescreens > 3 then Alcotest.failf "the insert re-screened %d members" rescreens;
+  Alcotest.(check int) "one completion pass" 1 completions;
+  let rebuilt = Dynamic.create ~max_length:32 (Array.append points [| q |]) in
+  Alcotest.(check (pair (list int) (list int64)))
+    "answers equal a rebuild's" (answer_bits rebuilt) (answer_bits dyn);
+  let live = Array.append points [| q |] in
+  let sky = Array.map (fun i -> live.(i)) (Skyline.sfs live) in
+  Alcotest.(check int) "happy count of the live skyline"
+    (Array.length (Happy.happy_points sky))
+    (Dynamic.happy_size dyn)
+
+(* The count stays unknown until the screen completes, and completing it
+   moves no version and no answer. *)
+let test_happy_count_completes_quietly () =
+  let points = points_of ~n:200 ~d:4 ~seed:3 in
+  let dyn = Dynamic.create points in
+  let s0 = Dynamic.snapshot dyn in
+  Alcotest.(check (option int)) "unknown after the build" None
+    s0.Snapshot.n_happy;
+  let sky = Array.map (fun i -> points.(i)) (Skyline.sfs points) in
+  Alcotest.(check int) "happy_size screens"
+    (Array.length (Happy.happy_points sky))
+    (Dynamic.happy_size dyn);
+  let s1 = Dynamic.snapshot dyn in
+  Alcotest.(check (option int)) "known after it"
+    (Some (Dynamic.happy_size dyn)) s1.Snapshot.n_happy;
+  Alcotest.(check (pair int int)) "versions unmoved"
+    (s0.Snapshot.epoch, s0.Snapshot.basis_version)
+    (s1.Snapshot.epoch, s1.Snapshot.basis_version);
+  Alcotest.(check (array int)) "order unmoved" s0.Snapshot.order s1.Snapshot.order;
+  check_matches_rebuild "after the completion pass" dyn
+
 let suite =
   [
     Alcotest.test_case "insert-then-delete round trip is bit-identical" `Quick
@@ -444,4 +551,10 @@ let suite =
     QCheck_alcotest.to_alcotest apply_cheap_is_the_full_path;
     Alcotest.test_case "a compaction-triggering delete is not cheap" `Quick
       test_cheap_delete_stops_at_compaction;
+    Alcotest.test_case "create certifies a tenth of a full screen or less"
+      `Quick test_create_screens_lazily;
+    Alcotest.test_case "the first skyline-entering insert re-screens <= 3"
+      `Quick test_first_repair_is_bounded;
+    Alcotest.test_case "happy_size completes the screen, nothing moves"
+      `Quick test_happy_count_completes_quietly;
   ]

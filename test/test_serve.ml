@@ -636,6 +636,35 @@ let test_update_verbs_end_to_end () =
             (Option.bind (Json.member "epoch" d0) Json.to_int
              |> Option.value ~default:(-1) > 0)))
 
+(* An exact load certifies only the happy points GeoGreedy takes, so
+   [list] has no happy count for it; the first skyline-entering insert
+   completes the screen, and the count is then the live skyline's. *)
+let test_list_happy_count () =
+  let path = write_csv ~name:"hc" ~n:60 ~d:3 ~seed:41 in
+  let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let happy_field c =
+    let j = or_fail "list" (Client.list_datasets c) in
+    let d0 =
+      List.hd
+        (Option.bind (Json.member "datasets" j) Json.to_list
+        |> Option.value ~default:[])
+    in
+    Json.member "happy" d0
+  in
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"hc" ~path;
+          Alcotest.(check bool) "fresh exact load: happy is null" true
+            (happy_field c = Some Json.Null);
+          let p = [| 0.99; 0.98; 0.97 |] in
+          ignore (or_fail "insert" (Client.insert c ~name:"hc" ~point:p));
+          let live = Array.append base [| p |] in
+          let sky = Array.map (fun i -> live.(i)) (Skyline.naive live) in
+          Alcotest.(check (option int)) "after a skyline-entering insert"
+            (Some (Array.length (Happy.happy_points sky)))
+            (Option.bind (happy_field c) Json.to_int)));
+  Sys.remove path
+
 (* a dataset emptied by deletes: query and mrr answer the empty selection,
    rank_regret a structured [empty_dataset] error that is counted and
    never cached *)
@@ -1723,6 +1752,9 @@ let suite =
       `Quick test_config_rejects_max_length;
     Alcotest.test_case "dynamic: insert/delete/flush verbs end to end" `Slow
       test_update_verbs_end_to_end;
+    Alcotest.test_case "dynamic: list's happy count is null until the \
+                        screen completes" `Quick
+      test_list_happy_count;
     Alcotest.test_case "dynamic: rank_regret on an emptied dataset is a \
                         structured, uncached error" `Quick
       test_rank_regret_empty_dataset;

@@ -204,6 +204,128 @@ let test_load_body_failures () =
   expect_load_failure ~what:"NaN mrr rejected" ~needle:"entry" points
     ((header :: body) @ [ "0 nan" ])
 
+(* ---- the lazy funnel ----------------------------------------------------- *)
+
+module Skyline = Kregret_skyline.Skyline
+module Pool = Kregret_parallel.Pool
+
+let with_jobs j f =
+  let saved = Pool.get_jobs () in
+  Pool.set_jobs j;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
+
+(* a list as input rows, and every prefix regret's bits *)
+let as_rows stored rows =
+  match stored with
+  | None -> ([], [])
+  | Some s ->
+      ( List.map (fun e -> rows.(e)) (Stored_list.order s),
+        List.init (Stored_list.length s) (fun i ->
+            Int64.bits_of_float (Stored_list.mrr_at s ~k:(i + 1))) )
+
+(* sfs, the whole happy screen, then StoredList over the happy rows *)
+let eager ?max_length points =
+  let rows idx = Array.map (fun i -> points.(i)) idx in
+  let sky = Skyline.sfs points in
+  let happy = Array.map (fun h -> sky.(h)) (Happy.happy_points (rows sky)) in
+  as_rows
+    (if Array.length happy = 0 then None
+     else Some (Stored_list.preprocess ?max_length (rows happy)))
+    happy
+
+let funnel_equals_eager ?max_length points =
+  let want = with_jobs 1 (fun () -> eager ?max_length points) in
+  List.for_all
+    (fun j ->
+      let f = with_jobs j (fun () -> Stored_list.funnel ?max_length points) in
+      as_rows f.Stored_list.stored f.Stored_list.sky = want)
+    [ 1; 2 ]
+
+(* tie-heavy instances: coordinates on a coarse lattice or free, then
+   exact copies of earlier points *)
+let gen_ties =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun d ->
+    int_range 1 40 >>= fun n ->
+    oneofl [ 0; 2; 3; 4; 8 ] >>= fun grid ->
+    let coord =
+      if grid = 0 then float_range 0.01 1.
+      else int_range 1 grid >|= fun g -> float_of_int g /. float_of_int grid
+    in
+    list_repeat n (array_repeat d coord) >>= fun pts ->
+    let pts = Array.of_list pts in
+    list_repeat (n / 3) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >|= fun copies ->
+    List.iter (fun (a, b) -> pts.(a) <- Array.copy pts.(b)) copies;
+    pts)
+
+let arb_ties =
+  QCheck.make
+    ~print:(fun a ->
+      String.concat "; " (Array.to_list (Array.map Kregret_geom.Vector.to_string a)))
+    gen_ties
+
+(* [admit] may refuse any subset: the list is [preprocess] over the
+   admitted points alone, as indices into the whole array, so refused
+   seeds and argmaxes are retaken exactly *)
+let admit_equals_subset (pts, mask, max_length) =
+  let n = Array.length pts in
+  let mask = Array.init n (fun i -> mask.(i mod Array.length mask)) in
+  let sub = List.filter (fun i -> mask.(i)) (List.init n Fun.id) |> Array.of_list in
+  let want =
+    if Array.length sub = 0 then ([], [])
+    else
+      as_rows
+        (Some (Stored_list.preprocess ?max_length (Array.map (fun i -> pts.(i)) sub)))
+        sub
+  in
+  let asked = Array.make n 0 in
+  let admit i =
+    asked.(i) <- asked.(i) + 1;
+    mask.(i)
+  in
+  let s = Stored_list.preprocess ?max_length ~admit pts in
+  let got =
+    as_rows (if Stored_list.length s = 0 then None else Some s) (Array.init n Fun.id)
+  in
+  got = want && Array.for_all (fun c -> c <= 1) asked
+
+let arb_admit =
+  QCheck.(
+    triple arb_ties
+      (array_of_size (Gen.int_range 1 7) bool)
+      (option (int_range 1 6)))
+
+(* every point strictly inside the unit simplex: each skyline member
+   subjugates the others, so the happy set is empty and neither side
+   materializes a list *)
+let test_funnel_empty_happy () =
+  let points = [| [| 0.2; 0.3; 0.1 |]; [| 0.3; 0.2; 0.1 |]; [| 0.1; 0.1; 0.4 |] |] in
+  Alcotest.(check (array int)) "no happy point" [||]
+    (Happy.happy_points points);
+  let f = Stored_list.funnel points in
+  Alcotest.(check int) "a 3-point skyline" 3 (Array.length f.Stored_list.sky);
+  Alcotest.(check bool) "no list" true (f.Stored_list.stored = None);
+  Alcotest.(check bool) "the eager composition agrees" true
+    (funnel_equals_eager points)
+
+(* anti-correlated d = 6: the funnel gives a verdict to the points the
+   greedy takes and not to the thousand others *)
+let test_funnel_certifies_few () =
+  let points =
+    (Dataset.normalize (anti 2000 6 26)).Dataset.points
+  in
+  let verdicts =
+    recording (fun () ->
+        ignore (Stored_list.funnel ~max_length:32 points);
+        Kregret_obs.Counter.value (Kregret_obs.Registry.counter "happy.candidates"))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d verdicts for a 32-entry list" verdicts)
+    true (verdicts <= 64);
+  Alcotest.(check bool) "the eager composition's list" true
+    (funnel_equals_eager ~max_length:32 points)
+
 let suite =
   [
     Alcotest.test_case "prefix property vs fresh GeoGreedy runs" `Quick
@@ -219,4 +341,14 @@ let suite =
       test_load_header_failures;
     Alcotest.test_case "load rejects truncated and malformed entries" `Quick
       test_load_body_failures;
+    qcheck_case ~count:150 "funnel = eager composition, jobs 1/2 (ties)"
+      arb_ties (fun pts -> funnel_equals_eager pts);
+    qcheck_case ~count:60 "funnel = eager composition at max_length 4"
+      arb_ties (fun pts -> funnel_equals_eager ~max_length:4 pts);
+    qcheck_case ~count:200 "preprocess ~admit = preprocess over the admitted"
+      arb_admit admit_equals_subset;
+    Alcotest.test_case "funnel of an empty happy set gives no list" `Quick
+      test_funnel_empty_happy;
+    Alcotest.test_case "funnel certifies the points the greedy takes" `Quick
+      test_funnel_certifies_few;
   ]
