@@ -170,6 +170,9 @@ let run_client ~endpoint ~timeout commands =
   | Error m ->
       Fmt.epr "kregret_serve: %s@." m;
       124
+  | Ok _ when (not (Float.is_finite timeout)) || timeout < 0. ->
+      Fmt.epr "kregret_serve: --timeout must be finite and >= 0@.";
+      124
   | Ok cmds -> (
       let cmds = if cmds = [] then read_stdin_frames () else cmds in
       match Serve.Client.connect_to ~timeout endpoint with
@@ -390,7 +393,7 @@ let timeout_arg =
   Arg.(
     value & opt float 30.
     & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:"Client receive timeout per response.")
+        ~doc:"Client receive timeout per response (finite, at least 0).")
 
 let cache_arg =
   Arg.(
@@ -408,7 +411,7 @@ let retry_after_arg =
   Arg.(
     value & opt float 0.05
     & info [ "retry-after" ] ~docv:"SECONDS"
-        ~doc:"Hint attached to $(i,building) errors.")
+        ~doc:"Hint attached to $(i,building) errors (finite, at least 0).")
 
 let max_k_arg =
   Arg.(

@@ -29,7 +29,8 @@ type net = {
   eps : float;
 }
 
-let default_max_directions = 2_000_000
+(* the cap on net size: [net] raises rather than enumerate a larger net *)
+let direction_cap = 2_000_000
 
 let check_eps eps =
   if not (Float.is_finite eps) || eps <= 0. || eps > 1. then
@@ -57,14 +58,14 @@ let net_size ~d ~resolution =
   let m = float_of_int resolution in
   ((m +. 1.) ** float_of_int d) -. (m ** float_of_int d)
 
-let net ?(max_directions = default_max_directions) ~d ~eps () =
+let net ~d ~eps =
   let m = resolution_for ~d ~eps in
   let count = net_size ~d ~resolution:m in
-  if count > float_of_int max_directions then
+  if count > float_of_int direction_cap then
     invalid_arg
       (Printf.sprintf
-         "Kernel.net: %.0f directions at d=%d eps=%g exceed max_directions=%d"
-         count d eps max_directions);
+         "Kernel.net: %.0f directions at d=%d eps=%g exceed the cap of %d"
+         count d eps direction_cap);
   let dirs = Flat.create ~capacity:(int_of_float count) ~dim:d () in
   if d = 1 then Flat.push_row dirs [| 1. |]
   else begin
@@ -118,11 +119,11 @@ type result = {
   scan_seconds : float;
 }
 
-let reduce ?max_directions ~eps points =
+let reduce ~eps points =
   let n = Array.length points in
   if n = 0 then invalid_arg "Kernel.reduce: empty input";
   let d = Array.length points.(0) in
-  let nt = net ?max_directions ~d ~eps () in
+  let nt = net ~d ~eps in
   let nd = Flat.rows nt.dirs in
   let flat = Flat.of_rows ~dim:d points in
   let out_row = Array.make nd (-1) in

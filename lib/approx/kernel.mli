@@ -53,10 +53,6 @@ type net = {
   eps : float;
 }
 
-(** Cap on net size (2_000_000): {!net} and {!reduce} raise
-    [Invalid_argument] rather than enumerate a larger net. *)
-val default_max_directions : int
-
 (** [resolution_for ~d ~eps] — the grid resolution [m] used for [eps]:
     the smallest [m >= 1] with [(d-1) / (2m) <= eps] (computed with a
     small guard so that [eps = (d-1) / (2m)] maps back to exactly [m]).
@@ -71,8 +67,9 @@ val slack_for : d:int -> eps:float -> float
     can budget before building). *)
 val net_size : d:int -> resolution:int -> float
 
-(** [net ~d ~eps ()] builds the direction net. *)
-val net : ?max_directions:int -> d:int -> eps:float -> unit -> net
+(** [net ~d ~eps] builds the direction net. Raises [Invalid_argument]
+    rather than enumerate more than 2,000,000 directions. *)
+val net : d:int -> eps:float -> net
 
 type result = {
   ids : int array;
@@ -91,12 +88,9 @@ type result = {
 
 (** [reduce ~eps points] scans every net direction over [points] and
     returns the kernel, as row indices of [points]. Rows must be
-    non-empty and share one dimension. *)
-val reduce :
-  ?max_directions:int ->
-  eps:float ->
-  Kregret_geom.Vector.t array ->
-  result
+    non-empty and share one dimension. Raises [Invalid_argument] when the
+    net would pass {!net}'s cap. *)
+val reduce : eps:float -> Kregret_geom.Vector.t array -> result
 
 (** [select r points] — the kernel rows of [points], the array [r] was
     reduced from. *)

@@ -6,8 +6,8 @@ type t = {
   mrr : float array;
 }
 
-let run ?max_directions ?max_length ~eps points =
-  let reduction = Kernel.reduce ?max_directions ~eps points in
+let run ?max_length ~eps points =
+  let reduction = Kernel.reduce ~eps points in
   let ids = reduction.Kernel.ids in
   let f =
     Kregret.Stored_list.funnel ?max_length (Kernel.select reduction points)

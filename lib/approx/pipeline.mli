@@ -18,13 +18,10 @@ type t = {
 
 (** [run ~eps points] — reduce, then run the funnel over the kernel.
     [?max_length] caps the StoredList materialization exactly as in
-    {!Kregret.Stored_list.preprocess}. *)
+    {!Kregret.Stored_list.preprocess}. Raises [Invalid_argument] when the
+    direction net would pass {!Kernel.net}'s cap. *)
 val run :
-  ?max_directions:int ->
-  ?max_length:int ->
-  eps:float ->
-  Kregret_geom.Vector.t array ->
-  t
+  ?max_length:int -> eps:float -> Kregret_geom.Vector.t array -> t
 
 (** [query t ~k] — first [min k (length)] original ids of the order,
     with the reported mrr of that prefix {e within the kernel}. *)

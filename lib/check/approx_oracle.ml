@@ -89,7 +89,7 @@ let check ?(jobs_hi = 2) inst =
           [ Printf.sprintf "winner %d of direction %d missing from kernel" w j ])
     red.Kernel.winners;
   begin
-    let nt = Kernel.net ~d ~eps () in
+    let nt = Kernel.net ~d ~eps in
     let mismatches = ref 0 in
     for j = 0 to Flat.rows nt.Kernel.dirs - 1 do
       if !mismatches < 3 then begin

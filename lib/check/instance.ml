@@ -138,5 +138,3 @@ let describe t =
     (match t.degeneracies with
     | [] -> ""
     | l -> " degeneracies=" ^ String.concat "+" l)
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -47,5 +47,3 @@ val drop_dim : t -> int -> t
 
 (** One-line description: id, dist, n, d, k, degeneracies. *)
 val describe : t -> string
-
-val pp : Format.formatter -> t -> unit

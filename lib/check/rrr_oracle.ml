@@ -30,7 +30,7 @@ let net_of ~d =
     incr m
   done;
   let eps = float_of_int (d - 1) /. (2. *. float_of_int !m) in
-  let nt = Kernel.net ~d ~eps () in
+  let nt = Kernel.net ~d ~eps in
   let nd = Flat.rows nt.Kernel.dirs in
   let stride = if nd <= budget then 1 else ((nd + budget) - 1) / budget in
   let rows = ref [] in

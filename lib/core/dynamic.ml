@@ -160,7 +160,6 @@ let common_prefix a b =
   done;
   !i
 
-let dim t = t.dim
 let live t = t.live
 let slots t = t.used
 let tombstones t = t.used - t.live

@@ -119,7 +119,6 @@ val query : t -> k:int -> int list * float
 (** [mrr_at t ~k] is just the regret of the [k]-prefix. *)
 val mrr_at : t -> k:int -> float
 
-val dim : t -> int
 val live : t -> int
 
 (** [slots t] is the store size including tombstones. *)

@@ -14,7 +14,11 @@ let create ~name points =
 let size t = Array.length t.points
 let to_list t = Array.to_list t.points
 
-let normalize ?(floor = 1e-6) t =
+(* Normalized values are floored here to respect the paper's
+   strict-positivity assumption. *)
+let value_floor = 1e-6
+
+let normalize t =
   let maxima = Array.make t.dim 0. in
   Array.iter
     (fun p ->
@@ -32,7 +36,8 @@ let normalize ?(floor = 1e-6) t =
     maxima;
   let points =
     Array.map
-      (fun p -> Array.init t.dim (fun i -> Float.max floor (p.(i) /. maxima.(i))))
+      (fun p ->
+        Array.init t.dim (fun i -> Float.max value_floor (p.(i) /. maxima.(i))))
       t.points
   in
   { t with points }

@@ -23,12 +23,12 @@ val size : t -> int
     arrays themselves are shared). *)
 val to_list : t -> Kregret_geom.Vector.t list
 
-(** [normalize ?floor t] rescales every dimension into [(0,1]]:
-    values are divided by the per-dimension maximum (values must be
-    non-negative) and then floored at [floor] (default [1e-6]) to respect the
-    paper's strict-positivity assumption. Raises [Invalid_argument] when a
-    dimension is identically zero. *)
-val normalize : ?floor:float -> t -> t
+(** [normalize t] rescales every dimension into [(0,1]]: values are
+    divided by the per-dimension maximum (values must be non-negative) and
+    then floored at [1e-6] to respect the paper's strict-positivity
+    assumption. Raises [Invalid_argument] when a dimension is identically
+    zero. *)
+val normalize : t -> t
 
 (** [is_normalized ~eps t] checks the data model: all values in [(0,1]] and
     each dimension attains [1] within [eps]. *)

@@ -46,7 +46,6 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   int_of_float (float t *. float_of_int bound)
 
-let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
 let gaussian t ~mu ~sigma =
   let rec nonzero () =

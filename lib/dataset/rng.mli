@@ -20,9 +20,6 @@ val int : t -> int -> int
 (** [float t] is uniform in [0, 1). *)
 val float : t -> float
 
-(** [uniform t ~lo ~hi] is uniform in [lo, hi). *)
-val uniform : t -> lo:float -> hi:float -> float
-
 (** [gaussian t ~mu ~sigma] samples a normal deviate (Box–Muller). *)
 val gaussian : t -> mu:float -> sigma:float -> float
 

@@ -2,33 +2,14 @@ type t = float array array
 
 let make rows cols x = Array.init rows (fun _ -> Array.make cols x)
 let init rows cols f = Array.init rows (fun i -> Array.init cols (fun j -> f i j))
-let identity n = init n n (fun i j -> if i = j then 1. else 0.)
-let copy m = Array.map Array.copy m
-let rows m = Array.length m
-let cols m = if Array.length m = 0 then 0 else Array.length m.(0)
 
-let transpose m =
-  let r = rows m and c = cols m in
-  init c r (fun i j -> m.(j).(i))
-
-let mul_vec m v =
-  if cols m <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.map (fun row -> Vector.dot row v) m
-
-let mul a b =
-  if cols a <> rows b then invalid_arg "Matrix.mul: dimension mismatch";
-  let bt = transpose b in
-  init (rows a) (cols b) (fun i j -> Vector.dot a.(i) bt.(j))
-
-(* Forward elimination with partial pivoting. [pivot_cols] bounds the columns
-   eligible as pivots (a solve must not pivot on the augmented RHS column).
-   Returns the number of pivots found; [m] is destroyed. *)
-let eliminate ?pivot_cols ~eps m =
-  let r = rows m and c = cols m in
-  let pivot_limit = Option.value ~default:c pivot_cols in
+(* Forward elimination with partial pivoting. Returns the number of pivots
+   found; [m] is destroyed. *)
+let eliminate ~eps m =
+  let r = Array.length m and c = Array.length m.(0) in
   let pivot_row = ref 0 in
   let col = ref 0 in
-  while !pivot_row < r && !col < pivot_limit do
+  while !pivot_row < r && !col < c do
     (* pick the row with the largest absolute entry in the current column *)
     let best = ref !pivot_row in
     for i = !pivot_row + 1 to r - 1 do
@@ -53,74 +34,5 @@ let eliminate ?pivot_cols ~eps m =
   done;
   !pivot_row
 
-let solve ?(eps = 1e-12) a b =
-  let n = rows a in
-  if n = 0 then Some [||]
-  else if cols a <> n || Array.length b <> n then
-    invalid_arg "Matrix.solve: system is not square"
-  else begin
-    (* augmented matrix [a | b] *)
-    let m = init n (n + 1) (fun i j -> if j < n then a.(i).(j) else b.(i)) in
-    let pivots = eliminate ~pivot_cols:n ~eps m in
-    if pivots < n then None
-    else begin
-      let x = Array.make n 0. in
-      for i = n - 1 downto 0 do
-        let acc = ref m.(i).(n) in
-        for j = i + 1 to n - 1 do
-          acc := !acc -. (m.(i).(j) *. x.(j))
-        done;
-        x.(i) <- !acc /. m.(i).(i)
-      done;
-      Some x
-    end
-  end
-
 let rank ?(eps = 1e-9) m =
-  if rows m = 0 then 0 else eliminate ~eps (copy m)
-
-let determinant a =
-  let n = rows a in
-  if cols a <> n then invalid_arg "Matrix.determinant: not square";
-  if n = 0 then 1.
-  else begin
-    let m = copy a in
-    let sign = ref 1. in
-    let singular = ref false in
-    for k = 0 to n - 1 do
-      if not !singular then begin
-        let best = ref k in
-        for i = k + 1 to n - 1 do
-          if abs_float m.(i).(k) > abs_float m.(!best).(k) then best := i
-        done;
-        if m.(!best).(k) = 0. then singular := true
-        else begin
-          if !best <> k then begin
-            let tmp = m.(k) in
-            m.(k) <- m.(!best);
-            m.(!best) <- tmp;
-            sign := -. !sign
-          end;
-          for i = k + 1 to n - 1 do
-            let factor = m.(i).(k) /. m.(k).(k) in
-            for j = k to n - 1 do
-              m.(i).(j) <- m.(i).(j) -. (factor *. m.(k).(j))
-            done
-          done
-        end
-      end
-    done;
-    if !singular then 0.
-    else begin
-      let det = ref !sign in
-      for i = 0 to n - 1 do
-        det := !det *. m.(i).(i)
-      done;
-      !det
-    end
-  end
-
-let of_rows vs = Array.of_list (List.map Array.copy vs)
-
-let pp ppf m =
-  Array.iter (fun row -> Format.fprintf ppf "%a@." Vector.pp row) m
+  if Array.length m = 0 then 0 else eliminate ~eps (Array.map Array.copy m)

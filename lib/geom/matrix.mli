@@ -1,9 +1,10 @@
-(** Small dense matrices and Gaussian elimination.
+(** Small dense matrices: construction and numerical rank.
 
-    The convex-geometry layer only ever solves systems whose size is the data
-    dimensionality [d] (at most ~10 in the paper's experiments), so a simple
-    dense representation with partial pivoting is both adequate and easy to
-    audit. Matrices are arrays of rows. *)
+    [Stats] builds its covariance and correlation matrices here, and [Dd]'s
+    adjacency and invariant checks ask for the rank of a matrix of at most
+    [d] rows and columns. A plain row-array representation with partial
+    pivoting is adequate at those sizes and easy to audit. Matrices are
+    arrays of rows. *)
 
 type t = float array array
 
@@ -13,42 +14,7 @@ val make : int -> int -> float -> t
 (** [init rows cols f] has entry [f i j] at row [i], column [j]. *)
 val init : int -> int -> (int -> int -> float) -> t
 
-(** [identity n] is the n*n identity matrix. *)
-val identity : int -> t
-
-(** [copy m] is a deep copy of [m]. *)
-val copy : t -> t
-
-(** [rows m] and [cols m] are the dimensions. [cols] of a 0-row matrix is 0. *)
-val rows : t -> int
-
-val cols : t -> int
-
-(** [transpose m] is the transpose. *)
-val transpose : t -> t
-
-(** [mul_vec m v] is the matrix-vector product [m v]. *)
-val mul_vec : t -> Vector.t -> Vector.t
-
-(** [mul a b] is the matrix product. *)
-val mul : t -> t -> t
-
-(** [solve a b] solves the square system [a x = b] by Gaussian elimination
-    with partial pivoting. Returns [None] when [a] is singular within
-    tolerance [eps] (default [1e-12]). [a] and [b] are not modified. *)
-val solve : ?eps:float -> t -> Vector.t -> Vector.t option
-
 (** [rank ?eps m] is the numerical rank of [m], computed by row elimination
     with partial pivoting and threshold [eps] (default [1e-9]). [m] is not
     modified. *)
 val rank : ?eps:float -> t -> int
-
-(** [determinant a] is the determinant of the square matrix [a], by LU
-    factorization. *)
-val determinant : t -> float
-
-(** [of_rows vs] packs row vectors into a matrix (rows are copied). *)
-val of_rows : Vector.t list -> t
-
-(** [pp] prints the matrix row by row. *)
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 type t = float array
 
 let dim = Array.length
-let make = Array.make
 let init = Array.init
 let copy = Array.copy
 let zero d = Array.make d 0.
@@ -81,11 +80,6 @@ let lerp u v t =
   check_dim u v "Vector.lerp";
   Array.init (Array.length u) (fun i -> ((1. -. t) *. u.(i)) +. (t *. v.(i)))
 
-let cos_angle u v =
-  let nu = norm u and nv = norm v in
-  if nu = 0. || nv = 0. then invalid_arg "Vector.cos_angle: zero vector";
-  dot u v /. (nu *. nv)
-
 let equal ~eps u v =
   Array.length u = Array.length v
   &&
@@ -104,9 +98,7 @@ let extremum_coord better v =
 let max_coord v = extremum_coord (fun a b -> a > b) v
 let min_coord v = extremum_coord (fun a b -> a < b) v
 let sum v = Array.fold_left ( +. ) 0. v
-let for_all = Array.for_all
-let exists = Array.exists
-let is_nonneg ~eps v = for_all (fun x -> x >= -.eps) v
+let is_nonneg ~eps v = Array.for_all (fun x -> x >= -.eps) v
 
 let pp ppf v =
   Format.fprintf ppf "(";

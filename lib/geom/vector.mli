@@ -11,9 +11,6 @@ type t = float array
 (** [dim v] is the dimensionality of [v]. *)
 val dim : t -> int
 
-(** [make d x] is the d-dimensional vector with every coordinate [x]. *)
-val make : int -> float -> t
-
 (** [init d f] is [| f 0; ...; f (d-1) |]. *)
 val init : int -> (int -> float) -> t
 
@@ -70,9 +67,6 @@ val normalize : t -> t
 (** [lerp u v t] is the convex combination [(1-t) u + t v]. *)
 val lerp : t -> t -> float -> t
 
-(** [cos_angle u v] is the cosine of the angle between [u] and [v]. *)
-val cos_angle : t -> t -> float
-
 (** [equal ~eps u v] tests coordinate-wise equality within absolute
     tolerance [eps]. *)
 val equal : eps:float -> t -> t -> bool
@@ -86,12 +80,6 @@ val min_coord : t -> int * float
 
 (** [sum v] is the sum of coordinates. *)
 val sum : t -> float
-
-(** [for_all p v] tests [p] on every coordinate. *)
-val for_all : (float -> bool) -> t -> bool
-
-(** [exists p v] tests whether some coordinate satisfies [p]. *)
-val exists : (float -> bool) -> t -> bool
 
 (** [is_nonneg ~eps v] is true when every coordinate is [>= -eps]. *)
 val is_nonneg : eps:float -> t -> bool

@@ -43,10 +43,6 @@ let upper_chain points =
   in
   { chain = Array.of_list (List.rev inner) }
 
-let extreme_points points =
-  let { chain } = upper_chain points in
-  List.filter (fun p -> Array.exists (fun c -> c == p || c = p) chain) points
-
 let critical_ratio { chain } q =
   if Vector.dim q <> 2 then invalid_arg "Chain2d.critical_ratio: 2-D only";
   let n = Array.length chain in
@@ -66,10 +62,3 @@ let critical_ratio { chain } q =
     consider normal (Vector.dot normal p1)
   done;
   !best
-
-let max_regret_ratio points ~data =
-  let hull = upper_chain points in
-  let worst =
-    List.fold_left (fun acc q -> Float.min acc (critical_ratio hull q)) infinity data
-  in
-  Float.max 0. (1. -. worst)

@@ -5,8 +5,7 @@
     the origin are the edges of the "upper-right" chain from the point with
     maximal x to the point with maximal y (plus the two axis-projection
     edges). Used as an independent reference implementation against which the
-    d-dimensional dual machinery is property-tested, and by the figures of
-    the running example. *)
+    d-dimensional dual machinery is property-tested. *)
 
 type hull = {
   chain : Kregret_geom.Vector.t array;
@@ -20,16 +19,7 @@ type hull = {
     [Invalid_argument] on an empty list or non-2-D points. *)
 val upper_chain : Kregret_geom.Vector.t list -> hull
 
-(** [extreme_points points] is the subset of [points] lying on the chain —
-    the 2-D [D_conv]. *)
-val extreme_points : Kregret_geom.Vector.t list -> Kregret_geom.Vector.t list
-
 (** [critical_ratio hull q] is [cr(q, S)] computed by walking the chain:
     the ray from the origin through [q] crosses exactly one chain edge (or
     one of the axis-projection edges). *)
 val critical_ratio : hull -> Kregret_geom.Vector.t -> float
-
-(** [max_regret_ratio points ~data] is the 2-D [mrr] reference:
-    [max 0 (1 - min_q critical_ratio q)]. *)
-val max_regret_ratio :
-  Kregret_geom.Vector.t list -> data:Kregret_geom.Vector.t list -> float

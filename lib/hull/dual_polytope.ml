@@ -1,16 +1,15 @@
 module Vector = Kregret_geom.Vector
 
-type t = { dd : Dd.t; mutable inserted : int }
+type t = Dd.t
 
-let create ?bound ~dim () = { dd = Dd.create ?bound ~dim (); inserted = 0 }
+let create ?bound ~dim () = Dd.create ?bound ~dim ()
 
 let insert t p =
   if not (Vector.is_nonneg ~eps:0. p) then
     invalid_arg "Dual_polytope.insert: points must be non-negative";
-  t.inserted <- t.inserted + 1;
-  Dd.add_constraint t.dd ~normal:p ~offset:1.
+  Dd.add_constraint t ~normal:p ~offset:1.
 
-let champion t q = Dd.max_dot t.dd q
+let champion t q = Dd.max_dot t q
 
 let critical_ratio t q =
   let _, m = champion t q in
@@ -22,7 +21,6 @@ let max_regret_ratio t ~data =
   in
   Float.max 0. (1. -. worst)
 
-let num_vertices t = Dd.num_vertices t.dd
-let flat_view t = Dd.flat_view t.dd
-let selection_size t = t.inserted
-let dd t = t.dd
+let num_vertices = Dd.num_vertices
+let flat_view = Dd.flat_view
+let dd t = t

@@ -46,8 +46,6 @@ val max_regret_ratio : t -> data:Kregret_geom.Vector.t list -> float
     primal faces not through the origin, up to degeneracy). *)
 val num_vertices : t -> int
 
-(** [selection_size t] counts inserted points. *)
-val selection_size : t -> int
 
 (** [flat_view t] is {!Dd.flat_view} of the underlying structure: the flat
     vertex-coordinate matrix and its row → vertex-id map, for the blocked

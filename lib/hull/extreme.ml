@@ -1,8 +1,6 @@
 module Vector = Kregret_geom.Vector
 module Regret_lp = Kregret_lp.Regret_lp
 
-let is_extreme ?eps ~others p = Regret_lp.in_convex_position ?eps ~others p
-
 (* Cheap deterministic direction stream (splitmix-style) for the sampling
    pre-pass; kept local to avoid a dependency on the dataset library. *)
 let direction_stream seed d =
@@ -106,7 +104,8 @@ let extreme_points ?eps ?(samples = 4096) candidates =
                   for j = 0 to n - 1 do
                     if j <> i then others := arr.(j) :: !others
                   done;
-                  if is_extreme ?eps ~others:!others arr.(i) then
+                  if Regret_lp.in_convex_position ?eps ~others:!others arr.(i)
+                  then
                     add_support i;
                   decided := true)
         done

@@ -17,9 +17,3 @@
 val extreme_points :
   ?eps:float -> ?samples:int -> Kregret_geom.Vector.t list ->
   Kregret_geom.Vector.t list
-
-(** [is_extreme ~others p] decides a single point (see
-    {!Kregret_lp.Regret_lp.in_convex_position}). *)
-val is_extreme :
-  ?eps:float -> others:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
-  bool

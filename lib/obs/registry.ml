@@ -88,19 +88,6 @@ let histograms () =
     (all ())
   |> by_name
 
-let help_of name =
-  let m = Control.locked (fun () -> Hashtbl.find_opt table name) in
-  match m with
-  | None -> None
-  | Some m -> (
-      let h =
-        match m with
-        | C c -> Counter.help c
-        | G g -> Gauge.help g
-        | H h -> Histogram.help h
-      in
-      match h with "" -> None | h -> Some h)
-
 let reset () =
   List.iter
     (function

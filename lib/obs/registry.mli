@@ -28,9 +28,6 @@ val gauges : unit -> (string * float) list
 val histograms : unit -> (string * Histogram.snapshot) list
 (** Name-sorted touched histograms. *)
 
-val help_of : string -> string option
-(** The help string a metric was interned with (empty help -> [None]). *)
-
 val reset : unit -> unit
 (** Zero every metric and drop the span trees. Call outside parallel
     regions (typically between runs, or at the start of a [--metrics]

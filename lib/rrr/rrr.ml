@@ -62,7 +62,7 @@ let thin_dirs dirs ~budget =
    single direction [|1.|]. *)
 let make_net ~d ~budget =
   if d = 1 then
-    let nt = Kernel.net ~d ~eps:1.0 () in
+    let nt = Kernel.net ~d ~eps:1.0 in
     { n_dirs = nt.Kernel.dirs; n_res = nt.Kernel.resolution }
   else begin
     let b = float_of_int budget in
@@ -70,7 +70,7 @@ let make_net ~d ~budget =
     while Kernel.net_size ~d ~resolution:(!m + 1) <= b do incr m done;
     (* eps = (d-1)/(2m) maps back to exactly m (resolution_for's guard). *)
     let eps = float_of_int (d - 1) /. (2.0 *. float_of_int !m) in
-    let nt = Kernel.net ~d ~eps () in
+    let nt = Kernel.net ~d ~eps in
     { n_dirs = thin_dirs nt.Kernel.dirs ~budget; n_res = nt.Kernel.resolution }
   end
 
@@ -625,7 +625,6 @@ let sky_ids t = Array.copy t.t_sky
 let cand_ids t = Array.copy t.t_cands
 let directions t = Flat.rows t.t_net.n_dirs
 let resolution t = t.t_net.n_res
-let dim t = t.t_d
 
 let size_for t ~target =
   let rec go i =

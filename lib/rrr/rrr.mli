@@ -170,8 +170,6 @@ val directions : t -> int
 val resolution : t -> int
 (** Net grid resolution [m]. *)
 
-val dim : t -> int
-
 (** [size_for t ~target] — the smallest prefix length whose certified
     [hi] is [<= target], if any prefix achieves it. *)
 val size_for : t -> target:int -> int option

@@ -100,9 +100,7 @@ let evict t ?name () =
   in
   request_obj t fields
 
-let shutdown t = request_obj t [ ("op", Json.Str "shutdown") ]
-
-let wait_ready ?(attempts = 600) t ~name =
+let wait_ready t ~name =
   let rec poll left =
     if left <= 0 then
       Error (Printf.sprintf "dataset %S still not ready after polling" name)
@@ -134,7 +132,7 @@ let wait_ready ?(attempts = 600) t ~name =
                   Thread.delay 0.02;
                   poll (left - 1)))
   in
-  poll attempts
+  poll 600
 
 let read_fields family ~name ~k =
   [
@@ -146,8 +144,9 @@ let read_fields family ~name ~k =
 let query_json t ~name ~k =
   request t (Json.to_string (Json.Obj (read_fields Protocol.Query ~name ~k)))
 
-(* send a frame, retrying on [building] with the server's retry_after hint *)
-let with_building_retry_fields ~retries t fields extract =
+(* send a frame, retrying up to 200 times on [building] with the server's
+   retry_after hint *)
+let with_building_retry_fields t fields extract =
   let rec go left =
     match request t (Json.to_string (Json.Obj fields)) with
     | Error m -> Error m
@@ -160,15 +159,15 @@ let with_building_retry_fields ~retries t fields extract =
         end
         else Error (server_error j)
   in
-  go retries
+  go 200
 
-let with_building_retry ~retries t family ~name ~k extract =
-  with_building_retry_fields ~retries t (read_fields family ~name ~k) extract
+let with_building_retry t family ~name ~k extract =
+  with_building_retry_fields t (read_fields family ~name ~k) extract
 
 let extract_mrr j = Option.bind (Json.member "mrr" j) Json.to_float
 
-let query ?(retries = 200) t ~name ~k =
-  with_building_retry ~retries t Protocol.Query ~name ~k (fun j ->
+let query t ~name ~k =
+  with_building_retry t Protocol.Query ~name ~k (fun j ->
       let selection =
         Option.bind (Json.member "selection" j) Json.to_list
         |> Option.map (List.filter_map Json.to_int)
@@ -177,14 +176,14 @@ let query ?(retries = 200) t ~name ~k =
       | Some sel, Some mrr -> Ok (sel, mrr)
       | _ -> Error ("query response missing fields: " ^ Json.to_string j))
 
-let mrr ?(retries = 200) t ~name ~k =
-  with_building_retry ~retries t Protocol.Mrr ~name ~k (fun j ->
+let mrr t ~name ~k =
+  with_building_retry t Protocol.Mrr ~name ~k (fun j ->
       match extract_mrr j with
       | Some m -> Ok m
       | None -> Error ("mrr response missing mrr: " ^ Json.to_string j))
 
-let rank_regret ?(retries = 200) t ~name ~k =
-  with_building_retry ~retries t Protocol.Rank_regret ~name ~k (fun j ->
+let rank_regret t ~name ~k =
+  with_building_retry t Protocol.Rank_regret ~name ~k (fun j ->
       let selection =
         Option.bind (Json.member "selection" j) Json.to_list
         |> Option.map (List.filter_map Json.to_int)
@@ -198,8 +197,8 @@ let rank_regret ?(retries = 200) t ~name ~k =
 
 (* ---- dynamic updates ------------------------------------------------------ *)
 
-let insert ?(retries = 200) t ~name ~point =
-  with_building_retry_fields ~retries t
+let insert t ~name ~point =
+  with_building_retry_fields t
     [
       ("op", Json.Str "insert");
       ("name", Json.Str name);
@@ -210,16 +209,16 @@ let insert ?(retries = 200) t ~name ~point =
       | Some id -> Ok id
       | None -> Error ("insert response missing id: " ^ Json.to_string j))
 
-let delete ?(retries = 200) t ~name ~id =
-  with_building_retry_fields ~retries t
+let delete t ~name ~id =
+  with_building_retry_fields t
     [ ("op", Json.Str "delete"); ("name", Json.Str name); ("id", Json.int id) ]
     (fun j ->
       match Option.bind (Json.member "applied" j) Json.to_bool with
       | Some applied -> Ok applied
       | None -> Error ("delete response missing applied: " ^ Json.to_string j))
 
-let flush ?(retries = 200) t ~name =
-  with_building_retry_fields ~retries t
+let flush t ~name =
+  with_building_retry_fields t
     [ ("op", Json.Str "flush"); ("name", Json.Str name) ]
     (fun j ->
       match Option.bind (Json.member "reclaimed" j) Json.to_int with

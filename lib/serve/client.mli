@@ -49,23 +49,22 @@ val load :
 val list_datasets : t -> (Json.t, string) result
 val stats : t -> (Json.t, string) result
 val evict : t -> ?name:string -> unit -> (Json.t, string) result
-val shutdown : t -> (Json.t, string) result
 
 (** [wait_ready t ~name] polls [list] until the dataset is [ready]
-    ([Error] on [failed], on an unknown name, or after [attempts]
-    polls — default 600, 20 ms apart). *)
-val wait_ready : ?attempts:int -> t -> name:string -> (unit, string) result
+    ([Error] on [failed], on an unknown name, or after 600 polls, 20 ms
+    apart). *)
+val wait_ready : t -> name:string -> (unit, string) result
 
 (** [query t ~name ~k] — the selection (original dataset row indices) and
-    its mrr. Retries on [building] (default 200 attempts). *)
-val query :
-  ?retries:int -> t -> name:string -> k:int -> (int list * float, string) result
+    its mrr. Retries up to 200 times on [building], waiting the reply's
+    [retry_after] (at most 0.25 s) between tries. *)
+val query : t -> name:string -> k:int -> (int list * float, string) result
 
 (** [query_json t ~name ~k] — one shot, full response document (to inspect
     [cached] / [coalesced] flags); no retry. *)
 val query_json : t -> name:string -> k:int -> (Json.t, string) result
 
-val mrr : ?retries:int -> t -> name:string -> k:int -> (float, string) result
+val mrr : t -> name:string -> k:int -> (float, string) result
 
 (** [rank_regret t ~name ~k] — the rank-regret representative answer
     [(selection, rank_lo, rank_hi, exact)]: a [<= k]-subset (original
@@ -74,11 +73,7 @@ val mrr : ?retries:int -> t -> name:string -> k:int -> (float, string) result
     when the interval is a point — always in d <= 2). Retries on
     [building] like {!query}. *)
 val rank_regret :
-  ?retries:int ->
-  t ->
-  name:string ->
-  k:int ->
-  (int list * int * int * bool, string) result
+  t -> name:string -> k:int -> (int list * int * int * bool, string) result
 
 (** {1 Dynamic updates}
 
@@ -89,13 +84,12 @@ val rank_regret :
 (** [insert t ~name ~point] — returns the new point's stable id. The point
     must be pre-normalized: finite coordinates in [(0, 1]], dataset
     dimension. *)
-val insert :
-  ?retries:int -> t -> name:string -> point:float array -> (int, string) result
+val insert : t -> name:string -> point:float array -> (int, string) result
 
 (** [delete t ~name ~id] — [Ok true] when a live point was tombstoned,
     [Ok false] for an unknown or already-deleted id (an exact no-op). *)
-val delete : ?retries:int -> t -> name:string -> id:int -> (bool, string) result
+val delete : t -> name:string -> id:int -> (bool, string) result
 
 (** [flush t ~name] — compact tombstoned slots now; returns the number of
     slots reclaimed. External ids are stable across flushes. *)
-val flush : ?retries:int -> t -> name:string -> (int, string) result
+val flush : t -> name:string -> (int, string) result

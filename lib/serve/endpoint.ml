@@ -47,7 +47,9 @@ let protect_fd fd f =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Unix.error_message e)
 
-let listen ?(backlog = 128) ep =
+let backlog = 128
+
+let listen ep =
   match ep with
   | Unix_path path -> (
       if Sys.file_exists path then (

@@ -25,10 +25,11 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Round-trips with {!parse}. *)
 
-val listen : ?backlog:int -> t -> (Unix.file_descr, string) result
-(** Bind + listen (non-blocking listener fd). Unix paths: a stale socket
-    file is unlinked first. TCP: [SO_REUSEADDR] is set and the host
-    resolved; port 0 binds an ephemeral port. The caller owns the fd. *)
+val listen : t -> (Unix.file_descr, string) result
+(** Bind + listen (non-blocking listener fd, backlog 128). Unix paths: a
+    stale socket file is unlinked first. TCP: [SO_REUSEADDR] is set and
+    the host resolved; port 0 binds an ephemeral port. The caller owns the
+    fd. *)
 
 val connect : t -> (Unix.file_descr, string) result
 (** A connected stream socket (blocking mode — the client reads

@@ -72,7 +72,6 @@ type t = {
   handle : complete:(reply -> unit) -> string -> outcome;
   too_long : unit -> string;
   max_line : int;
-  drain_timeout : float;
   mutable next_id : int;
   mutable unsent_peak : int;
   mutable stopping : bool;
@@ -184,8 +183,8 @@ let worker_loop t =
   in
   loop ()
 
-let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
-    ~listeners ~hello ~refuse ~handle ~too_long () =
+let create ?(workers = 4) ?(max_line = 65536) ~listeners ~hello ~refuse
+    ~handle ~too_long () =
   if workers < 1 then invalid_arg "Poller.create: workers < 1";
   if max_line < 1 then invalid_arg "Poller.create: max_line < 1";
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -208,7 +207,6 @@ let create ?(workers = 4) ?(max_line = 65536) ?(drain_timeout = 5.)
       handle;
       too_long;
       max_line;
-      drain_timeout;
       next_id = 0;
       unsent_peak = 0;
       stopping = false;
@@ -416,7 +414,8 @@ let loop t =
       Mutex.protect t.m (fun () ->
           if t.stopping && not !stop_seen then begin
             stop_seen := true;
-            deadline := Unix.gettimeofday () +. t.drain_timeout;
+            (* survivors of a 5 s drain are force-closed *)
+            deadline := Unix.gettimeofday () +. 5.;
             List.iter close_fd t.listeners;
             t.listeners <- [];
             (* no further input: drain what is already in flight *)

@@ -45,9 +45,9 @@
     instead of spinning on a listener that stays readable.
 
     On {!stop} the loop closes the listeners, stops reading, drains
-    in-flight requests and write buffers (bounded by [drain_timeout],
-    default 5 s, after which survivors are force-closed), joins the
-    workers and returns from {!run}. *)
+    in-flight requests and write buffers (for at most 5 s, after which
+    survivors are force-closed), joins the workers and returns from
+    {!run}. *)
 
 type t
 
@@ -80,7 +80,6 @@ val handler_exceptions : Kregret_obs.Counter.t
 val create :
   ?workers:int ->
   ?max_line:int ->
-  ?drain_timeout:float ->
   listeners:Unix.file_descr list ->
   hello:string ->
   refuse:string ->

@@ -3,6 +3,7 @@ module Dataset = Kregret_dataset.Dataset
 module Csv_io = Kregret_dataset.Csv_io
 module Dynamic = Kregret.Dynamic
 module Snapshot = Kregret.Snapshot
+module Dd = Kregret_hull.Dd
 module Pipeline = Kregret_approx.Pipeline
 module Rrr = Kregret_rrr.Rrr
 module Obs = Kregret_obs
@@ -422,6 +423,12 @@ let load ?(approx = 0.) t ~name ~path =
         | Invalid_argument m -> Error (path ^ ": " ^ m)
       with
       | Error m -> Error m
+      | Ok ds when ds.Dataset.dim > Dd.max_dim ->
+          (* every build runs GeoGreedy on [Dd], which refuses such a
+             dimension: refuse the load instead of a build bound to fail *)
+          Error
+            (Printf.sprintf "%s: %d dimensions; builds support at most %d" path
+               ds.Dataset.dim Dd.max_dim)
       | Ok ds ->
           Mutex.protect t.mutex (fun () ->
               if t.stop then Error "registry is shut down"

@@ -181,7 +181,8 @@ val shutdown : t -> unit
     are {e distinct} entries: ε is part of the entry's identity, so
     re-loading an unchanged file at the same ε joins the existing entry
     (except when its build [Failed], which retries), and a different ε
-    rebuilds. [Error] on unreadable or malformed CSV. *)
+    rebuilds. [Error] on unreadable or malformed CSV, and on data of more
+    than {!Kregret_hull.Dd.max_dim} dimensions, which no build supports. *)
 val load :
   ?approx:float ->
   t ->

@@ -29,6 +29,8 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
   | Some m when m < 1 -> invalid_arg "Server.config: max_length < 1"
   | _ -> ());
   if workers < 1 then invalid_arg "Server.config: workers < 1";
+  if (not (Float.is_finite retry_after)) || retry_after < 0. then
+    invalid_arg "Server.config: retry_after must be finite and >= 0";
   if (not (Float.is_finite approx)) || approx < 0. || approx > 1. then
     invalid_arg "Server.config: approx must be in [0, 1]";
   let listeners =

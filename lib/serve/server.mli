@@ -63,8 +63,8 @@ type config = {
     [?socket_path] appends a Unix-domain listener (the pre-TCP calling
     convention); at least one listener is required. Raises
     [Invalid_argument] on a negative [cache_capacity], a [max_line],
-    [max_length] or [workers] below 1, an [approx] outside [[0, 1]], or
-    no listener. *)
+    [max_length] or [workers] below 1, a negative or non-finite
+    [retry_after], an [approx] outside [[0, 1]], or no listener. *)
 val config :
   ?cache_capacity:int ->
   ?max_line:int ->

@@ -196,14 +196,6 @@ let sfs points =
     result
   end
 
-let of_dataset ?(algorithm = `Sfs) ds =
-  let f =
-    match algorithm with
-    | `Naive -> naive
-    | `Bnl -> bnl
-    | `Sfs -> sfs
-    | `Bbs -> Bbs.of_points ?capacity:None
-  in
-  let indices = f ds.Dataset.points in
-  let sub = Dataset.sub ds ~indices in
+let of_dataset ds =
+  let sub = Dataset.sub ds ~indices:(sfs ds.Dataset.points) in
   { sub with Dataset.name = ds.Dataset.name ^ "/sky" }

@@ -5,14 +5,16 @@
     itself a subset of the skyline). Implementations:
 
     - [sfs]: sort-filter-skyline (Chomicki et al.) — the production
-      skyline, called by every build path (the default of [of_dataset],
+      skyline, called by every build path ([of_dataset],
       [Stored_list.funnel] — which [Dynamic] and the ε-kernel
       [Pipeline] build with — and [Rrr.build]);
     - [naive]: quadratic all-pairs reference that tests and oracles
       compare [sfs] against;
-    - [bnl]: block-nested-loops (Börzsönyi et al., ICDE 2001);
-    - [`Bbs] (via {!Bbs}): progressive branch-and-bound over an R-tree
-      (Papadias et al., TODS 2005 — the paper's reference [10]).
+    - [bnl]: block-nested-loops (Börzsönyi et al., ICDE 2001).
+
+    The progressive branch-and-bound skyline over an R-tree (Papadias et
+    al., TODS 2005 — the paper's reference [10]) is {!Bbs}, a separate
+    module that the substrate bench runs; [of_dataset] does not offer it.
 
     All functions return ascending indices into the input array. [naive],
     [bnl] and [sfs] keep index [i] iff no point dominates it and no point
@@ -37,8 +39,6 @@ val bnl : Kregret_geom.Vector.t array -> int array
     lengths. *)
 val sfs : Kregret_geom.Vector.t array -> int array
 
-(** [of_dataset ?algorithm ds] applies the chosen algorithm (default [`Sfs])
-    and returns the skyline as a dataset named ["<name>/sky"]. *)
-val of_dataset :
-  ?algorithm:[ `Naive | `Bnl | `Sfs | `Bbs ] -> Kregret_dataset.Dataset.t ->
-  Kregret_dataset.Dataset.t
+(** [of_dataset ds] is the [sfs] skyline of [ds] as a dataset named
+    ["<name>/sky"]. *)
+val of_dataset : Kregret_dataset.Dataset.t -> Kregret_dataset.Dataset.t

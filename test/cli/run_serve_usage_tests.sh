@@ -31,3 +31,16 @@ refused() {
 
 refused "max_length < 1" --max-k 0
 refused "workers < 1" --workers 0
+# a negative hint would have clients retry a building dataset back to back
+refused "retry_after must be finite and >= 0" --retry-after=-1
+refused "retry_after must be finite and >= 0" --retry-after=nan
+
+# the client refuses a bad --timeout the same way, before it connects
+status=0
+"$SERVE" --socket ./absent.sock --client --timeout=-1 ping 2>usage.err \
+  || status=$?
+[ $status -eq 124 ] \
+  || fail "--client --timeout=-1: exit status $status, expected 124"
+grep -q "timeout must be finite and >= 0" usage.err \
+  || fail "--client --timeout=-1: $(cat usage.err)"
+echo "serve-usage-test: --client --timeout=-1 exits 124"

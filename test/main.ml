@@ -8,12 +8,10 @@ let () =
     [
       ("vector", Test_vector.suite);
       ("matrix", Test_matrix.suite);
-      ("geom", Test_geom.suite);
       ("flat", Test_flat.suite);
       ("simplex", Test_simplex.suite);
       ("regret-lp", Test_regret_lp.suite);
       ("hull", Test_hull.suite);
-      ("primal-hull", Test_primal_hull.suite);
       ("dd-stress", Test_dd_stress.suite);
       ("mrr", Test_mrr.suite);
       ("dataset", Test_dataset.suite);

@@ -71,7 +71,7 @@ let prop_subset_and_cover =
             QCheck.Test.fail_reportf "kernel ids not strictly ascending")
         r.Kernel.ids;
       let d = Array.length points.(0) in
-      let nt = Kernel.net ~d ~eps () in
+      let nt = Kernel.net ~d ~eps in
       if Kregret_geom.Flat.rows nt.Kernel.dirs <> r.Kernel.directions then
         QCheck.Test.fail_reportf "net size mismatch";
       let in_kernel = Hashtbl.create 64 in

@@ -3,8 +3,9 @@ module Vector = Kregret_geom.Vector
 module Regret_lp = Kregret_lp.Regret_lp
 
 (* 2-D reference: cr(q, S) for the downward closure of S can be computed by
-   scanning candidate support directions (axes + segment normals), as in
-   Orthotope.member2d: cr = min over those w of (max_p w.p) / (w.q). *)
+   scanning candidate support directions (the two axes and the normals of the
+   segments between selected points): cr = min over those w of
+   (max_p w.p) / (w.q). *)
 let cr_reference_2d selected q =
   let support w =
     List.fold_left (fun acc p -> Float.max acc (Vector.dot w p)) 0. selected

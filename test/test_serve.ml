@@ -518,6 +518,41 @@ let test_load_failures () =
             (Option.bind (Json.member "datasets" j) Json.to_list
             |> Option.value ~default:[] |> List.length)))
 
+(* data wider than Dd.max_dim is refused at load, exact or ε, with a
+   message naming d and the limit: no build is left to fail, nothing is
+   listed, and the other datasets keep answering *)
+let test_load_refuses_high_dim () =
+  let wide = write_csv ~name:"wide" ~n:25 ~d:17 ~seed:29 in
+  let path = write_csv ~name:"narrow" ~n:40 ~d:3 ~seed:5 in
+  with_server (fun ~socket_path _server ->
+      with_client ~socket_path (fun c ->
+          load_and_wait c ~name:"narrow" ~path;
+          let sel0, mrr0 = or_fail "query" (Client.query c ~name:"narrow" ~k:3) in
+          List.iter
+            (fun approx ->
+              match Client.load ?approx c ~name:"wide" ~path:wide with
+              | Ok _ -> Alcotest.fail "a 17-dimensional load was accepted"
+              | Error m ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "load_failed naming d and the limit: %s" m)
+                    true
+                    (String.starts_with ~prefix:"server error [load_failed]" m
+                    && Testutil.contains m "17 dimensions"
+                    && Testutil.contains m "at most 16"))
+            [ None; Some 0.1 ];
+          let j = or_fail "list" (Client.list_datasets c) in
+          Alcotest.(check (list string))
+            "listed" [ "narrow" ]
+            (Option.bind (Json.member "datasets" j) Json.to_list
+            |> Option.value ~default:[]
+            |> List.filter_map (fun d ->
+                   Option.bind (Json.member "name" d) Json.to_str));
+          let sel, mrr = or_fail "query" (Client.query c ~name:"narrow" ~k:3) in
+          Alcotest.(check (list int)) "selection" sel0 sel;
+          Alcotest.check exact_float "mrr" mrr0 mrr));
+  Sys.remove wide;
+  Sys.remove path
+
 (* a StoredList cap below 1 is refused up front, not left to fail every
    build *)
 let test_config_rejects_max_length () =
@@ -788,36 +823,44 @@ let test_concurrent_load_idempotent () =
 (* a Failed build is retried by an explicit re-load of the same bytes
    (failures can be transient); it must not stick forever *)
 let test_failed_build_reload_retries () =
-  (* d = 21 parses and normalizes fine but the happy screen refuses d > 20,
-     so the background build fails deterministically *)
+  (* the load is accepted, but ε = 0.001 at d = 4 asks for a direction
+     net of about 1.35e10 directions, past Kernel.net's cap, so the
+     background build fails deterministically *)
   let st = Testutil.test_rng 61 in
-  let points = Array.init 8 (fun _ -> Testutil.random_point st 21) in
-  let path = Filename.temp_file "kregret_serve_wide" ".csv" in
-  Csv_io.save path (Dataset.create ~name:"wide" points);
+  let points = Array.init 8 (fun _ -> Testutil.random_point st 4) in
+  let path = Filename.temp_file "kregret_serve_fine" ".csv" in
+  Csv_io.save path (Dataset.create ~name:"fine" points);
   let reg = Serve.Registry.create () in
+  let load () = Serve.Registry.load ~approx:0.001 reg ~name:"fine" ~path in
   Fun.protect ~finally:(fun () -> Serve.Registry.shutdown reg) (fun () ->
-      ignore (or_fail "first load" (Serve.Registry.load reg ~name:"wide" ~path));
+      ignore (or_fail "first load" (load ()));
       let rec wait_failed tries =
         if tries = 0 then Alcotest.fail "build never failed"
         else
-          match Serve.Registry.find reg "wide" with
-          | Some { Serve.Registry.status = Serve.Registry.Failed _; _ } -> ()
+          match Serve.Registry.find reg "fine" with
+          | Some { Serve.Registry.status = Serve.Registry.Failed m; _ } ->
+              Alcotest.(check bool)
+                (Printf.sprintf "fails at the net cap: %s" m)
+                true
+                (Testutil.contains m "exceed the cap")
           | Some { Serve.Registry.status = Serve.Registry.Ready _; _ } ->
-              Alcotest.fail "d=21 build unexpectedly succeeded"
+              Alcotest.fail "an over-cap build unexpectedly succeeded"
           | _ ->
               Thread.delay 0.02;
               wait_failed (tries - 1)
       in
       wait_failed 500;
       (* the re-load re-enqueues instead of parroting the cached failure *)
-      let info = or_fail "re-load" (Serve.Registry.load reg ~name:"wide" ~path) in
+      let info = or_fail "re-load" (load ()) in
       (match info.Serve.Registry.status with
       | Serve.Registry.Building -> ()
       | Serve.Registry.Failed _ ->
           Alcotest.fail "re-load returned the stale failure without retrying"
-      | Serve.Registry.Ready _ -> Alcotest.fail "d=21 cannot be ready");
+      | Serve.Registry.Ready _ ->
+          Alcotest.fail "an over-cap build cannot be ready");
       (* the retry runs to its (deterministic) failure, not limbo *)
-      wait_failed 500)
+      wait_failed 500);
+  Sys.remove path
 
 (* a re-load of a mutated dataset rebuilds from the file and drops the
    updates, even when the bytes are unchanged: the mutated entry is not
@@ -1748,6 +1791,8 @@ let suite =
       `Quick test_stale_dataset_rejected;
     Alcotest.test_case "lifecycle: load failures are structured" `Quick
       test_load_failures;
+    Alcotest.test_case "lifecycle: a load wider than Dd.max_dim is refused"
+      `Quick test_load_refuses_high_dim;
     Alcotest.test_case "lifecycle: config refuses a StoredList cap below 1"
       `Quick test_config_rejects_max_length;
     Alcotest.test_case "dynamic: insert/delete/flush verbs end to end" `Slow

@@ -98,7 +98,10 @@ let test_of_dataset () =
   let ds = Generator.anti_correlated (Rng.create 17) ~n:300 ~d:3 in
   let sky = Skyline.of_dataset ds in
   Alcotest.(check string) "name" "anti_correlated/sky" sky.Dataset.name;
-  Alcotest.(check bool) "smaller" true (Dataset.size sky <= Dataset.size ds)
+  Alcotest.(check bool) "smaller" true (Dataset.size sky <= Dataset.size ds);
+  let naive = Skyline.naive ds.Dataset.points in
+  Alcotest.(check bool) "rows = naive's" true
+    (sky.Dataset.points = Array.map (fun i -> ds.Dataset.points.(i)) naive)
 
 let suite =
   [
