@@ -84,13 +84,14 @@ let ref_sfs points =
   result
 
 (* pre-PR happy screen: boxed vertex lists, List.for_all membership *)
-let ref_happy ?(eps = 1e-9) points =
+let ref_happy points =
+  let eps = 1e-9 in
   let n = Array.length points in
   let vertex_sets = Array.make n [] in
   Pool.parallel_for
     ~chunk_size:(Pool.default_chunk_size ~n)
     ~lo:0 ~hi:n
-    (fun i -> vertex_sets.(i) <- Happy.cut_box_vertices ~eps points.(i));
+    (fun i -> vertex_sets.(i) <- Happy.cut_box_vertices points.(i));
   let probe_order = Array.init n Fun.id in
   Array.sort
     (fun a b -> compare (Vector.sum points.(b)) (Vector.sum points.(a)))

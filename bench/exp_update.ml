@@ -16,8 +16,8 @@
      invalidated to the end; 0 = answers untouched), computed exactly from
      the answer arrays
    - maintenance tier rates from the dynamic.* counters: exact no-ops,
-     stored reuse (bit-unchanged happy set), memo restores, and the
-     rebuild fallbacks (one preprocess pass), per applied op *)
+     stored reuse (bit-unchanged happy set) and the rebuild fallbacks (one
+     preprocess pass), per applied op *)
 
 open Bench_util
 module Vector = Kregret_geom.Vector
@@ -122,7 +122,7 @@ let run () =
       (fun name -> (name, Obs.Counter.value (c ("dynamic." ^ name))))
       [
         "inserts"; "insert_noops"; "deletes"; "delete_noops"; "stored_reuse";
-        "stored_memo_hits"; "stored_rebuilds"; "flushes";
+        "stored_rebuilds"; "flushes";
       ]
   in
   let before_counters = read () in
@@ -199,9 +199,9 @@ let run () =
     ];
   note "speedup %.1fx; initial build %s" speedup (seconds t_build);
   note "repair depth p50=%d p99=%d (answer positions invalidated)" p50 p99;
-  note "ops: %.0f%% exact no-ops; per structural op: reuse %.2f, memo %.2f, rebuild %.2f"
+  note "ops: %.0f%% exact no-ops; per structural op: reuse %.2f, rebuild %.2f"
     (100. *. float_of_int noops /. float_of_int (max 1 (structural + noops)))
-    (rate "stored_reuse") (rate "stored_memo_hits") (rate "stored_rebuilds");
+    (rate "stored_reuse") (rate "stored_rebuilds");
 
   emit_json ~id:"update"
     ~extra:
@@ -226,7 +226,6 @@ let run () =
         ("structural", Int structural);
         ("noops", Int noops);
         ("stored_reuse", Int (delta "stored_reuse"));
-        ("stored_memo_hits", Int (delta "stored_memo_hits"));
         ("stored_rebuilds", Int (delta "stored_rebuilds"));
         ("flushes", Int (delta "flushes"));
       ];

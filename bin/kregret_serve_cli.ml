@@ -494,8 +494,7 @@ let cmd =
         "Runs the offline pipeline of the paper (skyline filter, happy-point \
          reduction, GeoGreedy materialization) once per loaded dataset, in \
          the background, then answers every $(i,query)/$(i,mrr) request as \
-         an O(k) StoredList prefix read — with an LRU result cache and \
-         single-flight coalescing of concurrent identical queries on top. \
+         an O(k) StoredList prefix read, with an LRU result cache on top. \
          $(i,rank_regret) requests answer the sibling rank-regret \
          representative query (lib/rrr/rrr.mli): a <= K subset minimizing \
          the certified max rank over every linear preference, cached under \

@@ -2,8 +2,7 @@ module Vector = Kregret_geom.Vector
 
 type result = { order : int list; mrr : float; t_grid : int }
 
-let run ?eps ~points ~k () =
-  ignore eps;
+let run ~points ~k () =
   let n = Array.length points in
   if n = 0 then invalid_arg "Cube.run: empty candidate set";
   if k < 1 then invalid_arg "Cube.run: k must be positive";

@@ -17,4 +17,4 @@ type result = {
 
 (** [run ~points ~k ()] — [k >= 1]; raises [Invalid_argument] on an empty
     candidate set. *)
-val run : ?eps:float -> points:Kregret_geom.Vector.t array -> k:int -> unit -> result
+val run : points:Kregret_geom.Vector.t array -> k:int -> unit -> result

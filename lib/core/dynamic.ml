@@ -43,10 +43,6 @@ let c_stored_reuse =
   Obs.Registry.counter "dynamic.stored_reuse"
     ~help:"skyline changes that left the happy set, and hence the stored list, intact"
 
-let c_memo_hits =
-  Obs.Registry.counter "dynamic.stored_memo_hits"
-    ~help:"stored lists restored bit-identically from the round-trip memo"
-
 let c_stored_rebuilds =
   Obs.Registry.counter "dynamic.stored_rebuilds"
     ~help:"stored-list preprocessing passes triggered by updates"
@@ -79,10 +75,8 @@ let g_tombstone_ratio =
    slot position of one subjugator *)
 type verdict = V_happy | V_unhappy of int
 
-(* tombstone fraction that triggers an automatic compaction, and the
-   round-trip memo's capacity *)
+(* tombstone fraction that triggers an automatic compaction *)
 let damage_ratio = 0.5
-let memo_cap = 8
 
 type t = {
   max_length : int option;
@@ -121,11 +115,6 @@ type t = {
   mutable happy : int array option;
   mutable happy_vecs : Vector.t array;
   mutable stored : Stored_list.t option;
-  (* most-recently-used memo of (happy candidate array, stored list) pairs:
-     an update stream that oscillates (insert then delete, or the reverse)
-     lands back on a bit-identical happy array and skips the preprocessing
-     pass; hits are verified by full bit comparison, never by hash *)
-  mutable memo : (Vector.t array * Stored_list.t) list;
   mutable epoch : int;
   mutable basis_version : int;  (* live-set changes: inserts + deletes *)
   (* [(epoch, order, mrr)] of the last snapshot: reused while the epoch
@@ -258,42 +247,20 @@ let snapshot t =
 
 (* ---- stored-list maintenance --------------------------------------------- *)
 
-let memo_find t vecs =
-  let rec go acc = function
-    | [] -> None
-    | ((v, s) as hit) :: rest ->
-        if vecs_bits_equal v vecs then begin
-          (* move to front *)
-          t.memo <- hit :: List.rev_append acc rest;
-          Some s
-        end
-        else go (hit :: acc) rest
-  in
-  go [] t.memo
-
-let memo_push t vecs stored =
-  match stored with
-  | None -> ()
-  | Some s ->
-      let keep = memo_cap - 1 in
-      t.memo <-
-        (vecs, s) :: List.filteri (fun i _ -> i < keep) t.memo
-
 (* Recompute the happy set from the verdicts and bring the stored list back
    in sync. Exactness note: a fresh [Stored_list.preprocess] is the only way
    to reproduce the rebuild pipeline bit-for-bit — GeoGreedy's champion
    cache is event-driven, and a replayed prefix continued after a full
    rescan can differ from the fresh run by one ulp in the plateau entries
    (the rescan sees the true vertex maximum where the event path saw the
-   maximum over replacement faces only). So the reuse tiers here trigger
-   only on bit-equal candidate arrays — the unchanged-happy fast path and
-   the round-trip memo — and every other structural change pays one
-   preprocessing pass over the happy set, with the first invalidated
-   position recorded in the repair-depth histogram. *)
+   maximum over replacement faces only). So the list is reused only when
+   the happy candidate array is bit-equal to the old one, and every other
+   structural change pays one preprocessing pass over the happy set, with
+   the first invalidated position recorded in the repair-depth
+   histogram. *)
 let refresh_after_sky_change t =
   let old_ids = order_ids t in
   let old_vecs = t.happy_vecs in
-  let old_stored = t.stored in
   let hap =
     Array.of_list
       (List.filter
@@ -310,22 +277,15 @@ let refresh_after_sky_change t =
     t.happy_vecs <- vecs
   end
   else begin
-    (match memo_find t vecs with
-    | Some s ->
-        memo_push t old_vecs old_stored;
-        t.stored <- Some s;
-        Obs.Counter.incr c_memo_hits
-    | None ->
-        memo_push t old_vecs old_stored;
-        (* the happy screen can empty a nonempty skyline: when every live
-           point lies strictly inside the unit simplex (sum < 1), each sky
-           member subjugates the others under the eps slop. A normalized
-           dataset cannot start there, but deletes of every boundary point
-           reach it; answers are then empty until an insert restores one. *)
-        t.stored <-
-          (if Array.length vecs = 0 then None
-           else Some (Stored_list.preprocess ?max_length:t.max_length vecs));
-        Obs.Counter.incr c_stored_rebuilds);
+    (* the happy screen can empty a nonempty skyline: when every live point
+       lies strictly inside the unit simplex (sum < 1), each sky member
+       subjugates the others under the eps slop. A normalized dataset
+       cannot start there, but deletes of every boundary point reach it;
+       answers are then empty until an insert restores one. *)
+    t.stored <-
+      (if Array.length vecs = 0 then None
+       else Some (Stored_list.preprocess ?max_length:t.max_length vecs));
+    Obs.Counter.incr c_stored_rebuilds;
     t.happy_vecs <- vecs;
     let new_ids = order_ids t in
     let depth = Array.length new_ids - common_prefix old_ids new_ids in
@@ -391,6 +351,60 @@ let rescreen t pos =
   done;
   Hashtbl.replace t.verdicts pos !verdict
 
+let merge_ascending a b =
+  let merged = Array.make (Array.length a + Array.length b) 0 in
+  let i = ref 0 and j = ref 0 in
+  for w = 0 to Array.length merged - 1 do
+    if !j >= Array.length b || (!i < Array.length a && a.(!i) < b.(!j))
+    then begin
+      merged.(w) <- a.(!i);
+      incr i
+    end
+    else begin
+      merged.(w) <- b.(!j);
+      incr j
+    end
+  done;
+  merged
+
+(* The one skyline-change repair, on a completed screen: the members
+   [leaving] leave the skyline and the ascending slot positions [entering]
+   join it. An insert passes its evictees and its own slot; a skyline
+   delete passes itself and its re-entrants. Bounded re-screen: a happy
+   survivor can only have gained an entrant as a subjugator, and takes the
+   first one as its witness; an unhappy survivor re-screens only when its
+   witness left; each entrant gets a full screen. *)
+let change_sky t ~leaving ~entering =
+  let left = Hashtbl.create 8 in
+  List.iter
+    (fun s ->
+      Hashtbl.replace left s ();
+      Hashtbl.remove t.verdicts s)
+    leaving;
+  let survivors =
+    Array.of_list
+      (List.filter (fun s -> not (Hashtbl.mem left s)) (Array.to_list t.sky))
+  in
+  t.sky <- merge_ascending survivors entering;
+  let by_entrant =
+    Array.map (fun e -> (e, Happy.subjugator t.data.(e))) entering
+  in
+  Array.iter
+    (fun s ->
+      match Hashtbl.find t.verdicts s with
+      | V_happy -> (
+          match
+            Array.find_opt
+              (fun (_, subjugates) -> subjugates t.data.(s))
+              by_entrant
+          with
+          | Some (e, _) -> Hashtbl.replace t.verdicts s (V_unhappy e)
+          | None -> ())
+      | V_unhappy w -> if Hashtbl.mem left w then rescreen t s)
+    survivors;
+  Array.iter (rescreen t) entering;
+  refresh_after_sky_change t
+
 (* ---- construction -------------------------------------------------------- *)
 
 let create ?max_length points =
@@ -431,7 +445,6 @@ let create ?max_length points =
     happy = None;
     happy_vecs = [||];
     stored = f.Stored_list.stored;
-    memo = [];
     epoch = 0;
     basis_version = 0;
     prefix = (-1, [||], [||]);
@@ -563,36 +576,9 @@ let insert_as t vec entry =
       id
   | Some evicted ->
       Obs.Counter.incr c_inserts;
+      Obs.Counter.add c_sky_evictions (List.length evicted);
       complete_screen t;
-      let evicted_tbl = Hashtbl.create 8 in
-      List.iter
-        (fun s ->
-          Hashtbl.replace evicted_tbl s ();
-          Hashtbl.remove t.verdicts s;
-          Obs.Counter.incr c_sky_evictions)
-        evicted;
-      let survivors =
-        Array.of_list
-          (List.filter
-             (fun s -> not (Hashtbl.mem evicted_tbl s))
-             (Array.to_list t.sky))
-      in
-      (* the new point has the largest slot position: append keeps ascending *)
-      t.sky <- Array.append survivors [| pos |];
-      (* bounded re-screen: a surviving happy member can only have gained the
-         new point as a subjugator; a surviving unhappy member stays unhappy
-         unless its witness was evicted *)
-      let by_new = Happy.subjugator vec in
-      Array.iter
-        (fun s ->
-          match Hashtbl.find t.verdicts s with
-          | V_happy ->
-              if by_new t.data.(s) then
-                Hashtbl.replace t.verdicts s (V_unhappy pos)
-          | V_unhappy w -> if Hashtbl.mem evicted_tbl w then rescreen t s)
-        survivors;
-      rescreen t pos;
-      refresh_after_sky_change t;
+      change_sky t ~leaving:evicted ~entering:[| pos |];
       id
 
 let insert t vec =
@@ -617,17 +603,13 @@ let delete t id =
       Obs.Counter.incr c_deletes;
       if in_sky then begin
         let x = t.data.(pos) in
-        Hashtbl.remove t.verdicts pos;
-        let survivors =
-          Array.of_list (List.filter (fun s -> s <> pos) (Array.to_list t.sky))
-        in
-        t.sky <- survivors;
         (* re-entry candidates: the live points the deleted member excluded
            (it dominated them, or equalled them from an earlier slot). Any
            other exclusion is still witnessed by a surviving member, so two
            bounded filters recover the exact new skyline: drop candidates a
            survivor dominates-or-equals, then run the pairwise rule among
-           what is left (earlier slot wins an equal pair). *)
+           what is left (earlier slot wins an equal pair). The verdicts
+           are keyed by the skyline, so they tell its live members apart. *)
         let cands = ref [] in
         for q = t.used - 1 downto 0 do
           if is_live t q && not (Hashtbl.mem t.verdicts q) then
@@ -641,10 +623,12 @@ let delete t id =
               not
                 (Array.exists
                    (fun s ->
+                     s <> pos
+                     &&
                      match Dominance.compare t.data.(s) t.data.(q) with
                      | Dominance.Dominates | Dominance.Equal -> true
                      | _ -> false)
-                   survivors))
+                   t.sky))
             !cands
         in
         let entrants =
@@ -664,46 +648,7 @@ let delete t id =
         in
         let entrants = Array.of_list entrants in
         Obs.Counter.add c_sky_entrants (Array.length entrants);
-        (* merge two ascending position arrays *)
-        let merged = Array.make (Array.length survivors + Array.length entrants) 0 in
-        let a = ref 0 and b = ref 0 and w = ref 0 in
-        while !a < Array.length survivors || !b < Array.length entrants do
-          let take_a =
-            !b >= Array.length entrants
-            || (!a < Array.length survivors && survivors.(!a) < entrants.(!b))
-          in
-          if take_a then begin
-            merged.(!w) <- survivors.(!a);
-            incr a
-          end
-          else begin
-            merged.(!w) <- entrants.(!b);
-            incr b
-          end;
-          incr w
-        done;
-        t.sky <- merged;
-        (* bounded re-screen mirroring the insert path: a surviving happy
-           member can only have gained an entrant as a subjugator; unhappy
-           members re-screen only when their witness was the deleted point;
-           entrants get a full screen *)
-        let by_entrant =
-          Array.map (fun e -> (e, Happy.subjugator t.data.(e))) entrants
-        in
-        Array.iter
-          (fun s ->
-            match Hashtbl.find t.verdicts s with
-            | V_happy ->
-                let w = ref (-1) in
-                Array.iter
-                  (fun (e, subjugates) ->
-                    if !w < 0 && subjugates t.data.(s) then w := e)
-                  by_entrant;
-                if !w >= 0 then Hashtbl.replace t.verdicts s (V_unhappy !w)
-            | V_unhappy w -> if w = pos then rescreen t s)
-          survivors;
-        Array.iter (fun e -> rescreen t e) entrants;
-        refresh_after_sky_change t
+        change_sky t ~leaving:[ pos ] ~entering:entrants
       end;
       maybe_flush t;
       true

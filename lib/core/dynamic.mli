@@ -24,12 +24,12 @@
       update fully re-screens only the new/re-entered points and the
       members whose witness left the skyline; everyone else is decided by
       probing against the few changed points, each of whose vertex sets
-      is enumerated once. Cheap updates never read a verdict.
-    - {b Stored list}: reused outright when the happy candidate array is
-      bit-unchanged, restored from a small content-verified memo when an
-      oscillating workload returns to a recent happy array, and otherwise
-      re-derived by one {!Stored_list.preprocess} pass over the happy set.
-      The memo and reuse tiers compare full float bits, never hashes.
+      is enumerated once. An entering insert and a skyline delete run
+      this one repair. Cheap updates never read a verdict.
+    - {b Stored list}: two tiers. It is reused outright when the happy
+      candidate array is bit-unchanged (full float bits are compared, never
+      hashes), and otherwise re-derived by one {!Stored_list.preprocess}
+      pass over the happy set.
 
     Why the stored list is re-derived rather than patched in place:
     GeoGreedy's champion cache is event-driven, and a champion value after

@@ -66,8 +66,11 @@ let collect_seeds d pick =
 let boundary_seeds points d =
   collect_seeds d (first_max points (fun _ -> true))
 
-let run ?(eps = 1e-9) ?(use_champion_cache = true) ?max_dual_vertices ?admit
-    ?on_step ~points ~k () =
+(* slack of the stop test on [cr >= 1] *)
+let eps = 1e-9
+
+let run ?(use_champion_cache = true) ?max_dual_vertices ?admit ?on_step
+    ~points ~k () =
   let n = Array.length points in
   if n = 0 then invalid_arg "Geo_greedy.run: empty candidate set";
   if k < 1 then invalid_arg "Geo_greedy.run: k must be positive";

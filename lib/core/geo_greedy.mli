@@ -76,7 +76,6 @@ type result = {
     [admit] together with [max_dual_vertices] (the LP phase scans every
     candidate). *)
 val run :
-  ?eps:float ->
   ?use_champion_cache:bool ->
   ?max_dual_vertices:int ->
   ?admit:(int -> bool) ->

@@ -4,7 +4,10 @@ module Pool = Kregret_parallel.Pool
 
 type result = { order : int list; mrr : float; iterations : int; lp_calls : int }
 
-let run ?(eps = 1e-9) ~points ~k () =
+(* slack of the stop test on [cr >= 1], as in {!Geo_greedy} *)
+let eps = 1e-9
+
+let run ~points ~k () =
   let n = Array.length points in
   if n = 0 then invalid_arg "Greedy_lp.run: empty candidate set";
   if k < 1 then invalid_arg "Greedy_lp.run: k must be positive";

@@ -19,5 +19,4 @@ type result = {
 
 (** [run ~points ~k ()] — see {!Geo_greedy.run} for conventions ([k < d],
     early stop on [cr >= 1], etc.). *)
-val run :
-  ?eps:float -> points:Kregret_geom.Vector.t array -> k:int -> unit -> result
+val run : points:Kregret_geom.Vector.t array -> k:int -> unit -> result

@@ -71,10 +71,6 @@ val argmax_dot : t -> float array -> int * float
     with early exit. *)
 val for_all_dot_le : t -> float array -> float -> bool
 
-(** Default vertex-tile height of {!champions} (32 rows: a tile of 32
-    rows of <= 16 doubles stays within 4 KB of L1). *)
-val default_tile : int
-
 (** [champions ~vertices ~cands targets ~tlo ~thi ~out_row ~out_val]
     computes, for every candidate row [j = targets.(ti)] with
     [tlo <= ti < thi], the vertex row maximising
@@ -82,8 +78,9 @@ val default_tile : int
     [out_row.(j)] and its value to [out_val.(j)]. Returns the number of
     vertex tiles processed.
 
-    The kernel is blocked: a tile of [?tile] vertex rows stays cache-hot
-    while all targets stream against it, with the running best carried in
+    The kernel is blocked: a tile of [?tile] vertex rows (default 32: 32
+    rows of <= 16 doubles stay within 4 KB of L1) stays cache-hot while
+    all targets stream against it, with the running best carried in
     the out slots — the fold order (row 0 initialises, later rows replace
     only when [not (best >= x)]) is identical to a single flat scan, so
     the result is bit-identical to {!argmax_dot} per candidate, ties and

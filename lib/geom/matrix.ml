@@ -3,9 +3,12 @@ type t = float array array
 let make rows cols x = Array.init rows (fun _ -> Array.make cols x)
 let init rows cols f = Array.init rows (fun i -> Array.init cols (fun j -> f i j))
 
+(* the pivot threshold *)
+let eps = 1e-9
+
 (* Forward elimination with partial pivoting. Returns the number of pivots
    found; [m] is destroyed. *)
-let eliminate ~eps m =
+let eliminate m =
   let r = Array.length m and c = Array.length m.(0) in
   let pivot_row = ref 0 in
   let col = ref 0 in
@@ -34,5 +37,4 @@ let eliminate ~eps m =
   done;
   !pivot_row
 
-let rank ?(eps = 1e-9) m =
-  if Array.length m = 0 then 0 else eliminate ~eps (Array.map Array.copy m)
+let rank m = if Array.length m = 0 then 0 else eliminate (Array.map Array.copy m)

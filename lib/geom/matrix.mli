@@ -14,7 +14,7 @@ val make : int -> int -> float -> t
 (** [init rows cols f] has entry [f i j] at row [i], column [j]. *)
 val init : int -> int -> (int -> int -> float) -> t
 
-(** [rank ?eps m] is the numerical rank of [m], computed by row elimination
-    with partial pivoting and threshold [eps] (default [1e-9]). [m] is not
+(** [rank m] is the numerical rank of [m], computed by row elimination
+    with partial pivoting and pivot threshold [1e-9]. [m] is not
     modified. *)
-val rank : ?eps:float -> t -> int
+val rank : t -> int

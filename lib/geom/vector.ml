@@ -3,7 +3,6 @@ type t = float array
 let dim = Array.length
 let init = Array.init
 let copy = Array.copy
-let zero d = Array.make d 0.
 
 let basis d i =
   if i < 0 || i >= d then invalid_arg "Vector.basis: index out of range";

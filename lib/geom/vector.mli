@@ -17,9 +17,6 @@ val init : int -> (int -> float) -> t
 (** [copy v] is a fresh vector equal to [v]. *)
 val copy : t -> t
 
-(** [zero d] is the origin of R^d. *)
-val zero : int -> t
-
 (** [basis d i] is the [i]-th standard basis vector of R^d (the paper's
     virtual corner point [vc_i]). Raises [Invalid_argument] unless
     [0 <= i < d]. *)

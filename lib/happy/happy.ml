@@ -28,9 +28,11 @@ let c_cut_vertices =
   Obs.Registry.counter "happy.cut_box_vertices"
     ~help:"dual vertices enumerated across all cut boxes"
 
-let default_eps = 1e-9
+(* the screen's geometric slop: every membership and hyperplane test
+   allows this much *)
+let eps = 1e-9
 
-let cut_box_vertices ?(eps = default_eps) q =
+let cut_box_vertices q =
   let d = Vector.dim q in
   if d > 20 then invalid_arg "Happy.cut_box_vertices: d > 20";
   let out = ref [] in
@@ -69,7 +71,7 @@ let corner_sum corner mask q =
    then written into [row]. The enumerator and the certificate both build
    their rows here, so a certificate row is bit for bit a row the
    membership sweep tests. *)
-let edge_row ~eps q corner s i row =
+let edge_row q corner s i row =
   s < 1. -. eps
   && s +. q.(i) > 1. +. eps
   &&
@@ -83,7 +85,7 @@ let edge_row ~eps q corner s i row =
    enumerates these sets for every skyline point inside a parallel region;
    on OCaml 5 the allocation traffic of the boxed version was minor-GC
    pressure that every domain paid for in stop-the-world syncs. *)
-let cut_box_vertices_flat ?(eps = default_eps) q =
+let cut_box_vertices_flat q =
   let d = Vector.dim q in
   if d > 20 then invalid_arg "Happy.cut_box_vertices_flat: d > 20";
   let out = Flat.create ~capacity:64 ~dim:d () in
@@ -97,7 +99,7 @@ let cut_box_vertices_flat ?(eps = default_eps) q =
   for mask = (1 lsl d) - 1 downto 0 do
     let s = corner_sum corner mask q in
     for i = d - 1 downto 0 do
-      if mask land (1 lsl i) = 0 && edge_row ~eps q corner s i edge then
+      if mask land (1 lsl i) = 0 && edge_row q corner s i edge then
         Flat.push_row out edge
     done;
     if s <= 1. +. eps then Flat.push_row out corner
@@ -123,14 +125,10 @@ let margin = 1e-12
    0 when Σq <= 1, some q_i is not positive, or a breakpoint row is not in
    V_q. Only soundness needs proof: any non-negative weights on rows of
    V_q give a valid certificate. *)
-let certificate ?(eps = default_eps) q =
+let certificate q =
   let d = Vector.dim q in
   let sum = Vector.sum q in
-  if
-    (not (sum > 1.))
-    || (not (eps >= 0.))
-    || Array.exists (fun x -> not (x > 0.)) q
-  then 0.
+  if (not (sum > 1.)) || Array.exists (fun x -> not (x > 0.)) q then 0.
   else begin
     let start = Array.make (d + 1) 0. in
     for i = 0 to d - 1 do
@@ -172,7 +170,7 @@ let certificate ?(eps = default_eps) q =
         let mu = Float.max 0. (0.5 *. (gap_prev +. gap_next)) in
         let s = corner_sum corner mask q in
         mask land (1 lsl partial) = 0
-        && edge_row ~eps q corner s partial row
+        && edge_row q corner s partial row
         && begin
              for i = 0 to d - 1 do
                acc.(i) <- acc.(i) +. (mu *. row.(i))
@@ -190,36 +188,35 @@ let certificate ?(eps = default_eps) q =
 (* Victim [p] skips every q with α_q above this: α_q·Σp then exceeds
    (1 + eps) with the margins to spare. Infinite (no skip) unless p >= 0,
    which the bound α_q·Σp <= c·p needs. *)
-let skip_threshold ?(eps = default_eps) p =
+let skip_threshold p =
   let mass = if Array.for_all (fun x -> x >= 0.) p then Vector.sum p else 0. in
   (1. +. eps) *. (1. +. margin) /. (mass *. (1. -. margin))
 
 (* "p is on or below every hyperplane of Y(q)" == p is in the polytope P_q,
    tested against all dual vertices. *)
-let inside_pq ~eps vertices p =
+let inside_pq vertices p =
   List.for_all (fun w -> Vector.dot w p <= 1. +. eps) vertices
 
 (* "p is on every hyperplane of Y(q)": the common intersection of the
    non-origin facet hyperplanes of P_q is {sum x = 1} when q is inside the
    unit simplex and the single point {q} otherwise (see .mli). *)
-let on_all_hyperplanes ~eps q p =
+let on_all_hyperplanes q p =
   if Vector.sum q <= 1. +. eps then abs_float (Vector.sum p -. 1.) <= eps
   else Vector.equal ~eps p q
 
-let subjugator ?(eps = default_eps) q =
-  let vertices = cut_box_vertices ~eps q in
-  fun p -> inside_pq ~eps vertices p && not (on_all_hyperplanes ~eps q p)
+let subjugator q =
+  let vertices = cut_box_vertices q in
+  fun p -> inside_pq vertices p && not (on_all_hyperplanes q p)
 
-let subjugates ?eps q p = subjugator ?eps q p
+let subjugates q p = subjugator q p
 
-let is_happy ?(eps = default_eps) ~candidates p =
+let is_happy ~candidates p =
   not
     (List.exists
-       (fun q -> (not (Vector.equal ~eps:0. q p)) && subjugates ~eps q p)
+       (fun q -> (not (Vector.equal ~eps:0. q p)) && subjugates q p)
        candidates)
 
 type screen = {
-  eps : float;
   points : Vector.t array;
   vertex_sets : Flat.t array;
   alpha : float array;
@@ -227,7 +224,7 @@ type screen = {
   sorted_alpha : float array;  (* [alpha] in probe order *)
 }
 
-let prepare ?(eps = default_eps) points =
+let prepare points =
   let n = Array.length points in
   let d = if n = 0 then 1 else Vector.dim points.(0) in
   let dummy = Flat.create ~dim:d () in
@@ -240,10 +237,10 @@ let prepare ?(eps = default_eps) points =
     ~cost:(20. *. float_of_int ((1 lsl d) * d))
     ~lo:0 ~hi:n
     (fun i ->
-      let vs = cut_box_vertices_flat ~eps points.(i) in
+      let vs = cut_box_vertices_flat points.(i) in
       Obs.Counter.add c_cut_vertices (Flat.rows vs);
       vertex_sets.(i) <- vs;
-      alpha.(i) <- certificate ~eps points.(i));
+      alpha.(i) <- certificate points.(i));
   (* Probe order: ascending α, then coordinate sum descending, then index.
      α is about 1/Σq, so strong subjugators (large [P_q], early exits for
      most victims) still come first, and every victim's certified skips
@@ -258,7 +255,7 @@ let prepare ?(eps = default_eps) points =
       | c -> c)
     probe_order;
   let sorted_alpha = Array.map (fun j -> alpha.(j)) probe_order in
-  { eps; points; vertex_sets; alpha; probe_order; sorted_alpha }
+  { points; vertex_sets; alpha; probe_order; sorted_alpha }
 
 (* The membership test [p in P_q] streams each flat vertex set with an
    early-exit dot sweep — the same conjunction the boxed List.for_all
@@ -267,9 +264,9 @@ let prepare ?(eps = default_eps) points =
    the verdict there is false without a probe. It reads the screen only,
    so verdicts of different victims may run on different domains. *)
 let verdict s i =
-  let eps = s.eps and n = Array.length s.points in
+  let n = Array.length s.points in
   let p = s.points.(i) in
-  let threshold = skip_threshold ~eps p in
+  let threshold = skip_threshold p in
   (* first position whose α exceeds the threshold *)
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
@@ -287,7 +284,7 @@ let verdict s i =
       if
         (not (Vector.equal ~eps:0. q p))
         && Flat.for_all_dot_le s.vertex_sets.(j) p bound
-        && not (on_all_hyperplanes ~eps q p)
+        && not (on_all_hyperplanes q p)
       then witness := j
     end;
     incr pos
@@ -305,8 +302,8 @@ let verdict s i =
     Some !witness
   end
 
-let verdicts ?eps points =
-  let s = prepare ?eps points in
+let verdicts points =
+  let s = prepare points in
   let n = Array.length points in
   let out = Array.make n None in
   (* per-victim verdicts are independent of each other, so the quadratic
@@ -318,16 +315,16 @@ let verdicts ?eps points =
     (fun i -> out.(i) <- verdict s i);
   out
 
-let happy_points ?eps points =
-  let v = verdicts ?eps points in
+let happy_points points =
+  let v = verdicts points in
   let out = ref [] in
   for i = Array.length v - 1 downto 0 do
     if Option.is_none v.(i) then out := i :: !out
   done;
   Array.of_list !out
 
-let of_dataset ?eps ds =
+let of_dataset ds =
   let sky = Kregret_skyline.Skyline.of_dataset ds in
-  let indices = happy_points ?eps sky.Dataset.points in
+  let indices = happy_points sky.Dataset.points in
   let sub = Dataset.sub sky ~indices in
   { sub with Dataset.name = ds.Dataset.name ^ "/happy" }

@@ -20,6 +20,8 @@
       non-origin facet of [P_q] then passes through the vertex [q], and
       [q]'s strictly positive coordinates rule coordinate planes out).
 
+    Every one of these tests allows a fixed slop [eps = 1e-9].
+
     The pairwise scan is the paper's [O(n^2 d 2^d)] algorithm (Section
     III-B); pass skyline points only — subjugation by a dominated point is
     always witnessed by its dominator, so filtering to [D_sky] first loses
@@ -43,46 +45,42 @@
     would have had when probed, so the verdicts, and agreement with
     {!subjugates}, are exact. *)
 
-(** [cut_box_vertices ~eps q] enumerates the vertices of
+(** [cut_box_vertices q] enumerates the vertices of
     [Q_q = [0,1]^d ∩ {w . q <= 1}]: the surviving box corners plus the
     intersections of the cut hyperplane with box edges. *)
-val cut_box_vertices :
-  ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Vector.t list
+val cut_box_vertices : Kregret_geom.Vector.t -> Kregret_geom.Vector.t list
 
-(** [cut_box_vertices_flat ~eps q] is the same enumeration written into a
+(** [cut_box_vertices_flat q] is the same enumeration written into a
     flat SoA buffer (rows in generation order — [cut_box_vertices] returns
     the reversed list) with no per-vertex allocation; the hot screen in
     {!happy_points} runs on these. *)
-val cut_box_vertices_flat :
-  ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Flat.t
+val cut_box_vertices_flat : Kregret_geom.Vector.t -> Kregret_geom.Flat.t
 
-(** [certificate ~eps q] is the certificate [α_q] of the screen's skip
+(** [certificate q] is the certificate [α_q] of the screen's skip
     (see above): about [1/Σq] when [Σq > 1], and [0] (never skips) when
     [Σq <= 1], some [q_i <= 0], or a row it needs is missing from
     [V_q]. *)
-val certificate : ?eps:float -> Kregret_geom.Vector.t -> float
+val certificate : Kregret_geom.Vector.t -> float
 
-(** [skip_threshold ~eps p] is the largest certificate the screen still
+(** [skip_threshold p] is the largest certificate the screen still
     probes for victim [p]: about [(1 + eps)/Σp], infinite unless
     [p >= 0]. *)
-val skip_threshold : ?eps:float -> Kregret_geom.Vector.t -> float
+val skip_threshold : Kregret_geom.Vector.t -> float
 
-(** [subjugates ~eps q p] — does [q] subjugate [p]? Both points must be
+(** [subjugates q p] — does [q] subjugate [p]? Both points must be
     strictly positive and lie in [(0,1]^d]. A point never subjugates itself
     (or an exact duplicate). *)
-val subjugates : ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Vector.t -> bool
+val subjugates : Kregret_geom.Vector.t -> Kregret_geom.Vector.t -> bool
 
-(** [subjugator ~eps q] is [subjugates ~eps q], with [q]'s vertex set
+(** [subjugator q] is [subjugates q], with [q]'s vertex set
     enumerated once for every [p] it is applied to: the same boxed sweep,
     hence the same verdicts. *)
-val subjugator :
-  ?eps:float -> Kregret_geom.Vector.t -> Kregret_geom.Vector.t -> bool
+val subjugator : Kregret_geom.Vector.t -> Kregret_geom.Vector.t -> bool
 
 (** [is_happy ~candidates p] — true when no point of [candidates] subjugates
     [p] ([p] itself, by identity or by value, never counts against). *)
 val is_happy :
-  ?eps:float -> candidates:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
-  bool
+  candidates:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t -> bool
 
 (** A prepared screen over a point array: every point's flat vertex set
     and certificate, and the probe order (ascending [α], then coordinate
@@ -90,7 +88,7 @@ val is_happy :
     holds [O(n 2^d d)] floats. *)
 type screen
 
-val prepare : ?eps:float -> Kregret_geom.Vector.t array -> screen
+val prepare : Kregret_geom.Vector.t array -> screen
 
 (** [verdict s i] screens point [i] against every point of [s]: [None]
     when it is happy, [Some j] when point [j] subjugates it (the first
@@ -105,14 +103,14 @@ val verdict : screen -> int -> int option
 
 (** [verdicts points] is [verdict] of every point over one prepared
     screen, run on the pool. *)
-val verdicts : ?eps:float -> Kregret_geom.Vector.t array -> int option array
+val verdicts : Kregret_geom.Vector.t array -> int option array
 
 (** [happy_points points] filters an array to its happy members (the
     points whose {!verdicts} are [None]), returning ascending indices
     (mirroring {!Kregret_skyline.Skyline}). The input should normally be a
     skyline. *)
-val happy_points : ?eps:float -> Kregret_geom.Vector.t array -> int array
+val happy_points : Kregret_geom.Vector.t array -> int array
 
 (** [of_dataset ds] computes skyline then happy points, returning the happy
     subset as a dataset named ["<name>/happy"]. *)
-val of_dataset : ?eps:float -> Kregret_dataset.Dataset.t -> Kregret_dataset.Dataset.t
+val of_dataset : Kregret_dataset.Dataset.t -> Kregret_dataset.Dataset.t

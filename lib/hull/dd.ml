@@ -235,7 +235,7 @@ let rank_adjacent t u v common =
       incr j
     done
   done;
-  Matrix.rank ~eps:1e-9 m >= t.d - 1
+  Matrix.rank m >= t.d - 1
 
 let add_constraint t ~normal ~offset =
   if Vector.dim normal <> t.d then
@@ -403,10 +403,10 @@ let contains ~eps t w =
   done;
   !ok
 
-let check_invariants ?(eps = 1e-7) t =
+let check_invariants t =
   Hashtbl.iter
     (fun _ v ->
-      if not (contains ~eps t v.w) then
+      if not (contains ~eps:1e-7 t v.w) then
         failwith
           (Format.asprintf "Dd: vertex %d = %a violates a constraint" v.id
              Vector.pp v.w);
@@ -421,7 +421,7 @@ let check_invariants ?(eps = 1e-7) t =
       if recomputed <> v.tight || !stale_bits then
         failwith (Printf.sprintf "Dd: vertex %d has a stale tight set" v.id);
       let m = Array.map (fun j -> t.normals.(j)) v.tight in
-      if Matrix.rank ~eps:1e-9 m < t.d then
+      if Matrix.rank m < t.d then
         failwith
           (Printf.sprintf "Dd: vertex %d tight set has rank < d" v.id))
     t.vertices;

@@ -107,6 +107,7 @@ val contains : eps:float -> t -> Kregret_geom.Vector.t -> bool
 val popcount : int -> int
 
 (** [check_invariants t] verifies internal consistency (every vertex
-    satisfies all constraints; tight sets are exact and of rank [d]); used by
-    the test suite. Raises [Failure] with a description on violation. *)
-val check_invariants : ?eps:float -> t -> unit
+    satisfies all constraints within [1e-7]; tight sets are exact and of
+    rank [d]); used by the test suite. Raises [Failure] with a description
+    on violation. *)
+val check_invariants : t -> unit

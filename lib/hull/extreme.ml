@@ -45,7 +45,10 @@ let direction_stream seed d =
    Each retry grows [E], so the loop terminates after at most [|D_conv|]
    rounds per candidate and [n + |D_conv|^2] LPs overall (in practice far
    fewer: the sampling pre-pass seeds [E] with the easy vertices). *)
-let extreme_points ?eps ?(samples = 4096) candidates =
+(* directions of the sampling pre-pass *)
+let samples = 4096
+
+let extreme_points candidates =
   let arr = Array.of_list candidates in
   let n = Array.length arr in
   if n = 0 then []
@@ -87,7 +90,7 @@ let extreme_points ?eps ?(samples = 4096) candidates =
         let decided = ref false in
         while not !decided do
           match
-            Regret_lp.separating_direction ?eps ~others:!support arr.(i)
+            Regret_lp.separating_direction ~others:!support arr.(i)
           with
           | None -> decided := true (* inside conv(E) => inside conv(all) *)
           | Some w -> (
@@ -104,8 +107,7 @@ let extreme_points ?eps ?(samples = 4096) candidates =
                   for j = 0 to n - 1 do
                     if j <> i then others := arr.(j) :: !others
                   done;
-                  if Regret_lp.in_convex_position ?eps ~others:!others arr.(i)
-                  then
+                  if Regret_lp.in_convex_position ~others:!others arr.(i) then
                     add_support i;
                   decided := true)
         done

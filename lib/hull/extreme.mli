@@ -10,10 +10,7 @@
 (** [extreme_points candidates] returns the members of [candidates] that are
     extreme points of the downward closure of the whole list. Duplicated
     points are never reported extreme (neither copy). A deterministic
-    direction-sampling pre-pass ([samples] directions, default 4096)
-    certifies unique maximizers as extreme before the per-point LP fallback
-    runs — on realistic skylines most extreme points are settled by the
-    pre-pass. *)
-val extreme_points :
-  ?eps:float -> ?samples:int -> Kregret_geom.Vector.t list ->
-  Kregret_geom.Vector.t list
+    direction-sampling pre-pass (4096 directions) certifies unique
+    maximizers as extreme before the per-point LP fallback runs — on
+    realistic skylines most extreme points are settled by the pre-pass. *)
+val extreme_points : Kregret_geom.Vector.t list -> Kregret_geom.Vector.t list

@@ -48,7 +48,7 @@ let row_of_terms t terms =
     terms;
   row
 
-let solve ?eps t objective ~direction =
+let solve t objective ~direction =
   let constraints =
     List.rev_map
       (fun (terms, relation, rhs) ->
@@ -58,8 +58,8 @@ let solve ?eps t objective ~direction =
   let obj = row_of_terms t objective in
   let run =
     match direction with
-    | `Min -> Simplex.minimize ?eps ~nvars:t.ncols ~objective:obj
-    | `Max -> Simplex.maximize ?eps ~nvars:t.ncols ~objective:obj
+    | `Min -> Simplex.minimize ~nvars:t.ncols ~objective:obj
+    | `Max -> Simplex.maximize ~nvars:t.ncols ~objective:obj
   in
   match run constraints with
   | Simplex.Infeasible -> Infeasible
@@ -72,5 +72,5 @@ let solve ?eps t objective ~direction =
       in
       Optimal { objective; values }
 
-let minimize ?eps t objective = solve ?eps t objective ~direction:`Min
-let maximize ?eps t objective = solve ?eps t objective ~direction:`Max
+let minimize t objective = solve t objective ~direction:`Min
+let maximize t objective = solve t objective ~direction:`Max

@@ -30,9 +30,9 @@ val add_eq : t -> (float * var) list -> float -> unit
 
 (** [minimize t terms] / [maximize t terms] solve with the given linear
     objective. The model may be re-solved with different objectives. *)
-val minimize : ?eps:float -> t -> (float * var) list -> outcome
+val minimize : t -> (float * var) list -> outcome
 
-val maximize : ?eps:float -> t -> (float * var) list -> outcome
+val maximize : t -> (float * var) list -> outcome
 
 (** [name t v] is the name [v] was declared with. *)
 val name : t -> var -> string

@@ -1,6 +1,6 @@
 module Vector = Kregret_geom.Vector
 
-let critical_ratio ?eps ~selected q =
+let critical_ratio ~selected q =
   (match selected with
   | [] -> invalid_arg "Regret_lp.critical_ratio: empty selection"
   | p :: _ ->
@@ -13,7 +13,7 @@ let critical_ratio ?eps ~selected q =
   let dot_terms v = List.init d (fun i -> (v.(i), w.(i))) in
   Model.add_eq m (dot_terms q) 1.;
   List.iter (fun p -> Model.add_le m ((-1., t) :: dot_terms p) 0.) selected;
-  match Model.minimize ?eps m [ (1., t) ] with
+  match Model.minimize m [ (1., t) ] with
   | Model.Optimal { objective; values } ->
       let witness = Array.init d (fun i -> values w.(i)) in
       (objective, witness)
@@ -23,25 +23,28 @@ let critical_ratio ?eps ~selected q =
   | Model.Unbounded ->
       invalid_arg "Regret_lp.critical_ratio: unbounded (empty selection?)"
 
-let regret_ratio ?eps ~selected q =
-  let cr, _ = critical_ratio ?eps ~selected q in
+let regret_ratio ~selected q =
+  let cr, _ = critical_ratio ~selected q in
   Float.max 0. (1. -. cr)
 
-let worst_candidate ?eps ~data ~selected () =
+let worst_candidate ~data ~selected () =
   List.fold_left
     (fun acc q ->
-      let cr, _ = critical_ratio ?eps ~selected q in
+      let cr, _ = critical_ratio ~selected q in
       match acc with
       | Some (_, best) when best <= cr -> acc
       | _ -> Some (q, cr))
     None data
 
-let max_regret_ratio ?eps ~data ~selected () =
-  match worst_candidate ?eps ~data ~selected () with
+let max_regret_ratio ~data ~selected () =
+  match worst_candidate ~data ~selected () with
   | None -> 0.
   | Some (_, cr) -> Float.max 0. (1. -. cr)
 
-let separating_direction ?(eps = 1e-7) ~others p =
+(* the least optimum [delta] that counts as a separation *)
+let separation_eps = 1e-7
+
+let separating_direction ~others p =
   let d = Vector.dim p in
   match others with
   | [] -> Some (Array.make d (1. /. float_of_int d))
@@ -59,10 +62,9 @@ let separating_direction ?(eps = 1e-7) ~others p =
           Model.add_ge m ((-1., delta) :: dot_terms diff) 0.)
         others;
       match Model.maximize m [ (1., delta) ] with
-      | Model.Optimal { objective; values } when objective > eps ->
+      | Model.Optimal { objective; values } when objective > separation_eps ->
           Some (Array.init d (fun i -> values w.(i)))
       | Model.Optimal _ | Model.Infeasible -> None
       | Model.Unbounded -> Some (Array.make d (1. /. float_of_int d)))
 
-let in_convex_position ?eps ~others p =
-  separating_direction ?eps ~others p <> None
+let in_convex_position ~others p = separating_direction ~others p <> None

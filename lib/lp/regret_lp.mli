@@ -20,21 +20,19 @@
     Raises [Invalid_argument] when [selected] is empty or dimensions
     disagree. *)
 val critical_ratio :
-  ?eps:float -> selected:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
+  selected:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
   float * Kregret_geom.Vector.t
 
 (** [regret_ratio ~selected q] is [max 0 (1 - critical_ratio ~selected q)]:
     how much of its best utility a user loses on point [q] when shown only
     [selected]. *)
 val regret_ratio :
-  ?eps:float -> selected:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
-  float
+  selected:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t -> float
 
 (** [max_regret_ratio ~data ~selected] is [mrr(selected)] over the linear
     function class, i.e. [max_{q in data} regret_ratio q] — Lemma 1 computed
     entirely by LP. *)
 val max_regret_ratio :
-  ?eps:float ->
   data:Kregret_geom.Vector.t list ->
   selected:Kregret_geom.Vector.t list ->
   unit ->
@@ -45,7 +43,6 @@ val max_regret_ratio :
     maximum regret ratio", line 6 of Algorithm 1), with that ratio.
     Returns [None] when [data] is empty. *)
 val worst_candidate :
-  ?eps:float ->
   data:Kregret_geom.Vector.t list ->
   selected:Kregret_geom.Vector.t list ->
   unit ->
@@ -58,11 +55,10 @@ val worst_candidate :
     {v max delta  s.t.  w . (p - q) >= delta (q in others),
                         sum w = 1,  w >= 0,  delta free v}
 
-    with [p] extreme iff the optimum exceeds [eps]. A duplicate of [p] in
+    with [p] extreme iff the optimum exceeds [1e-7]. A duplicate of [p] in
     [others] therefore makes the answer [false]. *)
 val in_convex_position :
-  ?eps:float -> others:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
-  bool
+  others:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t -> bool
 
 (** [separating_direction ~others p] is the decision version of
     {!in_convex_position} that also returns the witness: a non-negative
@@ -71,5 +67,5 @@ val in_convex_position :
     the downward closure of [others]). The witness drives Clarkson's
     algorithm in {!Kregret_hull.Extreme}. *)
 val separating_direction :
-  ?eps:float -> others:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
+  others:Kregret_geom.Vector.t list -> Kregret_geom.Vector.t ->
   Kregret_geom.Vector.t option

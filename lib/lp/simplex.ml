@@ -131,10 +131,13 @@ let pivot t obj_row ~row ~col =
   eliminate obj_row;
   t.basis.(row) <- col
 
+(* the pivot/zero tolerance *)
+let eps = 1e-9
+
 (* Run simplex iterations on [t] minimizing the objective encoded in
    [obj_row]. [allowed j] filters entering columns (used to block artificials
    in phase 2). Returns [`Optimal] or [`Unbounded]. *)
-let iterate ~eps t obj_row ~allowed =
+let iterate t obj_row ~allowed =
   let m = Array.length t.rows in
   let max_dantzig = 50 * (m + t.ncols) in
   let iter = ref 0 in
@@ -197,7 +200,7 @@ let extract_solution t =
     t.basis;
   x
 
-let minimize ?(eps = 1e-9) ~nvars ~objective constraints =
+let minimize ~nvars ~objective constraints =
   if Array.length objective <> nvars then
     invalid_arg "Simplex.minimize: objective width mismatch";
   Obs.Counter.incr c_solves;
@@ -216,7 +219,7 @@ let minimize ?(eps = 1e-9) ~nvars ~objective constraints =
       (* the phase-1 objective is bounded below by 0, so `Unbounded can only
          arise from accumulated round-off in a degenerate tableau; the
          phase-1 value test below still decides feasibility correctly *)
-      (match iterate ~eps t obj_row ~allowed:(fun _ -> true) with
+      (match iterate t obj_row ~allowed:(fun _ -> true) with
       | `Unbounded | `Optimal -> ());
       let phase1_value = -.obj_row.(rhs_col t) in
       if phase1_value > eps *. 10. then false
@@ -248,16 +251,16 @@ let minimize ?(eps = 1e-9) ~nvars ~objective constraints =
     Array.blit objective 0 cost2 0 nvars;
     let obj_row = reduced_costs t cost2 in
     let allowed j = j < t.first_artificial in
-    match iterate ~eps t obj_row ~allowed with
+    match iterate t obj_row ~allowed with
     | `Unbounded -> Unbounded
     | `Optimal ->
         Optimal
           { objective = -.obj_row.(rhs_col t); solution = extract_solution t }
   end
 
-let maximize ?eps ~nvars ~objective constraints =
+let maximize ~nvars ~objective constraints =
   let neg = Array.map (fun x -> -.x) objective in
-  match minimize ?eps ~nvars ~objective:neg constraints with
+  match minimize ~nvars ~objective:neg constraints with
   | Optimal { objective; solution } ->
       Optimal { objective = -.objective; solution }
   | (Infeasible | Unbounded) as r -> r

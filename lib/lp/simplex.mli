@@ -34,11 +34,9 @@ type outcome =
     {v min objective . x   s.t.  constraints,  x >= 0 v}
 
     Raises [Invalid_argument] when a row's width disagrees with [nvars].
-    [eps] (default [1e-9]) is the pivot/zero tolerance. *)
-val minimize :
-  ?eps:float -> nvars:int -> objective:float array -> constr list -> outcome
+    The pivot/zero tolerance is [1e-9]. *)
+val minimize : nvars:int -> objective:float array -> constr list -> outcome
 
 (** [maximize] is [minimize] on the negated objective, with the objective
     value reported for the original (maximization) direction. *)
-val maximize :
-  ?eps:float -> nvars:int -> objective:float array -> constr list -> outcome
+val maximize : nvars:int -> objective:float array -> constr list -> outcome

@@ -15,11 +15,9 @@ type snapshot = {
           [(infinity, n)] overflow bucket. Non-cumulative counts. *)
 }
 
-val default_buckets : float array
-(** Exponential seconds-oriented ladder: 1e-6 .. 10. *)
-
 val make : ?buckets:float array -> name:string -> help:string -> unit -> t
-(** [buckets] must be strictly increasing. An implicit [+inf] overflow
+(** [buckets] must be strictly increasing; the default is an exponential
+    seconds-oriented ladder, 1e-6 .. 10. An implicit [+inf] overflow
     bucket is appended. *)
 
 val name : t -> string

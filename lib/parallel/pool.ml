@@ -53,10 +53,9 @@
      was the other half of the sub-1x jobs=2 regression on single-core CI
      runners. The cap changes only which domain executes a chunk; chunk
      boundaries and fold order still come from the plan above, so results
-     are bit-identical to the uncapped pool. [jobs t] keeps reporting the
-     requested width; nested-region rejection also keys on the requested
-     width, so code that is wrong on a multicore box fails on a capped
-     box too. *)
+     are bit-identical to the uncapped pool. [get_jobs] keeps reporting
+     the requested width; nested-region rejection also keys on it, so
+     code that is wrong on a multicore box fails on a capped box too. *)
 
 module Obs = Kregret_obs
 
@@ -142,8 +141,6 @@ let exclusive t f =
   if Domain.DLS.get worker_of = t.id then nested ();
   (try Mutex.lock t.region with Sys_error _ -> nested ());
   Fun.protect ~finally:(fun () -> Mutex.unlock t.region) f
-
-let jobs t = t.jobs
 
 let drain t job =
   let continue_ = ref true in

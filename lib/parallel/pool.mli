@@ -48,9 +48,6 @@ val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Using the pool after
     shutdown raises [Invalid_argument]. *)
 
-val jobs : t -> int
-(** Number of domains participating in this pool (workers + caller). *)
-
 (** {1 Global pool}
 
     Most callers never construct a pool: the library keeps one global
@@ -87,9 +84,10 @@ val parallel_for :
     owned by index [i].
 
     [?cost] is the caller's estimate of the work per index in ~nanoseconds
-    (default {!default_cost}); it drives {!chunk_plan} and affects only
-    scheduling granularity, never results — the plan is a pure function of
-    the range and the hint, independent of the pool width. *)
+    (default 1000, i.e. ~1 us of work per index); it drives {!chunk_plan}
+    and affects only scheduling granularity, never results — the plan is a
+    pure function of the range and the hint, independent of the pool
+    width. *)
 
 val map_reduce :
   ?pool:t ->
@@ -109,10 +107,6 @@ val map_reduce :
     [hi - lo], [chunk_size] and the [cost] hint, so the value is
     independent of the pool width even for non-associative [reduce]
     (floating-point sums, first-wins argmax ties, list concatenation). *)
-
-val default_cost : float
-(** The per-index cost assumed when [?cost] is omitted (1000, i.e. ~1 us
-    of work per index). *)
 
 val chunk_plan : ?chunk_size:int -> ?cost:float -> n:int -> unit -> int
 (** [chunk_plan ~n ()] is the chunk size a region of [n] indices uses: an

@@ -61,7 +61,7 @@ val wait_ready : t -> name:string -> (unit, string) result
 val query : t -> name:string -> k:int -> (int list * float, string) result
 
 (** [query_json t ~name ~k] — one shot, full response document (to inspect
-    [cached] / [coalesced] flags); no retry. *)
+    the [cached] flag); no retry. *)
 val query_json : t -> name:string -> k:int -> (Json.t, string) result
 
 val mrr : t -> name:string -> k:int -> (float, string) result

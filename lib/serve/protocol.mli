@@ -41,6 +41,11 @@
       {"op":"shutdown"}                       stop the server
     v}
 
+    A read reply echoes [op], [name] and [k], then carries the family's
+    fields around two flags: [cached] is [true] when the reply came from
+    the result cache, and [coalesced] is always [false]. No read is
+    coalesced; the flag stays so that v1 replies keep their shape.
+
     [insert]/[delete]/[flush] take one of two paths (see
     {!Registry.update}). An update that cannot move the skyline — a
     dominated or duplicate insert, a rejected insert, a delete of an
@@ -82,8 +87,8 @@
     gauges, histograms and spans, zero counters left out. The server's
     counts are its counters there — [serve.requests] (this [stats]
     included), [serve.errors], [serve.connections],
-    [serve.cache.hits]/[misses]/[evictions]/[insertions],
-    [serve.batch.leaders]/[followers] and the rest of [serve.*] — beside
+    [serve.cache.hits]/[misses]/[evictions]/[insertions] and the rest of
+    [serve.*] — beside
     the pipeline's work counters. They are per process, and move only
     while recording is on, as it always is in [kregret_serve]. *)
 
@@ -96,7 +101,7 @@ val default_max_line : int
     framing itself can no longer be trusted. *)
 
 (** The read verbs: every one answers [{"op":OP,"name":NAME,"k":K}] from
-    the dataset's published state, through one cache and batch path. *)
+    the dataset's published state, through one cache path. *)
 type family = Query | Mrr | Rank_regret
 
 (** Every family, in wire documentation order. *)

@@ -78,18 +78,14 @@ type backend = Kregret.Snapshot.t
     {!rank_regret}). *)
 type rank_cell
 
-(** One publication: made only by {!built_of}, so each owns a fresh rank
-    cell. *)
+(** One publication. The registry makes one after every build and every
+    update that moved the versions, each with a fresh, empty rank cell; no
+    basis or table is built then. *)
 type built = private {
   backend : backend;
   build_seconds : float;  (** initial build cost (not update repair time) *)
   rank_cell : rank_cell;
 }
-
-(** [built_of ~build_seconds b] publishes [b] with an empty rank cell. The
-    registry publishes through it after every build and every update that
-    moved the versions; no basis or table is built here. *)
-val built_of : build_seconds:float -> backend -> built
 
 (** [backend_query b ~k] is {!Kregret.Snapshot.query}: the first [k]
     entries of the stored order and that prefix's regret. *)

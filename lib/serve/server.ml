@@ -49,7 +49,7 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
     approx;
   }
 
-(* cache/batch key: (generation, version, k, family). The generation names
+(* cache key: (generation, version, k, family). The generation names
    one registration: a load that creates or replaces an entry takes a new
    one, so registrations never share rows — not exact vs ε loads of one
    CSV, and not two names of one file whose updates reach equal epochs
@@ -60,10 +60,6 @@ let config ?(cache_capacity = 128) ?(max_line = Protocol.default_max_line)
    apart. *)
 type key = int * int * int * Protocol.family
 
-(* A read answer as its JSON fields: those rendered before the
-   [cached]/[coalesced] flags and those after them. *)
-type fields = (string * Json.t) list * (string * Json.t) list
-
 type t = {
   cfg : config;
   reg : Registry.t;
@@ -72,7 +68,6 @@ type t = {
          inside are fixed by the key, since a generation names exactly
          one registration *)
   cache_mutex : Mutex.t;
-  batcher : (key, (fields, Protocol.error) result) Batcher.t;
   resolved : Endpoint.t list;  (* as bound: tcp port 0 replaced *)
   mutable poller : Poller.t option;  (* set before the IO thread runs *)
   mutable io_thread : Thread.t option;
@@ -207,7 +202,10 @@ let internal e =
 (* a computation for a handler worker, as total as the rest of [handle] *)
 let work f = Poller.Work (fun () -> try f () with e -> internal e)
 
-let render ~family ~name ~k ~cached ~coalesced (before, after) =
+(* A read answer is its family's JSON fields, rendered around the
+   [cached] and [coalesced] flags. No read is coalesced: the flag is
+   always [false], kept so v1 replies keep their shape. *)
+let render ~family ~name ~k ~cached (before, after) =
   let request =
     [
       ("op", Json.Str (Protocol.family_name family));
@@ -215,17 +213,17 @@ let render ~family ~name ~k ~cached ~coalesced (before, after) =
       ("k", Json.int k);
     ]
   and flags =
-    [ ("cached", Json.Bool cached); ("coalesced", Json.Bool coalesced) ]
+    [ ("cached", Json.Bool cached); ("coalesced", Json.Bool false) ]
   in
   Protocol.ok_response (request @ before @ flags @ after)
 
 (* The read skeleton, one for every family and for both threads that run
    it. Cache first: a hit is the row's stored reply, rendered once by the
-   computation that filled it. On a miss, the computation, which
-   coalesces concurrent identical ones through the batcher, so one
-   computation answers every in-flight duplicate; each renders its own
-   reply from the family's fields. Only answers are cached, never
-   refusals. *)
+   computation that filled it. A miss computes the family's answer, stores
+   its hit reply and renders its own. Identical misses in flight at once
+   each compute; for [rank_regret] they still share the publication's rank
+   table, which {!Registry.rank_regret} builds once. Only answers are
+   cached, never refusals. *)
 let read t ~family ~name ~k (info, b) =
   let key =
     (info.Registry.generation, version_of family b.Registry.backend, k, family)
@@ -235,22 +233,12 @@ let read t ~family ~name ~k (info, b) =
   | None ->
       `Miss
         (fun () ->
-          let r, coalesced =
-            Batcher.run t.batcher ~key (fun () ->
-                let r = answer ~name family b ~k in
-                Result.iter
-                  (fun fields ->
-                    let hit =
-                      render ~family ~name ~k ~cached:true ~coalesced:false fields
-                    in
-                    Mutex.protect t.cache_mutex (fun () ->
-                        Lru.put t.cache key hit))
-                  r;
-                r)
-          in
-          match r with
+          match answer ~name family b ~k with
           | Error e -> error e
-          | Ok fields -> render ~family ~name ~k ~cached:false ~coalesced fields)
+          | Ok fields ->
+              let hit = render ~family ~name ~k ~cached:true fields in
+              Mutex.protect t.cache_mutex (fun () -> Lru.put t.cache key hit);
+              render ~family ~name ~k ~cached:false fields)
 
 (* On the IO thread: a ready dataset whose file kept its stat signature
    answers a hit now and hands a miss to a worker. Anything else goes to a
@@ -441,7 +429,6 @@ let start cfg =
           reg = Registry.create ?max_length:cfg.max_length ();
           cache = Lru.create ~capacity:cfg.cache_capacity;
           cache_mutex = Mutex.create ();
-          batcher = Batcher.create ();
           resolved;
           poller = None;
           io_thread = None;

@@ -1,7 +1,7 @@
 (** The serving loop: an event-driven server speaking {!Protocol.version}
     over any mix of Unix-domain and TCP listeners ({!Endpoint}), backed by
-    the dataset {!Registry} (background builds, exact or ε-kernel), the
-    {!Lru} result cache and the single-flight {!Batcher}.
+    the dataset {!Registry} (background builds, exact or ε-kernel) and the
+    {!Lru} result cache.
 
     Architecture: a single IO thread runs a {!Poller} readiness loop over
     every listener and every connection, and each request goes straight to
@@ -14,11 +14,14 @@
     {!Registry.update} applies in place. Cache misses, [rank_regret]
     tables and the admin verbs ([load], [list], [stats], [evict],
     [shutdown]) go to the [workers] pool, so none of them stalls accepts
-    or other connections' IO. Repairs — an update that moves the skyline,
-    a compaction-triggering delete, a [flush] — go to the registry
-    worker, which completes the request once its repair is published. Shutdown
-    wakes the loop through a self-pipe, which works identically for both
-    listener kinds. Connection state is kept for {e live} connections
+    or other connections' IO. A miss computes its answer and stores its
+    hit reply; identical misses in flight at once each compute, and
+    [rank_regret] ones share the publication's rank table, which
+    {!Registry.rank_regret} builds once. Repairs — an update that moves
+    the skyline, a compaction-triggering delete, a [flush] — go to the
+    registry worker, which completes the request once its repair is
+    published. Shutdown wakes the loop through a self-pipe, which works
+    identically for both listener kinds. Connection state is kept for {e live} connections
     only — a busy server's footprint is bounded by its concurrency, not by
     how many connections it has ever accepted — and both the live count
     and each connection's unsent output are capped ({!Poller}).
@@ -28,8 +31,7 @@
 
     - a served selection/mrr is {e bit-identical} to a direct
       {!Kregret.Stored_list} prefix read on the same build — including when
-      it comes from the cache, from a coalesced batch, or over TCP instead
-      of a Unix socket;
+      it comes from the cache, or over TCP instead of a Unix socket;
     - malformed input of any shape is answered with a structured error and
       never terminates the server (an oversized frame additionally closes
       that one connection, because its framing is no longer trustworthy);
@@ -40,7 +42,7 @@
       StoredList).
 
     Counts live in {!Kregret_obs} only: requests, errors, connections,
-    cache and batch events, inline answers and handler exceptions are its
+    cache events, inline answers and handler exceptions are its
     [serve.*] counters, and the [stats] verb replies with its snapshot.
     They are per process, not per server: they move only while recording
     is on ({!Kregret_obs.Control.set_enabled}), as it always is in

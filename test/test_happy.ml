@@ -94,6 +94,7 @@ let lemma3_property pts =
 
 (* ---- certified skips ----------------------------------------------------- *)
 
+(* the screen's slop *)
 let eps = 1e-9
 
 (* coordinates where rounding is most likely to bite: next to 0 and 1,
@@ -145,11 +146,11 @@ let arb_pairs =
    set refutes p — the sweep's verdict on the skipped pair is "inside
    P_q: no". *)
 let certificate_sound (q, ps) =
-  let alpha = Happy.certificate ~eps q in
-  let vs = Happy.cut_box_vertices_flat ~eps q in
+  let alpha = Happy.certificate q in
+  let vs = Happy.cut_box_vertices_flat q in
   List.for_all
     (fun p ->
-      (not (alpha > Happy.skip_threshold ~eps p))
+      (not (alpha > Happy.skip_threshold p))
       || not (Flat.for_all_dot_le vs p (1. +. eps)))
     ps
 

@@ -665,39 +665,62 @@ let test_serve_noop_updates_keep_table () =
 
 (* Four clients ask k = 1..4 of one fresh publication at once: one of
    them builds the table, the others wait for it, and all four get the
-   offline answers. *)
+   offline answers. After an insert republishes, four clients ask the
+   same k at once. No read is coalesced, so each one computes its answer,
+   but the four still build one table between them, and all four answers
+   are the offline engine's over the live rows. *)
 let test_serve_concurrent_readers_share_table () =
   let path = write_csv ~name:"rrr-share" ~n:2_000 ~d:4 ~seed:89 in
   let base = (Dataset.normalize (Csv_io.load path)).Dataset.points in
+  let p = Array.map (fun x -> Float.min 1. (x +. 0.01)) base.(0) in
   let offline = Array.init 4 (fun i -> Rrr.build ~max_size:(i + 1) base) in
+  let inserted = Rrr.build ~max_size:3 (Array.append base [| p |]) in
   with_obs @@ fun () ->
   with_server ~cache_capacity:64 (fun ~socket_path _server ->
+      (* four readers released at once; reader [i] asks k = [k_of i] *)
+      let wave k_of =
+        let arrived = Atomic.make 0 in
+        let answers = Array.make 4 None in
+        let reader i () =
+          with_client ~socket_path (fun c ->
+              Atomic.incr arrived;
+              while Atomic.get arrived < 4 do
+                Thread.yield ()
+              done;
+              answers.(i) <-
+                Some (Client.rank_regret c ~name:"share" ~k:(k_of i)))
+        in
+        List.iter Thread.join
+          (List.init 4 (fun i -> Thread.create (reader i) ()));
+        Array.mapi
+          (fun i a ->
+            match a with
+            | Some (Ok a) -> a
+            | Some (Error m) -> Alcotest.failf "reader %d, k=%d: %s" i (k_of i) m
+            | None -> Alcotest.failf "reader %d, k=%d: no answer" i (k_of i))
+          answers
+      in
       with_client ~socket_path (fun c -> load_and_wait c ~name:"share" ~path);
       let t0 = rank_tables () in
-      let arrived = Atomic.make 0 in
-      let answers = Array.make 4 None in
-      let reader k () =
-        with_client ~socket_path (fun c ->
-            Atomic.incr arrived;
-            while Atomic.get arrived < 4 do
-              Thread.yield ()
-            done;
-            answers.(k - 1) <- Some (Client.rank_regret c ~name:"share" ~k))
-      in
-      List.iter Thread.join
-        (List.init 4 (fun i -> Thread.create (reader (i + 1)) ()));
+      let fresh = wave (fun i -> i + 1) in
       Alcotest.(check int) "four concurrent readers: one table" (t0 + 1)
         (rank_tables ());
       Array.iteri
         (fun i a ->
           let k = i + 1 in
-          match a with
-          | Some (Ok a) ->
-              check_wire ~what:(Printf.sprintf "concurrent k=%d" k)
-                offline.(i) ~k a
-          | Some (Error m) -> Alcotest.failf "concurrent k=%d: %s" k m
-          | None -> Alcotest.failf "concurrent k=%d: no answer" k)
-        answers);
+          check_wire ~what:(Printf.sprintf "concurrent k=%d" k) offline.(i) ~k a)
+        fresh;
+      with_client ~socket_path (fun c ->
+          ignore (or_fail "insert" (Client.insert c ~name:"share" ~point:p)));
+      let same_k = wave (fun _ -> 3) in
+      Alcotest.(check int) "four identical reads after an insert: one more table"
+        (t0 + 2) (rank_tables ());
+      Array.iteri
+        (fun i a ->
+          check_wire
+            ~what:(Printf.sprintf "after the insert, reader %d" i)
+            inserted ~k:3 a)
+        same_k);
   Sys.remove path
 
 (* A load whose build runs pool regions while an uncached rank_regret

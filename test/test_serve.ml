@@ -5,8 +5,7 @@
    The central claim (ISSUE acceptance): for every loaded dataset and every
    k in d..|happy|, the served selection and mrr are bit-identical to a
    direct Stored_list prefix read AND to a fresh GeoGreedy run on the same
-   candidates — including when the answer comes from the LRU cache or from
-   a coalesced batch. *)
+   candidates — including when the answer comes from the LRU cache. *)
 
 module Vector = Kregret_geom.Vector
 module Dataset = Kregret_dataset.Dataset
@@ -156,7 +155,7 @@ let test_bit_identical_all_k () =
             Alcotest.check exact_float "mrr verb bit-identical" mrr_ref m
           done))
 
-(* ---- concurrent clients: coalescing + cache stay bit-identical ----------- *)
+(* ---- concurrent clients: misses and cache hits stay bit-identical ------- *)
 
 let test_concurrent_clients () =
   let path = write_csv ~name:"conc" ~n:200 ~d:4 ~seed:23 in
@@ -189,23 +188,12 @@ let test_concurrent_clients () =
               Alcotest.check exact_float "concurrent mrr" mrr_ref mrr)
             rs)
         results;
-      (* the server really did coalesce/cache rather than recompute 40x *)
+      (* the server really did cache rather than recompute 40x *)
       with_client ~socket_path (fun c ->
           let j = or_fail "stats" (Client.stats c) in
           if stats_counter j "serve.cache.hits" < 1 then
             Alcotest.failf "expected cache hits after 40 identical queries: %s"
-              (Json.to_string j);
-          (* every coalesced group has exactly one leader, and leaders +
-             followers never exceeds the total number of queries issued *)
-          let leaders = stats_counter j "serve.batch.leaders"
-          and followers = stats_counter j "serve.batch.followers" in
-          Alcotest.(check bool) "batch leaders sane" true (leaders >= 0);
-          Alcotest.(check bool) "batch followers sane" true (followers >= 0);
-          Alcotest.(check bool)
-            (Printf.sprintf "batch pair consistent (%d leaders, %d followers)"
-               leaders followers)
-            true
-            (leaders + followers <= n_threads * per_thread)))
+              (Json.to_string j)))
 
 (* ---- protocol robustness -------------------------------------------------- *)
 
@@ -360,9 +348,7 @@ let test_list_stats_evict () =
 
 (* [stats] replies with the live state and the Obs snapshot: its counters
    are the registry's, read at the reply, and every count the reply once
-   built by hand is there under its Obs name (all but
-   [serve.batch.followers], which needs two identical misses in flight at
-   once). *)
+   built by hand is there under its Obs name. *)
 let test_stats_is_metrics_document () =
   let path = write_csv ~name:"doc" ~n:80 ~d:3 ~seed:7 in
   Testutil.recording @@ fun () ->
@@ -414,7 +400,6 @@ let test_stats_is_metrics_document () =
               "serve.requests"; "serve.errors"; "serve.connections";
               "serve.cache.hits"; "serve.cache.misses";
               "serve.cache.evictions"; "serve.cache.insertions";
-              "serve.batch.leaders";
             ];
           let field path =
             List.fold_left
@@ -1770,7 +1755,7 @@ let suite =
     Alcotest.test_case "e2e: selections bit-identical for all k (cold, cached, \
                         mrr verb, fresh GeoGreedy)" `Slow
       test_bit_identical_all_k;
-    Alcotest.test_case "e2e: concurrent clients, coalesced + cached" `Slow
+    Alcotest.test_case "e2e: concurrent clients, cached" `Slow
       test_concurrent_clients;
     Alcotest.test_case "protocol: malformed frames get structured errors" `Quick
       test_malformed_frames;
